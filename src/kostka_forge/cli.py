@@ -57,6 +57,12 @@ def _emit_error(kind, message, code):
     return code
 
 
+def _require_at_least(args, name, least):
+    value = getattr(args, name)
+    if value < least:
+        raise ValidationError(f"--{name} must be at least {least}, got {value}")
+
+
 def _parse_lambda(text, n):
     try:
         lam = tuple(int(x) for x in text.split(","))
@@ -170,6 +176,7 @@ def cmd_expand(args):
 
 
 def cmd_kostka(args):
+    _require_at_least(args, "degree", 0)
     if args.n is None:
         args.n = args.degree
     if args.n < args.degree:
@@ -198,6 +205,9 @@ def cmd_kostka(args):
 def cmd_verify(args):
     if args.suite not in SUITES:
         raise ValidationError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+    _require_at_least(args, "n", 1)
+    _require_at_least(args, "maxdeg", 0)
+    _require_at_least(args, "trials", 1)
     report = run_suite(
         args.suite, n=args.n, maxdeg=args.maxdeg, trials=args.trials, seed=args.seed
     )
@@ -206,6 +216,8 @@ def cmd_verify(args):
 
 
 def cmd_table(args):
+    _require_at_least(args, "n", 1)
+    _require_at_least(args, "maxdeg", 0)
     lams = []
     for d in range(args.maxdeg + 1):
         lams.extend(compositions(d, args.n))

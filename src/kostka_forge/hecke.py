@@ -9,12 +9,11 @@ algebraic notation (s_i swaps z_i and z_{i+1}).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, ZeroComposition
 from .qt import ExactScalar
-from .weights import length, perm_length, spectral_vector
+from .weights import length, spectral_vector
 from .qt import QTPolynomial
 from .zpoly import ZPolynomial
 
@@ -286,23 +285,26 @@ def apply_X_lambda(f, lam):
     return out.scalar_mul(ExactScalar.q(lam[m - 1] - 1))
 
 
-def hecke_symmetrize(f):
-    """Sum of H_w(f) over all w in S_n, built along weak order."""
+def hecke_symmetrize(f, t_symmetric_in=0):
+    """Sum of H_w(f) over all w in S_n, by coset factorization.
+
+    sum_{w in S_n} H_w = C_n ... C_2, where
+    C_k = 1 + H_{k-1} + H_{k-2} H_{k-1} + ... + H_1 ... H_{k-1}
+    sums over the minimal left coset representatives of S_{k-1} in S_k.
+    C_k is one chain h <- H_i h for i = k-1, ..., 1 that adds up every h:
+    n(n-1)/2 Hecke applications in all, not n! - 1.
+
+    If f is t-symmetric in its first k = t_symmetric_in variables
+    (H_i f = t f for i < k), the factors C_2 ... C_k would only multiply f
+    by [k]_t!; they are skipped, so the result is the full sum / [k]_t!.
+    """
     n = f.n
-    perms = sorted(itertools.permutations(range(n)), key=perm_length)
-    results = {perms[0]: f}
-    total = f
-    for w in perms[1:]:
-        for i in range(1, n):
-            # w = s_i * w' with l(w') = l(w) - 1 iff i-1 appears after i
-            wl = list(w)
-            wl[wl.index(i - 1)], wl[wl.index(i)] = i, i - 1
-            wp = tuple(wl)
-            if perm_length(wp) < perm_length(w) and wp in results:
-                hw = apply_hecke(results[wp], i, "H")
-                results[w] = hw
-                total = total + hw
-                break
-        else:
-            raise RuntimeError("weak-order BFS failed")  # pragma: no cover
-    return total
+    if not 0 <= t_symmetric_in <= n:
+        raise IndexOutOfRange(f"t_symmetric_in={t_symmetric_in} out of range for n={n}")
+    for k in range(max(2, t_symmetric_in + 1), n + 1):
+        h = total = f
+        for i in range(k - 1, 0, -1):
+            h = apply_hecke(h, i, "H")
+            total = total + h
+        f = total
+    return f

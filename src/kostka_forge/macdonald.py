@@ -41,7 +41,6 @@ from .weights import (
     partitions,
     spectral_vector,
     star_step,
-    t_factorial,
     weight,
 )
 from .zpoly import ZPolynomial
@@ -337,11 +336,14 @@ def expand_in_partial_t_monomials(f, m, augmented=True):
 # ---------------------------------------------------------------------------
 
 
-def sym_calJ(lam):
-    """Integral form calJ_lam via Hecke symmetrization of a calE seed."""
-    lam = tuple(lam)
-    if not is_partition(lam):
-        raise NotAPartition(f"{lam} is not a partition")
+def _calJ_seed(lam):
+    """The calE seed that sym_calJ symmetrizes: calE_lam0 for
+    lam0 = (lam_m - 1, ..., lam_1 - 1, 0, ..., 0), rotated m times by Phi
+    onto the antidominant (0, ..., 0, lam_m, ..., lam_1).
+
+    Its n - m leading variables carry the zero parts, and it is
+    t-symmetric in them: H_i seed = t seed for i < n - m.
+    """
     n = len(lam)
     m = length(lam)
     lam0 = tuple(lam[i] - 1 for i in range(m - 1, -1, -1)) + (0,) * (n - m)
@@ -350,12 +352,24 @@ def sym_calJ(lam):
         seed = apply_phi(seed, "Phi")
     # each Phi step produces the target calE only up to q^{(rotated entry)};
     # the chain from lam0 is short a total factor of q^{|lam| - m}
-    seed = seed.scalar_mul(ExactScalar.q(weight(lam) - m))
-    total = hecke_symmetrize(seed)
+    return seed.scalar_mul(ExactScalar.q(weight(lam) - m))
+
+
+def sym_calJ(lam):
+    """Integral form calJ_lam = (1-t)^m sum_w H_w(seed) / [n-m]_t!.
+
+    The sum over w in S_n runs over the minimal coset representatives of
+    the seed's S_{n-m} stabilizer only (hecke_symmetrize with
+    t_symmetric_in = n - m), so the [n-m]_t! is never multiplied in and
+    never divided out.
+    """
+    lam = tuple(lam)
+    if not is_partition(lam):
+        raise NotAPartition(f"{lam} is not a partition")
+    m = length(lam)
+    total = hecke_symmetrize(_calJ_seed(lam), len(lam) - m)
     one_minus_t = ExactScalar.from_poly(QTPolynomial.one() - QTPolynomial.t())
-    m0 = n - m
-    scale = one_minus_t**m / t_factorial(m0)
-    return total.scalar_mul(scale)
+    return total.scalar_mul(one_minus_t**m)
 
 
 def sym_J(lam):

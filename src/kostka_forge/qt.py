@@ -706,6 +706,8 @@ class ExactScalar:
         """Substitute rational values for q and/or t, staying exact."""
         n, nd = self.num.substitute(qv, tv)
         d, dd = self.den.substitute(qv, tv)
+        if not d:
+            raise PoleAtSpecialization(f"denominator vanishes at q={qv}, t={tv}")
         return ExactScalar(n.scale(dd), d.scale(nd))
 
     # -- serialization ------------------------------------------------------

@@ -106,17 +106,19 @@ def _solve_fraction_system(matrix, rhs):
 def schur_power_sum_expansion(mu, n):
     """s_mu = sum_rho c_rho p_rho with exact rational c_rho.
 
-    Valid (and unique) for n >= |mu|; solved in monomial-symmetric
+    Valid (and unique) for n >= |mu|, where the c_rho do not depend on n;
+    so the system is solved in |mu| variables, in monomial-symmetric
     coordinates against the p_rho basis.
     """
+    mu = tuple(x for x in mu if x)
     d = sum(mu)
     if n < d:
         raise TooFewVariables(f"power-sum basis needs n >= {d}")
-    labels = sorted(partitions(d, n), reverse=True)
-    coords = sorted({pad(p, n) for p in labels}, reverse=True)
+    labels = sorted(partitions(d, d), reverse=True)
+    coords = sorted({pad(p, d) for p in labels}, reverse=True)
 
     def coord_vector(f):
-        cs = msym_coords(f, n)
+        cs = msym_coords(f, d)
         out = []
         for key in coords:
             c = cs.get(key)
@@ -129,9 +131,9 @@ def schur_power_sum_expansion(mu, n):
                 out.append(Fraction(c.num.const_value()))
         return out
 
-    columns = [coord_vector(power_sum_product(rho, n)) for rho in labels]
+    columns = [coord_vector(power_sum_product(rho, d)) for rho in labels]
     matrix = [[columns[j][i] for j in range(len(labels))] for i in range(len(coords))]
-    rhs = coord_vector(schur_bialternant(mu, n))
+    rhs = coord_vector(schur_bialternant(mu, d))
     sol = _solve_fraction_system(matrix, rhs)
     return {rho: c for rho, c in zip(labels, sol) if c}
 

@@ -8,7 +8,6 @@ so acting on a composition gives (w(mu))[w[i]] = mu[i].
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NotAPartition, ZeroComposition
@@ -64,20 +63,11 @@ def pad(lam, n):
     return tuple(lam) + (0,) * (n - len(lam))
 
 
-def perm_identity(n):
-    return tuple(range(n))
-
-
 def perm_inverse(w):
     out = [0] * len(w)
     for i, x in enumerate(w):
         out[x] = i
     return tuple(out)
-
-
-def perm_compose(u, v):
-    """(u o v)[i] = u[v[i]]."""
-    return tuple(u[x] for x in v)
 
 
 def perm_apply(w, mu):
@@ -90,25 +80,6 @@ def perm_apply(w, mu):
 
 def perm_length(w):
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
-
-
-def perm_reduced_word(w):
-    """A reduced word (list of 1-based adjacent transposition indices).
-
-    w = s_{i_1} ... s_{i_k}; bubble sort on the one-line form.
-    """
-    word = []
-    v = list(w)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(v) - 1):
-            if v[i] > v[i + 1]:
-                v[i], v[i + 1] = v[i + 1], v[i]
-                word.append(i + 1)
-                changed = True
-    word.reverse()
-    return word
 
 
 def bruhat_leq(u, w):
@@ -212,10 +183,6 @@ def order_leq(mu, lam):
     if bruhat_leq(wm, wl):
         return "greater"
     return "incomparable"
-
-
-def is_less(mu, lam):
-    return order_leq(mu, lam) == "less"
 
 
 # ---------------------------------------------------------------------------
@@ -363,5 +330,22 @@ def star_chain(lam):
 
 
 def distinct_permutations(tail):
-    """Distinct rearrangements of a tuple, in sorted order."""
-    return sorted(set(itertools.permutations(tail)))
+    """Distinct rearrangements of a tuple, in sorted order.
+
+    Lexicographic next-permutation steps from the sorted tuple: one step
+    per distinct rearrangement, not n! with repeats.
+    """
+    perm = sorted(tail)
+    out = [tuple(perm)]
+    while True:
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = reversed(perm[i + 1:])
+        out.append(tuple(perm))

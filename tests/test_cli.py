@@ -85,6 +85,23 @@ class TestValidation:
         code, _, _ = run(capsys, "kostka", "--degree", "3", "--n", "2")
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kostka", "--degree", "-1"),
+            ("table", "--n", "2", "--maxdeg", "-1"),
+            ("table", "--n", "0", "--maxdeg", "2"),
+            ("verify", "--suite", "oracle", "--n", "0"),
+            ("verify", "--suite", "hecke-relations", "--trials", "-3"),
+            ("verify", "--suite", "integrality", "--maxdeg", "-1"),
+        ],
+    )
+    def test_out_of_range_sizes(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
     def test_not_in_span(self, capsys):
         code, _, err = run(
             capsys,

@@ -22,6 +22,7 @@ from kostka_forge.hecke import (
 )
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.verify import random_zpoly
+from kostka_forge.weights import t_factorial
 from kostka_forge.zpoly import ZPolynomial
 
 ONE_MINUS_T = ExactScalar.from_poly(QTPolynomial.one() - QTPolynomial.t())
@@ -186,3 +187,59 @@ def test_hecke_symmetrize_is_invariant():
         g = hecke_symmetrize(f)
         for i in (1, 2):
             assert apply_hecke(g, i, "H") == g.scalar_mul(t)
+
+
+def _weak_order_sum(f, k):
+    """sum of H_w(f) over w in S_k acting on the first k variables, one
+    Hecke application per permutation along weak order: w -> s_i w."""
+    start = tuple(range(k))
+    layer = {start: f}
+    total = f
+    while layer:
+        nxt = {}
+        for w, hw in layer.items():
+            for i in range(1, k):
+                # l(s_i w) = l(w) + 1 iff i-1 appears before i in w
+                a, b = w.index(i - 1), w.index(i)
+                if a < b:
+                    v = list(w)
+                    v[a], v[b] = i, i - 1
+                    v = tuple(v)
+                    if v not in nxt:
+                        nxt[v] = apply_hecke(hw, i, "H")
+        for hw in nxt.values():
+            total = total + hw
+        layer = nxt
+    return total
+
+
+def test_weak_order_oracle_counts_all_permutations():
+    one = ZPolynomial.one(4)
+    t = ExactScalar.t()
+    # H_w(1) = t^{l(w)}, so the sum is the Poincare polynomial [4]_t!
+    assert _weak_order_sum(one, 4) == one.scalar_mul(t_factorial(4))
+    assert hecke_symmetrize(one) == one.scalar_mul(t_factorial(4))
+
+
+def test_hecke_symmetrize_matches_weak_order_oracle():
+    rng = random.Random(29)
+    for n in range(2, 6):
+        for _ in range(2):
+            f = random_zpoly(rng, n, maxdeg=3, max_terms=3)
+            assert hecke_symmetrize(f) == _weak_order_sum(f, n)
+
+
+def test_hecke_symmetrize_skips_the_stabilizer():
+    rng = random.Random(31)
+    t = ExactScalar.t()
+    for n, k in [(3, 2), (4, 2), (4, 3), (5, 3)]:
+        g = _weak_order_sum(random_zpoly(rng, n, maxdeg=3, max_terms=3), k)
+        for i in range(1, k):
+            assert apply_hecke(g, i, "H") == g.scalar_mul(t)
+        full = hecke_symmetrize(g)
+        assert hecke_symmetrize(g, t_symmetric_in=k).scalar_mul(t_factorial(k)) == full
+
+
+def test_hecke_symmetrize_rejects_bad_prefix():
+    with pytest.raises(IndexOutOfRange):
+        hecke_symmetrize(ZPolynomial.one(3), t_symmetric_in=4)

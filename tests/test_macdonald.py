@@ -14,6 +14,7 @@ from kostka_forge.errors import (
 )
 from kostka_forge.hecke import apply_hecke
 from kostka_forge.macdonald import (
+    _calJ_seed,
     eigen_oracle_E,
     expand_in_partial_t_monomials,
     expand_in_t_monomials,
@@ -31,7 +32,7 @@ from kostka_forge.macdonald import (
 )
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.symfunc import msym_coords, schur_bialternant
-from kostka_forge.weights import norm_factor
+from kostka_forge.weights import length, norm_factor
 from kostka_forge.zpoly import ZPolynomial
 
 ONE = QTPolynomial.one()
@@ -197,6 +198,14 @@ class TestSymmetric:
     def test_needs_partition(self):
         with pytest.raises(NotAPartition):
             sym_calJ((0, 1))
+
+    def test_seed_is_t_symmetric_in_its_zero_parts(self):
+        # sym_calJ relies on this to skip the S_{n-m} stabilizer
+        t = ExactScalar.t()
+        for n, lam in [(3, (1, 0, 0)), (4, (2, 1, 0, 0)), (5, (1, 1, 0, 0, 0)), (5, (3, 1, 0, 0, 0))]:
+            seed = _calJ_seed(lam)
+            for i in range(1, n - length(lam)):
+                assert apply_hecke(seed, i, "H") == seed.scalar_mul(t)
 
 
 class TestHallLittlewood:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kostka_forge.errors import DivisionByZero, NotDivisible
+from kostka_forge.errors import DivisionByZero, NotDivisible, PoleAtSpecialization
 from kostka_forge.qt import ExactScalar, QTPolynomial
 
 
@@ -96,6 +96,13 @@ class TestScalarArithmetic:
         assert x.specialize(qv=0, tv=0).is_one()
         y = x.specialize(tv=Fraction(1, 2))
         assert y == ExactScalar(P({(0, 0): 1}), P({(0, 0): 2, (1, 0): -1}))
+
+    def test_specialize_at_a_pole(self):
+        x = ExactScalar(ONE, ONE - T)
+        with pytest.raises(PoleAtSpecialization):
+            x.specialize(tv=1)
+        with pytest.raises(PoleAtSpecialization):
+            ExactScalar(ONE, ONE - Q * T).specialize(qv=1, tv=1)
 
     def test_json_round_trip(self):
         x = ExactScalar(ONE - T, ONE - Q * T)

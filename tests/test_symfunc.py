@@ -65,3 +65,9 @@ def test_msym_coords_reads_dominant_monomials():
     coords = msym_coords(f, 3)
     assert coords[(2, 1, 0)] == ExactScalar.one()
     assert coords[(1, 1, 1)] == ExactScalar.from_int(2)
+
+
+def test_power_sum_expansion_does_not_depend_on_n():
+    for mu in [(1,), (2, 1), (3,), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1)]:
+        d = sum(mu)
+        assert schur_power_sum_expansion(mu, d) == schur_power_sum_expansion(mu, d + 2)

@@ -10,6 +10,7 @@ from kostka_forge.weights import (
     b_factor,
     box_stats,
     compositions,
+    distinct_permutations,
     dominance_cmp,
     length_stat,
     multiplicity,
@@ -223,3 +224,8 @@ def test_dominance_cmp_basic():
     assert dominance_cmp((2, 0), (1, 1)) == "greater"
     assert dominance_cmp((2, 1, 1), (2, 1, 1)) == "equal"
     assert dominance_cmp((3, 1, 1, 1), (2, 2, 2, 0)) == "incomparable"
+
+
+def test_distinct_permutations_match_the_set_of_all_permutations():
+    for tail in [(), (0,), (1, 1), (2, 1, 1, 0), (3, 3, 1, 1, 0, 0), (0, 0, 0, 0), (2, 2, 2, 1)]:
+        assert distinct_permutations(tail) == sorted(set(itertools.permutations(tail)))
