@@ -46,18 +46,14 @@ from .weights import (
     weight,
 )
 from .hecke import (
-    OperatorWord,
     apply_X_lambda,
     apply_delta,
     apply_divided_difference,
     apply_hecke,
     apply_phi,
     apply_reflection,
-    apply_word,
     apply_xi,
-    build_A_family,
     hecke_symmetrize,
-    hecke_word,
 )
 from .macdonald import (
     BasisExpansion,

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import KostkaForgeError, NotInSpan
@@ -34,6 +32,12 @@ EXIT_VALIDATION = 2
 EXIT_NOT_IN_SPAN = 3
 EXIT_INTEGRALITY = 4
 EXIT_VERIFY_FAILED = 5
+
+
+# --parallel and KOSTKA_FORGE_THREADS are accepted for compatibility and
+# ignored: the computation is pure Python under the interpreter lock, so
+# threads cannot speed it up.
+_PARALLEL_HELP = "accepted for compatibility; has no effect (runs serially)"
 
 
 class ValidationError(Exception):
@@ -91,21 +95,6 @@ def _parse_specialize(text):
     return values.get("q"), values.get("t")
 
 
-def _threads(args):
-    if getattr(args, "parallel", None):
-        return max(1, args.parallel)
-    env = os.environ.get("KOSTKA_FORGE_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def _parallel_map(fn, items, width):
-    """Keyed fan-out; assembly order is fixed by the input order."""
-    if width <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # latex emitters
 # ---------------------------------------------------------------------------
@@ -130,7 +119,6 @@ def matrix_to_latex(km):
     rows = [" & ".join(str(c) for c in row) + r" \\" for row in km.entries]
     header = ", ".join(str(list(l)) for l in km.labels)
     body = "\n".join(rows)
-    cols = "c" * len(km.labels)
     return f"% rows/columns: {header}\n\\begin{{pmatrix}}\n{body}\n\\end{{pmatrix}}\n"
 
 
@@ -222,12 +210,7 @@ def cmd_table(args):
     for d in range(args.maxdeg + 1):
         lams.extend(compositions(d, args.n))
     lams.sort(key=lambda l: (weight(l), l))
-    width = _threads(args)
-
-    def job(lam):
-        return {"lambda": list(lam), "calE": nonsym_calE(lam).to_json_dict()}
-
-    entries = _parallel_map(job, lams, width)
+    entries = [{"lambda": list(lam), "calE": nonsym_calE(lam).to_json_dict()} for lam in lams]
     payload = {"n": args.n, "maxdeg": args.maxdeg, "entries": entries}
     _write(canonical_json(payload), args.output)
     return EXIT_OK
@@ -266,7 +249,7 @@ def build_parser():
     p.add_argument("--specialize", default=None, help="e.g. q=0,t=0")
     p.add_argument("--format", choices=["json", "csv", "latex"], default="json")
     p.add_argument("--output", default=None)
-    p.add_argument("--parallel", type=int, default=None)
+    p.add_argument("--parallel", type=int, default=None, help=_PARALLEL_HELP)
     p.set_defaults(func=cmd_kostka)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -282,7 +265,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--maxdeg", type=int, required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--parallel", type=int, default=None)
+    p.add_argument("--parallel", type=int, default=None, help=_PARALLEL_HELP)
     p.set_defaults(func=cmd_table)
     return parser
 

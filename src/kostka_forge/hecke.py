@@ -1,15 +1,13 @@
 """Operator calculus on ZPolynomial: reflections, divided differences,
 Hecke operators and inverses, the rotation Delta, the creation operators
-Phi / Phi' / Phi_1, Cherednik operators xi_i, operator words and the
-A-family building blocks of the box-adding recursion.
+Phi / Phi' / Phi_1, Cherednik operators xi_i, the box-adding step X_lambda
+and the Hecke symmetrizer.
 
 All operators are pure functions; indices are 1-based as in the usual
 algebraic notation (s_i swaps z_i and z_{i+1}).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, ZeroComposition
 from .qt import ExactScalar
@@ -159,118 +157,6 @@ def apply_xi(f, i, direction="forward"):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-# ---------------------------------------------------------------------------
-# operator words
-# ---------------------------------------------------------------------------
-
-_SYMBOL_TEXT = {
-    "s": "s{}",
-    "N": "N{}",
-    "H": "H{}",
-    "Hb": "Hb{}",
-    "Hi": "Hinv{}",
-    "Hbi": "Hbinv{}",
-    "D": "D",
-    "Di": "Dinv",
-    "Phi": "Phi",
-    "Phip": "Phi'",
-    "Phi1": "Phi1",
-    "z": "z{}",
-    "c": "c",
-}
-
-
-@dataclass(frozen=True)
-class OperatorWord:
-    """A sequence of primitive operator symbols, applied right-to-left.
-
-    Symbols are tuples: ("H", i), ("Hb", i), ("Hi", i), ("Hbi", i),
-    ("s", i), ("N", i), ("D",), ("Di",), ("Phi",), ("Phip",), ("Phi1",),
-    ("z", i) for multiplication by z_i and ("c", scalar).
-    """
-
-    symbols: tuple
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def to_text(self):
-        frags = []
-        for sym in self.symbols:
-            tag = sym[0]
-            if tag == "c":
-                frags.append(f"c({sym[1]})")
-            elif len(sym) > 1:
-                frags.append(_SYMBOL_TEXT[tag].format(sym[1]))
-            else:
-                frags.append(_SYMBOL_TEXT[tag])
-        return " ".join(frags)
-
-
-def apply_symbol(f, sym):
-    tag = sym[0]
-    if tag == "s":
-        return apply_reflection(f, sym[1])
-    if tag == "N":
-        return apply_divided_difference(f, sym[1])
-    if tag == "H":
-        return apply_hecke(f, sym[1], "H")
-    if tag == "Hb":
-        return apply_hecke(f, sym[1], "Hbar")
-    if tag == "Hi":
-        return apply_hecke(f, sym[1], "H_inv")
-    if tag == "Hbi":
-        return apply_hecke(f, sym[1], "Hbar_inv")
-    if tag == "D":
-        return apply_delta(f, "forward")
-    if tag == "Di":
-        return apply_delta(f, "inverse")
-    if tag == "Phi":
-        return apply_phi(f, "Phi")
-    if tag == "Phip":
-        return apply_phi(f, "Phi_prime")
-    if tag == "Phi1":
-        return apply_phi(f, "Phi_one")
-    if tag == "z":
-        e = [0] * f.n
-        e[sym[1] - 1] = 1
-        return f.monomial_mul(e)
-    if tag == "c":
-        return f.scalar_mul(sym[1])
-    raise ValueError(f"unknown operator symbol {sym!r}")
-
-
-def apply_word(f, word):
-    """Apply an OperatorWord (or raw symbol sequence) right-to-left."""
-    symbols = word.symbols if isinstance(word, OperatorWord) else tuple(word)
-    for sym in reversed(symbols):
-        f = apply_symbol(f, sym)
-    return f
-
-
-def hecke_word(f, reduced_word, variant="H"):
-    """H_w (or Hbar_w) for a reduced word, rightmost letter first."""
-    tag = {"H": "H", "Hbar": "Hbar"}[variant]
-    for i in reversed(reduced_word):
-        f = apply_hecke(f, i, tag)
-    return f
-
-
-def build_A_family(n, m, variant="A"):
-    """A_m = H_m...H_{n-1} Phi and friends, as OperatorWords.
-
-    m = n yields the bare Phi (resp. Phi') by the empty-product convention.
-    """
-    if not 1 <= m <= n:
-        raise IndexOutOfRange(f"A-family index {m} out of range for n={n}")
-    heads = {"A": "H", "Abar": "Hb", "Aprime": "H", "Abar_prime": "Hb"}
-    tails = {"A": "Phi", "Abar": "Phi", "Aprime": "Phip", "Abar_prime": "Phip"}
-    if variant not in heads:
-        raise ValueError(f"unknown A-family variant {variant!r}")
-    syms = tuple((heads[variant], i) for i in range(m, n)) + ((tails[variant],),)
-    return OperatorWord(syms)
-
-
 def apply_X_lambda(f, lam):
     """The normalized creation step q^{lam_m - 1} (Abar_m - lambda-bar_m t^m A_m)."""
     lam = tuple(lam)
@@ -279,8 +165,11 @@ def apply_X_lambda(f, lam):
         raise ZeroComposition("X_lambda needs a nonzero composition")
     n = len(lam)
     ev = spectral_vector(lam).scalar(m) * ExactScalar.t(m)
-    a = apply_word(f, build_A_family(n, m, "A"))
-    abar = apply_word(f, build_A_family(n, m, "Abar"))
+    # A_m = H_m...H_{n-1} Phi and Abar_m = Hbar_m...Hbar_{n-1} Phi share Phi f
+    a = abar = apply_phi(f)
+    for i in range(n - 1, m - 1, -1):
+        a = apply_hecke(a, i, "H")
+        abar = apply_hecke(abar, i, "Hbar")
     out = abar - a.scalar_mul(ev)
     return out.scalar_mul(ExactScalar.q(lam[m - 1] - 1))
 
@@ -301,10 +190,20 @@ def hecke_symmetrize(f, t_symmetric_in=0):
     n = f.n
     if not 0 <= t_symmetric_in <= n:
         raise IndexOutOfRange(f"t_symmetric_in={t_symmetric_in} out of range for n={n}")
-    for k in range(max(2, t_symmetric_in + 1), n + 1):
+    return _coset_chain_sum(f, apply_hecke, t_symmetric_in)
+
+
+def _coset_chain_sum(f, step, skip):
+    """C_n ... C_{skip+1} f, where C_k = 1 + T_{k-1} + T_{k-2} T_{k-1} + ...
+    + T_1 ... T_{k-1} for the generator step(h, i) = T_i h.
+
+    With T_i = H_i this is the Hecke symmetrizer; with T_i = s_i it is the
+    plain sum over S_n.  The factors C_2 ... C_skip are left out.
+    """
+    for k in range(max(2, skip + 1), f.n + 1):
         h = total = f
         for i in range(k - 1, 0, -1):
-            h = apply_hecke(h, i, "H")
+            h = step(h, i)
             total = total + h
         f = total
     return f

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import NotAPartition, NotInSpan
-from .hecke import apply_phi, apply_reflection
+from .hecke import _coset_chain_sum, apply_phi, apply_reflection
 from .weights import (
     distinct_permutations,
     is_partition,
@@ -73,27 +73,34 @@ def jack_nonsym(lam):
     return out
 
 
-def jack_sym(lam):
-    """Symmetric Jack polynomial calJ_lam(z; alpha) (integral form).
+def _jack_seed(lam):
+    """The seed that jack_sym symmetrizes: jack_nonsym of
+    lam0 = (lam_m - 1, ..., lam_1 - 1, 0, ..., 0), rotated m times by Phi_1.
 
-    Plain symmetrization of the Phi_1-chain seed, divided by the
-    factorial of the number of zero parts (each orbit element is hit
-    that many times).
+    Its n - m leading variables carry the zero parts, and it is symmetric
+    in them: s_i seed = seed for i < n - m.
     """
-    lam = tuple(lam)
-    if not is_partition(lam):
-        raise NotAPartition(f"{lam} is not a partition")
     n = len(lam)
     m = length(lam)
     lam0 = tuple(lam[i] - 1 for i in range(m - 1, -1, -1)) + (0,) * (n - m)
     seed = jack_nonsym(lam0)
     for _ in range(m):
         seed = apply_phi(seed, "Phi_one")
-    total = ZPolynomial.zero(n)
-    for w in itertools.permutations(range(n)):
-        total = total + seed.permute(w)
-    inv = AlphaPolynomial.const(Fraction(1, math.factorial(n - m)))
-    return total.scalar_mul(inv)
+    return seed
+
+
+def jack_sym(lam):
+    """Symmetric Jack polynomial calJ_lam(z; alpha) (integral form).
+
+    The plain sum of w(seed) over S_n, divided by (n-m)!, the order of
+    the seed's stabilizer.  The sum runs over the minimal coset
+    representatives of that stabilizer only, so the (n-m)! is never
+    multiplied in and never divided out.
+    """
+    lam = tuple(lam)
+    if not is_partition(lam):
+        raise NotAPartition(f"{lam} is not a partition")
+    return _coset_chain_sum(_jack_seed(lam), apply_reflection, len(lam) - length(lam))
 
 
 def u_factor(mu):

@@ -1,24 +1,22 @@
 """Operator calculus: reflections, divided differences, Hecke operators,
-rotation, creation operators, Cherednik operators and operator words."""
+rotation, creation operators, Cherednik operators, the box-adding step
+and the symmetrizer."""
 
 import random
 
 import pytest
 
+from kostka_forge import hecke
 from kostka_forge.errors import IndexOutOfRange, ZeroComposition
 from kostka_forge.hecke import (
-    OperatorWord,
     apply_delta,
     apply_divided_difference,
     apply_hecke,
     apply_phi,
     apply_reflection,
-    apply_word,
     apply_X_lambda,
     apply_xi,
-    build_A_family,
     hecke_symmetrize,
-    hecke_word,
 )
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.verify import random_zpoly
@@ -136,26 +134,6 @@ class TestXi:
                 assert g == f
 
 
-class TestWords:
-    def test_empty_word(self):
-        f = z(2, 1)
-        assert apply_word(f, OperatorWord(())) == f
-
-    def test_braid_invariance(self):
-        rng = random.Random(11)
-        for _ in range(5):
-            f = random_zpoly(rng, 3)
-            assert hecke_word(f, [1, 2, 1]) == hecke_word(f, [2, 1, 2])
-
-    def test_word_text(self):
-        w = build_A_family(3, 1, "Abar")
-        assert w.to_text() == "Hb1 Hb2 Phi"
-
-    def test_a_family_edge(self):
-        assert build_A_family(2, 2, "A").symbols == (("Phi",),)
-        assert build_A_family(2, 1, "A").symbols == (("H", 1), ("Phi",))
-
-
 class TestXLambda:
     def test_column_box(self):
         out = apply_X_lambda(ZPolynomial.one(2), (0, 1))
@@ -177,6 +155,21 @@ class TestXLambda:
     def test_zero_rejected(self):
         with pytest.raises(ZeroComposition):
             apply_X_lambda(ZPolynomial.one(2), (0, 0))
+
+    def test_phi_applied_once(self, monkeypatch):
+        # A_m and Abar_m share Phi f, so one Delta substitution per box
+        calls = []
+
+        def counting_delta(f, direction="forward"):
+            calls.append(direction)
+            return apply_delta(f, direction)
+
+        monkeypatch.setattr(hecke, "apply_delta", counting_delta)
+        f = random_zpoly(random.Random(17), 3)
+        for lam in [(0, 0, 1), (0, 1, 1), (1, 1, 1)]:
+            calls.clear()
+            apply_X_lambda(f, lam)
+            assert calls == ["forward"]
 
 
 def test_hecke_symmetrize_is_invariant():

@@ -1,10 +1,15 @@
 """The t -> 1 degeneration: alpha-coefficient polynomials, the limit
 monomial basis and positivity of expansion coefficients."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import pytest
 
 from kostka_forge.errors import NotAPartition, NotInSpan
 from kostka_forge.jack import (
+    _jack_seed,
     expand_in_limit_basis,
     jack_nonsym,
     jack_sym,
@@ -13,6 +18,7 @@ from kostka_forge.jack import (
     positivity_report,
     u_factor,
 )
+from kostka_forge.weights import length, partitions
 from kostka_forge.zpoly import AlphaPolynomial, ZPolynomial
 
 
@@ -55,6 +61,20 @@ class TestSym:
     def test_needs_partition(self):
         with pytest.raises(NotAPartition):
             jack_sym((0, 1))
+
+    def test_matches_plain_symmetrization(self):
+        # the plain n! sum over-counts each orbit element by (n-m)!, the
+        # order of the seed's stabilizer
+        for n in range(1, 5):
+            for d in range(5):
+                for part in partitions(d, n):
+                    lam = tuple(part) + (0,) * (n - len(part))
+                    seed = _jack_seed(lam)
+                    total = ZPolynomial.zero(n)
+                    for w in itertools.permutations(range(n)):
+                        total = total + seed.permute(w)
+                    inv = Fraction(1, math.factorial(n - length(lam)))
+                    assert jack_sym(lam) == total.scalar_mul(AlphaPolynomial.const(inv))
 
 
 class TestLimitBasis:
