@@ -44,6 +44,13 @@ class ValidationError(Exception):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as ValidationError, so they are reported as JSON."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -88,9 +95,11 @@ def _parse_specialize(text):
         var = var.strip()
         if var not in ("q", "t"):
             raise ValidationError(f"unknown variable {var!r} in specialization")
+        if var in values:
+            raise ValidationError(f"variable {var!r} specialized twice")
         try:
             values[var] = Fraction(val)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ValidationError(f"bad value {val!r} in specialization")
     return values.get("q"), values.get("t")
 
@@ -169,12 +178,10 @@ def cmd_kostka(args):
         args.n = args.degree
     if args.n < args.degree:
         raise ValidationError(f"kostka needs n >= degree ({args.n} < {args.degree})")
+    qv, tv = _parse_specialize(args.specialize) if args.specialize else (None, None)
     km = kostka_matrix(args.degree, args.n)
     violations = not km.all_integral()
-    out = km
-    if args.specialize:
-        qv, tv = _parse_specialize(args.specialize)
-        out = km.specialize(qv, tv)
+    out = km.specialize(qv, tv) if args.specialize else km
     if args.format == "csv":
         _write(matrix_to_csv(out), args.output)
     elif args.format == "latex":
@@ -222,7 +229,7 @@ def cmd_table(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="kostka-forge",
         description="Exact Macdonald-polynomial computations: expansions, "
         "two-variable Kostka matrices, verification suites and tables.",
@@ -271,9 +278,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         return _emit_error("ValidationError", str(exc), EXIT_VALIDATION)

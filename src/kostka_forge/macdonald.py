@@ -284,51 +284,51 @@ def t_monomial_partial(lam, m, augmented=False):
 # ---------------------------------------------------------------------------
 
 
-def expand_in_t_monomials(f):
-    """Exact expansion of f in the full t-monomial basis (greedy peeling)."""
-    n = f.n
+def _peel(f, element):
+    """Coefficients {mu: c} of f in a basis whose element(mu) is z^mu plus
+    monomials below mu: peel off c * element(mu) for a maximal monomial mu
+    of the remainder.  Every leading coefficient is 1, so nothing divides."""
     coeffs = {}
-    for d in f.total_degrees():
-        rem = f.homogeneous_part(d)
-        guard = 0
-        while rem:
-            support = list(rem.terms)
-            mu = support[0]
-            for nu in support[1:]:
-                if order_leq(tuple(mu), tuple(nu)) == "less":
-                    mu = nu
-            mu = tuple(mu)
-            if any(x < 0 for x in mu):
-                raise NotInSpan("Laurent support cannot be expanded in t-monomials")
-            c = rem.terms[mu]
-            coeffs[mu] = c
-            rem = rem - t_monomial(mu).scalar_mul(c)
-            guard += 1
-            if guard > 100000:  # pragma: no cover
-                raise NotInSpan("peeling did not terminate")
+    rem = f
+    while rem:
+        support = iter(rem.terms)
+        mu = next(support)
+        for nu in support:
+            if order_leq(mu, nu) == "less":
+                mu = nu
+        if any(x < 0 for x in mu):
+            raise NotInSpan("Laurent support cannot be expanded in t-monomials")
+        c = rem.terms[mu]
+        coeffs[mu] = c
+        rem = rem - element(mu).scalar_mul(c)
     return coeffs
+
+
+def expand_in_t_monomials(f):
+    """Exact expansion {mu: coefficient} of f in the full t-monomial basis,
+    peeled greedily: t_monomial(mu) is z^mu plus monomials below mu."""
+    return _peel(f, t_monomial)
 
 
 def expand_in_partial_t_monomials(f, m, augmented=True):
     """Expansion in (augmented) partially symmetric t-monomials.
 
-    Reads each coefficient off the unique partition-tail t-monomial
-    coordinate of a basis element, then verifies a zero residual.
+    Peels f in the plain level-m basis, which is unitriangular: every
+    rearrangement head + nu of a partition tail lies below head + tail.
+    A maximal remainder monomial without a partition tail is outside the
+    span.  Augmented coefficients are divided by the tail's b-factor.
     """
-    tcoeffs = expand_in_t_monomials(f)
+
+    def element(mu):
+        if not is_partition(mu[m:]):
+            raise NotInSpan("nonzero residual outside the partial t-monomial span")
+        return t_monomial_partial(mu, m)
+
+    coeffs = _peel(f, element)
+    labels = sorted(coeffs)
+    values = [coeffs[mu] / b_factor(mu[m:]) if augmented else coeffs[mu] for mu in labels]
     basis_tag = f"t_monomial_{'augmented' if augmented else 'partial'}"
-    labels, coeffs = [], []
-    recon = ZPolynomial.zero(f.n)
-    for mu, c in sorted(tcoeffs.items()):
-        tail = mu[m:]
-        if is_partition(tail):
-            coeff = c / b_factor(tail) if augmented else c
-            labels.append(mu)
-            coeffs.append(coeff)
-            recon = recon + t_monomial_partial(mu, m, augmented).scalar_mul(coeff)
-    if recon != f:
-        raise NotInSpan("nonzero residual outside the partial t-monomial span")
-    return BasisExpansion(basis_tag, labels, coeffs, m=m)
+    return BasisExpansion(basis_tag, labels, values, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +379,16 @@ def sym_J(lam):
 
 
 def hall_littlewood(lam, kind="P", n=None):
-    """Hall-Littlewood P (plain) or Q (augmented) as full t-symmetrizations."""
+    """Hall-Littlewood P (plain) or Q (augmented) as full t-symmetrizations
+    in n variables (default len(lam)); zero parts beyond n are dropped."""
     lam = tuple(lam)
     if n is None:
         n = len(lam)
-    lam = pad(lam, n)
     if not is_partition(lam):
         raise NotAPartition(f"{lam} is not a partition")
+    if length(lam) > n:
+        raise TooFewVariables(f"{lam} needs more than {n} variables")
+    lam = pad(lam[:n], n)
     if kind == "P":
         return t_monomial_partial(lam, 0, augmented=False)
     if kind == "Q":

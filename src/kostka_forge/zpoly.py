@@ -70,12 +70,6 @@ class ZPolynomial:
     def coeff(self, exps):
         return self.terms.get(tuple(exps))
 
-    def total_degrees(self):
-        return sorted({sum(e) for e in self.terms})
-
-    def homogeneous_part(self, d):
-        return ZPolynomial(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def _check(self, other):
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} != {other.n} variables")

@@ -1,9 +1,12 @@
 """Command-line behavior: canonical output, exit codes, round-trips and
 byte determinism across parallelism settings."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kostka_forge.cli import (
     EXIT_INTEGRALITY,
@@ -15,6 +18,7 @@ from kostka_forge.cli import (
 )
 from kostka_forge.macdonald import KostkaMatrix, nonsym_E
 from kostka_forge.qt import ExactScalar
+from kostka_forge.verify import SUITES
 from kostka_forge.zpoly import ZPolynomial
 
 
@@ -101,6 +105,35 @@ class TestValidation:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize("spec", ["q=1/0", "t=1/0", "q=1/2,q=3"])
+    def test_bad_specialization(self, capsys, spec):
+        code, out, err = run(capsys, "kostka", "--degree", "2", "--specialize", spec)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kostka", "--degree", "abc"),
+            ("expand", "--n", "2", "--lambda", "1,0", "--basis", "foo"),
+            ("table", "--n", "2"),
+            ("no-such-command",),
+            (),
+        ],
+    )
+    def test_usage_error_is_json(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kostka", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
 
     def test_not_in_span(self, capsys):
         code, _, err = run(
@@ -198,3 +231,67 @@ class TestDeterminism:
             ["kostka", "--degree", "3", "--n", "3", "--parallel", "2", "--output", str(b)]
         ) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# Small or garbage values: every invocation finishes in well under a second.
+SIZES = ["-1", "0", "1", "2", "3", "abc"]
+MAXDEGS = ["-1", "0", "1", "2", "x"]
+LAMBDAS = ["0", "1", "1,0", "0,1", "2,1", "1,x", "", "-1,1", "1,0,1", "1,1,1"]
+SPECS = ["q=0,t=0", "q=1/2", "t=-1", "q=1/0", "t=1/0", "q=1,q=2", "x=1", "q", "t=abc"]
+
+
+def _opt(flag, values):
+    """Leave the flag out, or pass it with one of the values."""
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [flag, v]))
+
+
+def _cmd(command, *options):
+    return st.tuples(*options).map(lambda parts: [command] + [a for p in parts for a in p])
+
+
+ARGV = st.one_of(
+    _cmd(
+        "expand",
+        _opt("--n", SIZES),
+        _opt("--lambda", LAMBDAS),
+        _opt("--form", ["E", "calE", "J", "calJ", "K"]),
+        _opt("--basis", ["monomial", "tmon", "tmon-partial", "tmon-aug", "foo"]),
+        _opt("--m", SIZES),
+        _opt("--format", ["json", "latex", "csv"]),
+    ),
+    _cmd(
+        "kostka",
+        _opt("--degree", SIZES),
+        _opt("--n", SIZES),
+        _opt("--specialize", SPECS),
+        _opt("--format", ["json", "csv", "latex", "xml"]),
+        _opt("--parallel", SIZES),
+    ),
+    # --maxdeg and --trials are always passed: their defaults are slow
+    _cmd(
+        "verify",
+        _opt("--suite", sorted(SUITES) + ["no-such-suite"]),
+        _opt("--n", SIZES),
+        st.sampled_from(MAXDEGS).map(lambda v: ["--maxdeg", v]),
+        st.sampled_from(["-1", "0", "1", "2", "y"]).map(lambda v: ["--trials", v]),
+        _opt("--seed", ["0", "7", "z"]),
+    ),
+    _cmd("table", _opt("--n", SIZES), _opt("--maxdeg", MAXDEGS), _opt("--parallel", SIZES)),
+    st.sampled_from([[], ["frobnicate"], ["--n", "2"]]),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(argv=ARGV)
+def test_fuzz_argv_ends_in_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except (Exception, SystemExit) as exc:
+        raise AssertionError(f"{argv}: {exc!r} escaped main") from exc
+    assert code in (0, 2, 3, 4, 5)
+    text = err.getvalue()
+    assert "Traceback" not in text
+    if code:
+        assert "type" in json.loads(text.strip().splitlines()[-1])["error"]

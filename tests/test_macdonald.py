@@ -12,6 +12,7 @@ from kostka_forge.errors import (
     TailNotPartition,
     TooFewVariables,
 )
+from kostka_forge import macdonald
 from kostka_forge.hecke import apply_hecke
 from kostka_forge.macdonald import (
     _calJ_seed,
@@ -32,7 +33,7 @@ from kostka_forge.macdonald import (
 )
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.symfunc import msym_coords, schur_bialternant
-from kostka_forge.weights import length, norm_factor
+from kostka_forge.weights import b_factor, compositions, is_partition, length, norm_factor
 from kostka_forge.zpoly import ZPolynomial
 
 ONE = QTPolynomial.one()
@@ -151,6 +152,31 @@ class TestPartialTMonomials:
             t_monomial_partial((0, 1), 0)
 
 
+def _two_phase_expansion(f, m, augmented):
+    """Reference: read the partition-tail coefficients off the full
+    t-monomial expansion, then rebuild f from them and compare."""
+    labels, coeffs = [], []
+    recon = ZPolynomial.zero(f.n)
+    for mu, c in sorted(expand_in_t_monomials(f).items()):
+        tail = mu[m:]
+        if is_partition(tail):
+            coeff = c / b_factor(tail) if augmented else c
+            labels.append(mu)
+            coeffs.append(coeff)
+            recon = recon + t_monomial_partial(mu, m, augmented).scalar_mul(coeff)
+    if recon != f:
+        raise NotInSpan("nonzero residual")
+    return labels, coeffs
+
+
+def _partial_outcome(f, m, augmented):
+    try:
+        exp = expand_in_partial_t_monomials(f, m, augmented)
+    except NotInSpan:
+        return NotInSpan
+    return exp.labels, exp.coeffs
+
+
 class TestExpansions:
     def test_row_expansion(self):
         exp = expand_in_partial_t_monomials(nonsym_calE((1, 0)), 1)
@@ -172,6 +198,35 @@ class TestExpansions:
     def test_not_in_span(self):
         with pytest.raises(NotInSpan):
             expand_in_partial_t_monomials(nonsym_calE((0, 1)), 0)
+
+    def test_matches_two_phase_reference(self):
+        # every m, so inputs outside the span (m < l(lam)) are covered too
+        outside = 0
+        for n in range(1, 4):
+            for d in range(5):
+                for lam in compositions(d, n):
+                    f = nonsym_calE(lam)
+                    for m in range(n + 1):
+                        for augmented in (False, True):
+                            try:
+                                expected = _two_phase_expansion(f, m, augmented)
+                            except NotInSpan:
+                                expected = NotInSpan
+                                outside += 1
+                            assert _partial_outcome(f, m, augmented) == expected, (lam, m)
+        assert outside > 0
+        assert _partial_outcome(nonsym_calE((0, 1)), 0, True) is NotInSpan
+
+    def test_partial_does_not_go_through_the_full_basis(self, monkeypatch):
+        cases = [(nonsym_calE((1, 0)), 1), (nonsym_calE((0, 2, 1)), 2), (sym_calJ((2, 1, 0)), 0)]
+        expected = [expand_in_partial_t_monomials(f, m) for f, m in cases]
+
+        def refuse(f):
+            raise AssertionError("full t-monomial expansion called")
+
+        monkeypatch.setattr(macdonald, "expand_in_t_monomials", refuse)
+        for (f, m), exp in zip(cases, expected):
+            assert expand_in_partial_t_monomials(f, m) == exp
 
     def test_full_t_monomial_expansion(self):
         coeffs = expand_in_t_monomials(nonsym_calE((1, 0)))
@@ -215,6 +270,16 @@ class TestHallLittlewood:
     def test_q_single_row(self):
         expected = (z(2, 1) + z(2, 2)).scalar_mul(poly(ONE - T))
         assert hall_littlewood((1,), "Q", 2) == expected
+
+    def test_extra_zero_parts_dropped(self):
+        assert hall_littlewood((1, 1, 0), "P", 2) == mono(2, (1, 1))
+        assert hall_littlewood((2, 0, 0), "Q", 1) == mono(1, (2,), poly(ONE - T))
+
+    def test_too_few_variables(self):
+        with pytest.raises(TooFewVariables):
+            hall_littlewood((1, 1, 1), "P", 2)
+        with pytest.raises(TooFewVariables):
+            hall_littlewood((2, 1), "Q", 1)
 
     def test_t0_is_schur(self):
         assert hall_littlewood((2, 1), "P", 3).specialize(tv=0) == schur_bialternant(
