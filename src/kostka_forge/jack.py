@@ -129,20 +129,25 @@ def limit_basis_element(mu, m):
 def expand_in_limit_basis(f, m):
     """Expansion of an alpha-polynomial in the limit basis at level m.
 
-    Coefficients are read off the monomial whose tail is the decreasing
-    rearrangement (which lies in exactly one basis element, with
-    coefficient u); a nonzero residual raises NotInSpan.
+    The basis elements have disjoint supports, the rearrangements of one
+    partition tail behind a fixed head, with coefficient u on each.  So f
+    is in the span iff every term whose tail is a partition has its
+    coefficient on each rearrangement of that tail, and f has no other
+    terms; otherwise NotInSpan is raised.
     """
     labels, coeffs = [], []
-    recon = ZPolynomial.zero(f.n)
+    covered = 0
     for mu, c in sorted(f.terms.items()):
-        tail = mu[m:]
-        if is_partition(tail):
-            coeff = c.scale(Fraction(1, u_factor(tail)))
-            labels.append(mu)
-            coeffs.append(coeff)
-            recon = recon + limit_basis_element(mu, m).scalar_mul(coeff)
-    if recon != f:
+        head, tail = mu[:m], mu[m:]
+        if not is_partition(tail):
+            continue
+        for nu in distinct_permutations(tail):
+            if f.terms.get(head + nu) != c:
+                raise NotInSpan("nonzero residual outside the limit-basis span")
+            covered += 1
+        labels.append(mu)
+        coeffs.append(c.scale(Fraction(1, u_factor(tail))))
+    if covered != len(f.terms):
         raise NotInSpan("nonzero residual outside the limit-basis span")
     return list(zip(labels, coeffs))
 

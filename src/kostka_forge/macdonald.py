@@ -27,7 +27,7 @@ from .hecke import (
     hecke_symmetrize,
 )
 from .qt import ExactScalar, QTPolynomial
-from .symfunc import msym_coords, t_schur_polynomial
+from .symfunc import _solve_scalar_system, msym_vector, t_schur_polynomial as t_schur
 from .weights import (
     b_factor,
     compositions,
@@ -127,27 +127,24 @@ def _xi_on_monomial(n, i, mu):
 
 
 def _span_below(lam):
-    """Compositions mu <= lam of the same weight, topologically sorted
-    (decreasing: every element precedes everything below it)."""
+    """Compositions mu <= lam of the same weight, in a linear extension of
+    the order (decreasing: every element precedes everything below it).
+
+    The key extends the order: dominance implies lex order on the sorted
+    parts, and within one orbit a strict Bruhat step lengthens w_min(mu),
+    whose length is length_stat(mu).
+    """
     lam = tuple(lam)
-    n = len(lam)
     members = [
         mu
-        for mu in compositions(weight(lam), n)
+        for mu in compositions(weight(lam), len(lam))
         if mu == lam or order_leq(mu, lam) == "less"
     ]
-    # selection sort by maximality in the partial order
-    ordered = []
-    remaining = list(members)
-    while remaining:
-        for idx, mu in enumerate(remaining):
-            if not any(order_leq(mu, nu) == "less" for nu in remaining if nu != mu):
-                ordered.append(mu)
-                del remaining[idx]
-                break
-        else:  # pragma: no cover - the order is a partial order
-            raise SingularSystem("no maximal element found")
-    return ordered
+    return sorted(
+        members,
+        key=lambda mu: (sorted(mu, reverse=True), -length_stat(mu)),
+        reverse=True,
+    )
 
 
 def eigen_oracle_E(lam):
@@ -318,6 +315,8 @@ def expand_in_partial_t_monomials(f, m, augmented=True):
     A maximal remainder monomial without a partition tail is outside the
     span.  Augmented coefficients are divided by the tail's b-factor.
     """
+    if not 0 <= m <= f.n:
+        raise IndexOutOfRange(f"m={m} out of range")
 
     def element(mu):
         if not is_partition(mu[m:]):
@@ -396,11 +395,6 @@ def hall_littlewood(lam, kind="P", n=None):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def t_schur(mu, n):
-    """t-Schur function S_mu(z;t) in n variables."""
-    return t_schur_polynomial(mu, n)
-
-
 # ---------------------------------------------------------------------------
 # Kostka matrices
 # ---------------------------------------------------------------------------
@@ -440,42 +434,13 @@ class KostkaMatrix:
         }
 
 
-def _solve_scalar_system(matrix, rhs):
-    """Gaussian elimination over Q(q,t) with exact pivoting."""
-    size = len(matrix)
-    m = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    for col in range(size):
-        piv = next((r for r in range(col, size) if m[r][col]), None)
-        if piv is None:
-            raise SingularSystem("singular transition matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [x * inv for x in m[col]]
-        for r in range(size):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][size] for r in range(size)]
-
-
 def kostka_matrix(degree, n):
-    """Two-variable Kostka matrix for all partitions of `degree` in n variables."""
+    """Two-variable Kostka matrix for all partitions of `degree` in n variables:
+    row lam holds the coordinates of calJ_lam in the t-Schur basis, solved
+    for every row at once in monomial-symmetric coordinates."""
     if n < degree:
         raise TooFewVariables("Kostka computation needs n >= degree")
     labels = sorted((pad(p, n) for p in partitions(degree, n)), reverse=True)
-    coords = labels  # same index set: partitions of `degree` with <= n parts
-    schur_cols = {}
-    for mu in labels:
-        s = t_schur(tuple(x for x in mu if x), n)
-        schur_cols[mu] = msym_coords(s, n)
-    matrix = [
-        [schur_cols[mu].get(rho, ExactScalar.zero()) for mu in labels]
-        for rho in coords
-    ]
-    km = KostkaMatrix(degree, n, labels)
-    for lam in labels:
-        j = sym_calJ(lam)
-        jc = msym_coords(j, n)
-        rhs = [jc.get(rho, ExactScalar.zero()) for rho in coords]
-        km.entries.append(_solve_scalar_system(matrix, rhs))
-    return km
+    basis = [msym_vector(t_schur(mu, n), labels) for mu in labels]
+    targets = [msym_vector(sym_calJ(lam), labels) for lam in labels]
+    return KostkaMatrix(degree, n, labels, _solve_scalar_system(basis, targets))

@@ -1,6 +1,7 @@
 """Classical symmetric-function helpers used as independent oracles:
 Schur polynomials via the ratio of alternants, power sums, and exact
-power-sum expansions of Schur functions over Q.
+power-sum expansions of Schur functions over Q; and the one exact solver
+for a change of basis in monomial-symmetric coordinates.
 
 These deliberately avoid the Hecke machinery so they can cross-check it.
 """
@@ -75,32 +76,32 @@ def msym_coords(f, n):
     return out
 
 
-def _solve_fraction_system(matrix, rhs):
-    """Exact Gaussian elimination over Q; matrix is list of rows."""
-    m = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    size = len(m)
-    width = len(m[0]) - 1
-    if size < width:
-        raise SingularSystem("underdetermined system")
-    col = 0
-    pivots = []
-    for col in range(width):
-        piv = next((r for r in range(len(pivots), size) if m[r][col]), None)
+def msym_vector(f, labels):
+    """Monomial-symmetric coordinates of a symmetric polynomial at the
+    given padded partitions, as a list (zero where f has no term)."""
+    coords = msym_coords(f, f.n)
+    return [coords.get(rho, ExactScalar.zero()) for rho in labels]
+
+
+def _solve_scalar_system(basis, targets):
+    """Coordinates of each target vector in the basis vectors, exactly over
+    Q(q,t): one Gauss-Jordan elimination on [A | B], where A's columns are
+    the basis vectors and B's the targets.  A is square: there are as many
+    basis vectors as coordinates.  Returns one row per target."""
+    size = len(basis)
+    m = [list(row) for row in zip(*basis, *targets)]
+    for col in range(size):
+        piv = next((r for r in range(col, size) if m[r][col]), None)
         if piv is None:
             raise SingularSystem("singular coefficient matrix")
-        r0 = len(pivots)
-        m[r0], m[piv] = m[piv], m[r0]
-        inv = Fraction(1) / m[r0][col]
-        m[r0] = [x * inv for x in m[r0]]
+        m[col], m[piv] = m[piv], m[col]
+        inv = m[col][col].inverse()
+        m[col] = [x * inv for x in m[col]]
         for r in range(size):
-            if r != r0 and m[r][col]:
+            if r != col and m[r][col]:
                 factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[r0])]
-        pivots.append(col)
-    for r in range(width, size):
-        if m[r][width]:
-            raise SingularSystem("inconsistent system")
-    return [m[r][width] for r in range(width)]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [[m[r][size + k] for r in range(size)] for k in range(len(targets))]
 
 
 def schur_power_sum_expansion(mu, n):
@@ -115,27 +116,17 @@ def schur_power_sum_expansion(mu, n):
     if n < d:
         raise TooFewVariables(f"power-sum basis needs n >= {d}")
     labels = sorted(partitions(d, d), reverse=True)
-    coords = sorted({pad(p, d) for p in labels}, reverse=True)
-
-    def coord_vector(f):
-        cs = msym_coords(f, d)
-        out = []
-        for key in coords:
-            c = cs.get(key)
-            if c is None:
-                out.append(Fraction(0))
-            else:
-                # coefficients here are integers embedded in Q(q,t)
-                if not c.den.is_one() or not c.num.is_const():
-                    raise SingularSystem("non-constant coordinate in Q-expansion")
-                out.append(Fraction(c.num.const_value()))
-        return out
-
-    columns = [coord_vector(power_sum_product(rho, d)) for rho in labels]
-    matrix = [[columns[j][i] for j in range(len(labels))] for i in range(len(coords))]
-    rhs = coord_vector(schur_bialternant(mu, d))
-    sol = _solve_fraction_system(matrix, rhs)
-    return {rho: c for rho, c in zip(labels, sol) if c}
+    coords = [pad(p, d) for p in labels]
+    basis = [msym_vector(power_sum_product(rho, d), coords) for rho in labels]
+    target = msym_vector(schur_bialternant(mu, d), coords)
+    (sol,) = _solve_scalar_system(basis, [target])
+    out = {}
+    for rho, c in zip(labels, sol):
+        if not (c.num.is_const() and c.den.is_const()):
+            raise SingularSystem("non-constant coefficient in a Q-expansion")
+        if c:
+            out[rho] = Fraction(c.num.const_value(), c.den.const_value())
+    return out
 
 
 def t_schur_polynomial(mu, n):

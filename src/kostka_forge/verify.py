@@ -27,7 +27,6 @@ from .jack import (
     positivity_report,
 )
 from .macdonald import (
-    _solve_scalar_system,
     eigen_oracle_E,
     expand_in_partial_t_monomials,
     haction_step,
@@ -40,7 +39,12 @@ from .macdonald import (
     t_schur,
 )
 from .qt import ExactScalar
-from .symfunc import msym_coords, schur_bialternant
+from .symfunc import (
+    _solve_scalar_system,
+    msym_coords,
+    msym_vector,
+    schur_bialternant,
+)
 from .weights import (
     compositions,
     dominance_cmp,
@@ -438,19 +442,9 @@ def suite_hall_littlewood(n=3, maxdeg=4, seed=0, trials=None):
 def t_schur_in_hl_q(degree, n):
     """Transition matrix expressing each S_mu in the Q basis (rows mu)."""
     labels = sorted((pad(p, n) for p in partitions(degree, n)), reverse=True)
-    q_cols = {
-        lam: msym_coords(hall_littlewood(lam, "Q", n), n) for lam in labels
-    }
-    matrix = [
-        [q_cols[lam].get(rho, ExactScalar.zero()) for lam in labels]
-        for rho in labels
-    ]
-    rows = []
-    for mu in labels:
-        sc = msym_coords(t_schur(tuple(x for x in mu if x), n), n)
-        rhs = [sc.get(rho, ExactScalar.zero()) for rho in labels]
-        rows.append(_solve_scalar_system(matrix, rhs))
-    return labels, rows
+    basis = [msym_vector(hall_littlewood(lam, "Q", n), labels) for lam in labels]
+    targets = [msym_vector(t_schur(mu, n), labels) for mu in labels]
+    return labels, _solve_scalar_system(basis, targets)
 
 
 def suite_t_schur(n=4, maxdeg=4, seed=0, trials=None):

@@ -18,12 +18,34 @@ from kostka_forge.jack import (
     positivity_report,
     u_factor,
 )
-from kostka_forge.weights import length, partitions
+from kostka_forge.weights import compositions, is_partition, length, pad, partitions
 from kostka_forge.zpoly import AlphaPolynomial, ZPolynomial
 
 
 def amono(n, exps, coeffs=(1,)):
     return ZPolynomial.monomial(n, exps, AlphaPolynomial(coeffs))
+
+
+def _rebuild_expansion(f, m):
+    """Reference: read the coefficients off the partition-tail terms,
+    rebuild f from them and compare."""
+    out = []
+    recon = ZPolynomial.zero(f.n)
+    for mu, c in sorted(f.terms.items()):
+        if is_partition(mu[m:]):
+            coeff = c.scale(Fraction(1, u_factor(mu[m:])))
+            out.append((mu, coeff))
+            recon = recon + limit_basis_element(mu, m).scalar_mul(coeff)
+    if recon != f:
+        raise NotInSpan("nonzero residual outside the limit-basis span")
+    return out
+
+
+def _outcome(expand, f, m):
+    try:
+        return expand(f, m)
+    except NotInSpan:
+        return NotInSpan
 
 
 class TestNonsym:
@@ -102,6 +124,23 @@ class TestLimitBasis:
         g = amono(2, (0, 1))  # tail (0,1) of level 0 is not a partition
         with pytest.raises(NotInSpan):
             expand_in_limit_basis(g, 0)
+
+    def test_matches_rebuild_reference(self):
+        cases = []
+        for n in range(1, 4):
+            for d in range(5):
+                for lam in compositions(d, n):
+                    cases += [(jack_nonsym(lam), m) for m in range(length(lam), n + 1)]
+                for p in partitions(d, n):
+                    cases.append((jack_sym(pad(p, n)), 0))
+        # outside the span: a rearrangement missing, and unequal coefficients
+        cases += [(amono(2, (1, 0)), 0), (amono(2, (1, 0)) + amono(2, (0, 1), (2,)), 0)]
+        outside = 0
+        for f, m in cases:
+            expected = _outcome(_rebuild_expansion, f, m)
+            outside += expected is NotInSpan
+            assert _outcome(expand_in_limit_basis, f, m) == expected, (f, m)
+        assert outside == 2
 
 
 class TestNumericLimit:

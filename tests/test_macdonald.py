@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kostka_forge.errors import (
+    IndexOutOfRange,
     NotAPartition,
     NotInSpan,
     PreconditionViolated,
@@ -16,6 +17,7 @@ from kostka_forge import macdonald
 from kostka_forge.hecke import apply_hecke
 from kostka_forge.macdonald import (
     _calJ_seed,
+    _span_below,
     eigen_oracle_E,
     expand_in_partial_t_monomials,
     expand_in_t_monomials,
@@ -33,7 +35,7 @@ from kostka_forge.macdonald import (
 )
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.symfunc import msym_coords, schur_bialternant
-from kostka_forge.weights import b_factor, compositions, is_partition, length, norm_factor
+from kostka_forge.weights import b_factor, compositions, is_partition, length, norm_factor, order_leq
 from kostka_forge.zpoly import ZPolynomial
 
 ONE = QTPolynomial.one()
@@ -78,6 +80,18 @@ class TestNonsymE:
         assert eigen_oracle_E((0, 0)) == ZPolynomial.one(2)
         assert eigen_oracle_E((0, 1)) == z(2, 2)
         assert eigen_oracle_E((1, 0)) == nonsym_E((1, 0))
+
+    def test_span_below_is_a_linear_extension(self):
+        for n in range(1, 5):
+            for d in range(6):
+                for lam in compositions(d, n):
+                    span = _span_below(lam)
+                    assert span[0] == lam
+                    assert sorted(span) == sorted(
+                        mu for mu in compositions(d, n) if mu == lam or order_leq(mu, lam) == "less"
+                    )
+                    for i, mu in enumerate(span):
+                        assert all(order_leq(mu, nu) != "less" for nu in span[i + 1 :]), (lam, mu)
 
     def test_oracle_agreement_sample(self):
         for lam in [(2, 0), (1, 2), (0, 1, 2), (2, 0, 1), (1, 1, 1)]:
@@ -198,6 +212,19 @@ class TestExpansions:
     def test_not_in_span(self):
         with pytest.raises(NotInSpan):
             expand_in_partial_t_monomials(nonsym_calE((0, 1)), 0)
+
+    @pytest.mark.parametrize(
+        "f, m",
+        [
+            (nonsym_calE((1, 0)), 3),
+            (nonsym_calE((0, 1)), -1),
+            (nonsym_calE((0, 1)), -2),
+            (ZPolynomial.zero(2), 5),
+        ],
+    )
+    def test_level_out_of_range(self, f, m):
+        with pytest.raises(IndexOutOfRange):
+            expand_in_partial_t_monomials(f, m)
 
     def test_matches_two_phase_reference(self):
         # every m, so inputs outside the span (m < l(lam)) are covered too

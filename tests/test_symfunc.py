@@ -1,10 +1,18 @@
 """Independent symmetric-function oracles: Schur bialternants and the
 power-sum expansion machinery behind the t-Schur construction."""
 
+import random
 from fractions import Fraction
 
-from kostka_forge.qt import ExactScalar
+import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
+
+from kostka_forge import macdonald
+from kostka_forge.errors import SingularSystem
+from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.symfunc import (
+    _solve_scalar_system,
     msym_coords,
     power_sum,
     power_sum_product,
@@ -71,3 +79,73 @@ def test_power_sum_expansion_does_not_depend_on_n():
     for mu in [(1,), (2, 1), (3,), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1)]:
         d = sum(mu)
         assert schur_power_sum_expansion(mu, d) == schur_power_sum_expansion(mu, d + 2)
+
+
+# ---------------------------------------------------------------------------
+# the exact solver
+# ---------------------------------------------------------------------------
+
+Q_SYM, T_SYM = sympy.symbols("q t")
+QT_FIELD = sympy.QQ.frac_field(Q_SYM, T_SYM)
+
+
+def random_scalar(rng):
+    """A sparse random element of Q(q,t): zero about one time in four,
+    otherwise a linear numerator over 1, q or 1 - q t."""
+    if rng.random() < 0.25:
+        return ExactScalar.zero()
+    num = QTPolynomial(
+        {(0, 0): rng.randint(-3, 3), (1, 0): rng.randint(-2, 2), (0, 1): rng.randint(-2, 2)}
+    )
+    den = rng.choice([QTPolynomial.one(), QTPolynomial.q(), QTPolynomial.one() - QTPolynomial.monomial(1, 1)])
+    return ExactScalar(num, den) if num else ExactScalar.one()
+
+
+def to_field(c):
+    def poly(p):
+        return sum((k * Q_SYM**a * T_SYM**b for (a, b), k in p.terms()), sympy.Integer(0))
+
+    return QT_FIELD.from_sympy(poly(c.num) / poly(c.den))
+
+
+def sympy_columns(vectors):
+    """The matrix over Q(q,t) whose columns are the given vectors."""
+    rows = [[to_field(v[i]) for v in vectors] for i in range(len(vectors[0]))]
+    return DomainMatrix(rows, (len(rows), len(vectors)), QT_FIELD)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_solver_matches_sympy(size):
+    rng = random.Random(size)
+    for _ in range(3):
+        basis = [[random_scalar(rng) for _ in range(size)] for _ in range(size)]
+        targets = [[random_scalar(rng) for _ in range(size)] for _ in range(3)]
+        a = sympy_columns(basis)
+        assert a.det() != QT_FIELD.zero
+        expected = a.lu_solve(sympy_columns(targets)).to_list()
+        rows = _solve_scalar_system(basis, targets)
+        assert len(rows) == len(targets)
+        for k, row in enumerate(rows):
+            assert [to_field(c) for c in row] == [expected[j][k] for j in range(size)]
+
+
+def test_solver_singular_raises():
+    rng = random.Random(7)
+    v = [random_scalar(rng) for _ in range(3)]
+    w = [random_scalar(rng) for _ in range(3)]
+    twice = [c + c for c in v]
+    with pytest.raises(SingularSystem):
+        _solve_scalar_system([v, w, twice], [w])
+
+
+def test_kostka_matrix_solves_once(monkeypatch):
+    calls = []
+
+    def counting(basis, targets):
+        calls.append(len(targets))
+        return _solve_scalar_system(basis, targets)
+
+    monkeypatch.setattr(macdonald, "_solve_scalar_system", counting)
+    km = macdonald.kostka_matrix(3, 3)
+    assert calls == [3]
+    assert len(km.entries) == 3
