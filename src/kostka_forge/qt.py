@@ -7,16 +7,23 @@ fraction of two QTPolynomials; reduction happens eagerly after every
 operation so that equality is syntactic and integrality can be read off
 the denominator.
 
-The bivariate gcd is an interpolation-free primitive PRS (subresultant
-style) computed recursively: the polynomial is viewed in the variable of
-lower degree with coefficients in the other variable, whose gcds bottom
-out in integer gcds.
+The bivariate gcd is the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
+J. Symbolic Comput. 7 (1989) 31-48): evaluate t at a large integer xi,
+take the gcd of the images in Z[q] the same way one level down (one
+integer gcd), read the result back in symmetric base-xi digits and
+accept it only if it divides both operands exactly; with xi at least
+2 * min(|a|, |b|) + 2 (max norms) an accepted candidate is the gcd.  If
+six evaluation points fail, a primitive PRS (subresultant style) takes
+over: the polynomial is viewed in the variable of lower degree with
+coefficients in the other variable, whose gcds bottom out in integer
+gcds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd
+from math import isqrt
 
 from .errors import DivisionByZero, InternalNonDivisible, NotDivisible, PoleAtSpecialization
 
@@ -118,7 +125,7 @@ def _upositive(f):
 
 
 def _uexact_div(f, g):
-    """Exact division in Z[y]; raises if not exact (bug signal here)."""
+    """Exact division in Z[y]; raises InternalNonDivisible if not exact."""
     if not g:
         raise InternalNonDivisible("division by zero polynomial")
     if not f:
@@ -210,6 +217,98 @@ def _bgcd(f, g):
 
 
 # ---------------------------------------------------------------------------
+# heuristic gcd: evaluate, one integer gcd, interpolate, check by division
+# ---------------------------------------------------------------------------
+
+
+def _digits(n, xi):
+    """Symmetric base-xi digits of the integer n, low to high."""
+    out = []
+    half = xi // 2
+    while n:
+        d = n % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        n = (n - d) // xi
+    return out
+
+
+def _heu(f, g, norm, image, image_gcd, lift, divide):
+    """GCDHEU on primitive f, g, where norm = min(|f|_inf, |g|_inf): evaluate
+    both at xi (image), take the gcd of the images (image_gcd), read it back
+    in symmetric base-xi digits as a primitive candidate (lift), and accept
+    it if divide(f, h) and divide(g, h) raise nothing; None after six
+    rejected points.  The gcd image is a nonnegative integer or has a
+    positive leading coefficient, and the top symmetric digit of a positive
+    integer is positive, so an accepted candidate has a positive
+    (lex-)leading coefficient."""
+    xi = 2 * norm + 29
+    for _ in range(6):
+        h = lift(image_gcd(image(f, xi), image(g, xi)), xi)
+        try:
+            divide(f, h)
+            divide(g, h)
+            return h
+        except (InternalNonDivisible, NotDivisible):
+            pass
+        # the next point, xi * floor(xi^(1/4)) * 73794 / 27011
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _ueval(f, x):
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
+
+
+def _uheu_gcd(f, g):
+    """Gcd in Z[y] (as _ugcd): six heuristic points, else the PRS."""
+    if not f or not g:
+        return _ugcd(f, g)
+    pf, pg = _uprim(f), _uprim(g)
+    norm = min(max(map(abs, pf)), max(map(abs, pg)))
+    h = _heu(pf, pg, norm, _ueval, _igcd, lambda n, xi: _uprim(tuple(_digits(n, xi))), _uexact_div)
+    if h is None:
+        return _ugcd(f, g)
+    return _uscale(h, _igcd(_ucontent(f), _ucontent(g)))
+
+
+def _heu_gcd(a, b):
+    """Gcd of primitive a, b in Z[q,t] with two or more terms each,
+    lex-leading coefficient positive, or None after six rejected
+    evaluation points t = xi."""
+    dq = max(a.deg_q(), b.deg_q())
+    dt = max(a.deg_t(), b.deg_t())
+
+    def image(p, xi):
+        powers = [xi**y for y in range(dt + 1)]
+        f = [0] * (dq + 1)
+        for (x, y), v in p._terms.items():
+            f[x] += v * powers[y]
+        return _utrim(f)
+
+    def lift(c, xi):
+        terms = {}
+        for x, n in enumerate(c):
+            for y, d in enumerate(_digits(n, xi)):
+                if d:
+                    terms[(x, y)] = d
+        h = QTPolynomial(terms)
+        cont = h.content()
+        return QTPolynomial({k: v // cont for k, v in terms.items()}) if cont > 1 else h
+
+    def divide(p, h):
+        if not h.is_one():
+            p.exact_divide(h)
+
+    norm = min(max(map(abs, a._terms.values())), max(map(abs, b._terms.values())))
+    return _heu(a, b, norm, image, _uheu_gcd, lift, divide)
+
+
+# ---------------------------------------------------------------------------
 # QTPolynomial
 # ---------------------------------------------------------------------------
 
@@ -267,7 +366,7 @@ class QTPolynomial:
         return self._terms == {(0, 0): 1}
 
     def is_const(self):
-        return not self._terms or set(self._terms) == {(0, 0)}
+        return not self._terms or (len(self._terms) == 1 and (0, 0) in self._terms)
 
     def const_value(self):
         return self._terms.get((0, 0), 0)
@@ -383,34 +482,45 @@ class QTPolynomial:
             return b._positive()
         if not b._terms:
             return a._positive()
-        if a.is_const() or b.is_const():
-            return QTPolynomial.const(_igcd(a.content(), b.content()))
+        if len(b._terms) == 1:
+            a, b = b, a
+        if len(a._terms) == 1:
+            # against a single term the gcd is a monomial
+            (((mq, mt), c),) = a._terms.items()
+            c = abs(c)
+            for (x, y), v in b._terms.items():
+                if x < mq:
+                    mq = x
+                if y < mt:
+                    mt = y
+                if c != 1:
+                    c = _igcd(c, v)
+            return QTPolynomial.monomial(mq, mt, c)
         if a._terms == b._terms:
             return a._positive()
-        # split off the monomial content q^aq * t^at * content on each side;
-        # against a pure monomial the remaining gcd is just the integer content
-        aq = min(x for x, _ in a._terms)
-        at = min(y for _, y in a._terms)
-        bq = min(x for x, _ in b._terms)
-        bt = min(y for _, y in b._terms)
-        mq, mt = min(aq, bq), min(at, bt)
-        c = _igcd(a.content(), b.content())
-        if len(a._terms) == 1 or len(b._terms) == 1:
-            return QTPolynomial.monomial(mq, mt, c)
-        if aq or at:
-            a = QTPolynomial({(x - aq, y - at): v for (x, y), v in a._terms.items()})
-        if bq or bt:
-            b = QTPolynomial({(x - bq, y - bt): v for (x, y), v in b._terms.items()})
-        # recurse in the variable of lower maximal degree
-        dq = max(a.deg_q(), b.deg_q())
-        dt = max(a.deg_t(), b.deg_t())
-        main_q = dq <= dt
-        fa, fb = a._to_b(main_q), b._to_b(main_q)
-        g = _bgcd(fa, fb)
-        g = QTPolynomial._from_b(g, main_q)._positive()
-        if mq or mt:
-            g = g * QTPolynomial.monomial(mq, mt)
+        # split off the monomial and integer contents on each side
+        a, aq, at, ca = a._primitive()
+        b, bq, bt, cb = b._primitive()
+        g = _heu_gcd(a, b)
+        if g is None:
+            # primitive PRS in the variable of lower maximal degree
+            main_q = max(a.deg_q(), b.deg_q()) <= max(a.deg_t(), b.deg_t())
+            g = _bgcd(a._to_b(main_q), b._to_b(main_q))
+            g = QTPolynomial._from_b(g, main_q)._positive()
+        mq, mt, c = min(aq, bq), min(at, bt), _igcd(ca, cb)
+        if mq or mt or c != 1:
+            g = QTPolynomial({(x + mq, y + mt): v * c for (x, y), v in g._terms.items()})
         return g
+
+    def _primitive(self):
+        """(p, e, f, c) with self = c * q^e * t^f * p, where p has integer
+        content 1 and is divisible by neither q nor t."""
+        e = min(x for x, _ in self._terms)
+        f = min(y for _, y in self._terms)
+        c = self.content()
+        if not e and not f and c == 1:
+            return self, 0, 0, 1
+        return QTPolynomial({(x - e, y - f): v // c for (x, y), v in self._terms.items()}), e, f, c
 
     def _positive(self):
         if self._terms and self.leading()[1] < 0:

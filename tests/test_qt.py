@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+from kostka_forge import macdonald, qt
 from kostka_forge.errors import DivisionByZero, NotDivisible, PoleAtSpecialization
 from kostka_forge.qt import ExactScalar, QTPolynomial
+from kostka_forge.weights import compositions
 
 
 def P(terms):
@@ -168,3 +171,84 @@ def test_evaluation_homomorphism(a, b):
     qv, tv = Fraction(2, 3), Fraction(5, 7)
     assert (a * b).evaluate(qv, tv) == a.evaluate(qv, tv) * b.evaluate(qv, tv)
     assert (a + b).evaluate(qv, tv) == a.evaluate(qv, tv) + b.evaluate(qv, tv)
+
+
+# ---------------------------------------------------------------------------
+# gcd against an independent reference
+# ---------------------------------------------------------------------------
+
+Q_SYM, T_SYM = sympy.symbols("q t")
+
+
+def sympy_gcd(a, b):
+    """Gcd over Z[q,t] by sympy, content included, lex-leading coefficient positive."""
+
+    def poly(p):
+        expr = sum((c * Q_SYM**x * T_SYM**y for (x, y), c in p.terms()), sympy.Integer(0))
+        return sympy.Poly(expr, Q_SYM, T_SYM, domain="ZZ")
+
+    g = QTPolynomial({m: int(c) for m, c in sympy.gcd(poly(a), poly(b)).terms()})
+    return -g if g.leading()[1] < 0 else g
+
+
+factor_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-9, 9), min_size=1, max_size=4
+).map(QTPolynomial).filter(bool)
+contents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 6)).map(
+    lambda m: QTPolynomial.monomial(*m)
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(factor_polys, factor_polys, factor_polys, contents, contents)
+def test_gcd_matches_sympy_on_planted_factor(g, a, b, ca, cb):
+    a, b = g * a * ca, g * b * cb
+    expected = sympy_gcd(a, b)
+    assert QTPolynomial.gcd(a, b) == expected
+    # the primitive PRS, which the heuristic falls back to, agrees as well
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qt, "_heu_gcd", lambda a, b: None)
+        assert QTPolynomial.gcd(a, b) == expected
+
+
+upolys = st.lists(st.integers(-40, 40), min_size=1, max_size=5).map(qt._utrim).filter(bool)
+
+
+@settings(deadline=None, max_examples=150)
+@given(upolys, upolys, upolys)
+def test_univariate_heuristic_matches_prs(g, a, b):
+    a, b = qt._umul(g, a), qt._umul(g, b)
+    assert qt._uheu_gcd(a, b) == qt._ugcd(a, b)
+
+
+def test_heuristic_after_a_rejected_point():
+    # at the first point xi = 31 the images of y - 1 and 1 - 29791 y share
+    # the factor 30, whose digits read back as y - 1, which does not
+    # divide 1 - 29791 y; the next point finds the gcd 1
+    assert qt._uheu_gcd((-1, 1), (1, -29791)) == qt._ugcd((-1, 1), (1, -29791)) == (1,)
+    assert QTPolynomial.gcd(T - ONE, ONE - T.scale(29791)) == ONE
+
+
+def test_heuristic_with_a_zero_image(monkeypatch):
+    # the first point is xi = 2 * 1 + 29 = 31, a root of t - 31 and of y - 31
+    a, b = T - ONE.scale(31), T + ONE
+    assert QTPolynomial.gcd(a, b) == sympy_gcd(a, b) == ONE
+    assert str(ExactScalar(a, b)) == "(t - 31)/(t + 1)"
+    assert qt._uheu_gcd((-31, 1), (1, 1)) == qt._ugcd((-31, 1), (1, 1)) == (1,)
+    assert qt._uheu_gcd((), (2, 4)) == (2, 4)
+    a, b = (Q - ONE.scale(31)) * (T + ONE), (Q + ONE) * (T + ONE)
+    assert QTPolynomial.gcd(a, b) == sympy_gcd(a, b) == T + ONE
+    monkeypatch.setattr(qt, "_heu_gcd", lambda a, b: None)
+    assert QTPolynomial.gcd(T - ONE.scale(31), T + ONE) == ONE
+
+
+def test_oracle_equivalence_without_the_prs(monkeypatch):
+    def refuse(f, g):
+        raise AssertionError("primitive PRS reached")
+
+    monkeypatch.setattr(qt, "_bgcd", refuse)
+    monkeypatch.setattr(macdonald, "_CALE_CACHE", {})
+    monkeypatch.setattr(macdonald, "_XI_MONO_CACHE", {})
+    for d in range(4):
+        for lam in compositions(d, 3):
+            assert macdonald.nonsym_E(lam) == macdonald.eigen_oracle_E(lam)

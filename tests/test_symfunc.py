@@ -101,11 +101,20 @@ def random_scalar(rng):
     return ExactScalar(num, den) if num else ExactScalar.one()
 
 
-def to_field(c):
-    def poly(p):
-        return sum((k * Q_SYM**a * T_SYM**b for (a, b), k in p.terms()), sympy.Integer(0))
+def dense_scalar(rng):
+    """A dense random element of Q(q,t): numerator and denominator each
+    have three terms of total degree at most 2."""
 
-    return QT_FIELD.from_sympy(poly(c.num) / poly(c.den))
+    def poly():
+        exps = rng.sample([(a, b) for a in range(3) for b in range(3 - a)], 3)
+        return QTPolynomial({e: rng.choice([-3, -2, -1, 1, 2, 3]) for e in exps})
+
+    return ExactScalar(poly(), poly())
+
+
+def to_field(c):
+    ring = QT_FIELD.field.ring
+    return QT_FIELD.field((ring.from_dict(dict(c.num.terms())), ring.from_dict(dict(c.den.terms()))))
 
 
 def sympy_columns(vectors):
@@ -114,19 +123,30 @@ def sympy_columns(vectors):
     return DomainMatrix(rows, (len(rows), len(vectors)), QT_FIELD)
 
 
+def assert_solves_like_sympy(basis, targets):
+    a = sympy_columns(basis)
+    assert a.det() != QT_FIELD.zero
+    expected = a.lu_solve(sympy_columns(targets)).to_list()
+    rows = _solve_scalar_system(basis, targets)
+    assert len(rows) == len(targets)
+    for k, row in enumerate(rows):
+        assert [to_field(c) for c in row] == [expected[j][k] for j in range(len(basis))]
+
+
 @pytest.mark.parametrize("size", [3, 4])
 def test_solver_matches_sympy(size):
     rng = random.Random(size)
     for _ in range(3):
         basis = [[random_scalar(rng) for _ in range(size)] for _ in range(size)]
         targets = [[random_scalar(rng) for _ in range(size)] for _ in range(3)]
-        a = sympy_columns(basis)
-        assert a.det() != QT_FIELD.zero
-        expected = a.lu_solve(sympy_columns(targets)).to_list()
-        rows = _solve_scalar_system(basis, targets)
-        assert len(rows) == len(targets)
-        for k, row in enumerate(rows):
-            assert [to_field(c) for c in row] == [expected[j][k] for j in range(size)]
+        assert_solves_like_sympy(basis, targets)
+
+
+def test_solver_matches_sympy_dense():
+    rng = random.Random(3)
+    basis = [[dense_scalar(rng) for _ in range(3)] for _ in range(3)]
+    targets = [[dense_scalar(rng) for _ in range(3)] for _ in range(3)]
+    assert_solves_like_sympy(basis, targets)
 
 
 def test_solver_singular_raises():
