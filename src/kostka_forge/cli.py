@@ -33,6 +33,8 @@ EXIT_NOT_IN_SPAN = 3
 EXIT_INTEGRALITY = 4
 EXIT_VERIFY_FAILED = 5
 
+_MAX_VALUE_DIGITS = 10_000  # for each --specialize value
+
 
 # --parallel and KOSTKA_FORGE_THREADS are accepted for compatibility and
 # ignored: the computation is pure Python under the interpreter lock, so
@@ -97,11 +99,22 @@ def _parse_specialize(text):
             raise ValidationError(f"unknown variable {var!r} in specialization")
         if var in values:
             raise ValidationError(f"variable {var!r} specialized twice")
-        try:
-            values[var] = Fraction(val)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"bad value {val!r} in specialization")
+        values[var] = _parse_value(val)
     return values.get("q"), values.get("t")
+
+
+def _parse_value(val):
+    """A rational literal, refused before Fraction expands an exponent that
+    would give it more than _MAX_VALUE_DIGITS digits."""
+    mantissa, _, exp = val.lower().partition("e")
+    try:
+        if len(mantissa) + abs(int(exp or 0)) > _MAX_VALUE_DIGITS:
+            raise ValidationError(
+                f"value {val!r} in specialization has more than {_MAX_VALUE_DIGITS} digits"
+            )
+        return Fraction(val)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"bad value {val!r} in specialization")
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +195,17 @@ def cmd_kostka(args):
     km = kostka_matrix(args.degree, args.n)
     violations = not km.all_integral()
     out = km.specialize(qv, tv) if args.specialize else km
-    if args.format == "csv":
-        _write(matrix_to_csv(out), args.output)
-    elif args.format == "latex":
-        _write(matrix_to_latex(out), args.output)
-    else:
-        _write(canonical_json(out.to_json_dict()), args.output)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # specialized entries can be longer
+    try:
+        if args.format == "csv":
+            _write(matrix_to_csv(out), args.output)
+        elif args.format == "latex":
+            _write(matrix_to_latex(out), args.output)
+        else:
+            _write(canonical_json(out.to_json_dict()), args.output)
+    finally:
+        sys.set_int_max_str_digits(limit)
     if violations:
         return _emit_error(
             "IntegralityViolation",

@@ -14,7 +14,7 @@ from .errors import DimensionMismatch, NotAPartition, ZeroComposition
 from .qt import ExactScalar, QTPolynomial
 
 # ---------------------------------------------------------------------------
-# compositions and permutations
+# compositions
 # ---------------------------------------------------------------------------
 
 
@@ -61,49 +61,6 @@ def partitions(total, max_parts):
 
 def pad(lam, n):
     return tuple(lam) + (0,) * (n - len(lam))
-
-
-def perm_inverse(w):
-    out = [0] * len(w)
-    for i, x in enumerate(w):
-        out[x] = i
-    return tuple(out)
-
-
-def perm_apply(w, mu):
-    """Place mu_i at position w[i]."""
-    out = [0] * len(w)
-    for i, x in enumerate(mu):
-        out[w[i]] = x
-    return tuple(out)
-
-
-def perm_length(w):
-    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
-
-
-def bruhat_leq(u, w):
-    """u <= w in Bruhat order via the rank-matrix (dot) criterion."""
-    n = len(u)
-    if len(w) != n:
-        raise DimensionMismatch("permutations of different sizes")
-    for i in range(1, n):
-        cu = cw = 0
-        # counts of {a <= i : x(a) >= j}, swept over j descending
-        au = sorted(u[:i])
-        aw = sorted(w[:i])
-        # u <= w iff for all i,j: #{a<=i: u(a)>=j} <= #{a<=i: w(a)>=j}
-        ju = jw = i - 1
-        for j in range(n - 1, -1, -1):
-            while ju >= 0 and au[ju] >= j:
-                cu += 1
-                ju -= 1
-            while jw >= 0 and aw[jw] >= j:
-                cw += 1
-                jw -= 1
-            if cu > cw:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +119,24 @@ def dominance_cmp(lam, mu):
     return "incomparable"
 
 
+def _prefixes_below(mu, lam):
+    """Each prefix of mu, sorted decreasingly, is componentwise <= lam's."""
+    return all(
+        x <= y
+        for i in range(1, len(mu))
+        for x, y in zip(sorted(mu[:i], reverse=True), sorted(lam[:i], reverse=True))
+    )
+
+
 def order_leq(mu, lam):
-    """Extended order comparison; 'less' means mu < lam."""
+    """Extended order comparison; 'less' means mu < lam.
+
+    mu < lam if mu+ < lam+ in dominance, or if mu+ = lam+ and w_lam < w_mu in
+    Bruhat order (w sorting the composition).  In one orbit, mu <= lam iff
+    every prefix of mu, sorted decreasingly, is componentwise <= that of lam:
+    the tableau criterion (Bjorner and Brenti, Combinatorics of Coxeter
+    Groups, Thm 2.6.3) on minimal coset representatives.
+    """
     mu, lam = tuple(mu), tuple(lam)
     if len(mu) != len(lam):
         raise DimensionMismatch("compositions of different lengths")
@@ -175,12 +148,9 @@ def order_leq(mu, lam):
     lp = tuple(sorted(lam, reverse=True))
     if mp != lp:
         return dominance_cmp(mp, lp)
-    wm = orbit_data(mu).w_min
-    wl = orbit_data(lam).w_min
-    # lam >= mu iff w_lam <= w_mu in Bruhat order
-    if bruhat_leq(wl, wm):
+    if _prefixes_below(mu, lam):
         return "less"
-    if bruhat_leq(wm, wl):
+    if _prefixes_below(lam, mu):
         return "greater"
     return "incomparable"
 

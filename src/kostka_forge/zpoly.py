@@ -181,11 +181,19 @@ class ZPolynomial:
             return ZPolynomial(self.n)
         lead = max(other.terms)
         lc = other.terms[lead]
+        # degrees in each variable add, so every quotient exponent k has
+        # min_j(self) - min_j(other) <= k_j <= max_j(self) - max_j(other)
+        box = [
+            (min(a) - min(b), max(a) - max(b))
+            for a, b in zip(zip(*self.terms), zip(*other.terms))
+        ]
         rem = dict(self.terms)
         quot = {}
         while rem:
             m = max(rem)
             k = tuple(a - b for a, b in zip(m, lead))
+            if not all(lo <= x <= hi for x, (lo, hi) in zip(k, box)):
+                raise NotDivisible("remainder is nonzero")
             qc = rem[m] / lc
             quot[k] = qc
             for e2, c2 in other.terms.items():

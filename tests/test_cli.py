@@ -4,6 +4,8 @@ byte determinism across parallelism settings."""
 import contextlib
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from kostka_forge.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from kostka_forge.macdonald import KostkaMatrix, nonsym_E
+from kostka_forge.macdonald import KostkaMatrix, kostka_matrix, nonsym_E
 from kostka_forge.qt import ExactScalar
 from kostka_forge.verify import SUITES
 from kostka_forge.zpoly import ZPolynomial
@@ -106,7 +108,8 @@ class TestValidation:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "ValidationError"
 
-    @pytest.mark.parametrize("spec", ["q=1/0", "t=1/0", "q=1/2,q=3"])
+    # the last two would have more than 10 000 digits: refused before expansion
+    @pytest.mark.parametrize("spec", ["q=1/0", "t=1/0", "q=1/2,q=3", "q=1e999999999", "t=1e-10001"])
     def test_bad_specialization(self, capsys, spec):
         code, out, err = run(capsys, "kostka", "--degree", "2", "--specialize", spec)
         assert code == EXIT_VALIDATION
@@ -167,6 +170,23 @@ class TestKostka:
             for j in range(size):
                 assert rows[i][j] == ("1" if i == j else "0")
 
+    def test_specialization_past_the_int_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "kostka", "--degree", "4", "--specialize", "q=1e1000,t=2")
+        assert code == EXIT_OK
+        assert sys.get_int_max_str_digits() == limit
+        entries = json.loads(out)["entries"]
+        km = kostka_matrix(4, 4)
+        qv, tv = Fraction(10**1000), Fraction(2)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert max(len(c) for row in entries for e in row for *_, c in e["num"]) > limit
+            for row, expected in zip(entries, km.entries):
+                for e, k in zip(row, expected):
+                    assert ExactScalar.from_json(e).evaluate(qv, tv) == k.evaluate(qv, tv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_integrality_exit_code(self, capsys, monkeypatch):
         bad = KostkaMatrix(1, 1, [(1,)])
         bad.entries = [[ExactScalar.one() / (ExactScalar.one() - ExactScalar.t())]]
@@ -191,6 +211,13 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "no-such-suite")
         assert code == EXIT_VALIDATION
+
+    def test_suite_without_checks_fails(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "t-schur", "--n", "4", "--maxdeg", "0")
+        assert code == EXIT_VERIFY_FAILED
+        report = json.loads(out)
+        assert report["checks"] == []
+        assert report["passed"] is False
 
     def test_failing_suite_exit_code(self, capsys, monkeypatch):
         def broken(n=3, maxdeg=4, seed=0, trials=None):
@@ -237,7 +264,10 @@ class TestDeterminism:
 SIZES = ["-1", "0", "1", "2", "3", "abc"]
 MAXDEGS = ["-1", "0", "1", "2", "x"]
 LAMBDAS = ["0", "1", "1,0", "0,1", "2,1", "1,x", "", "-1,1", "1,0,1", "1,1,1"]
-SPECS = ["q=0,t=0", "q=1/2", "t=-1", "q=1/0", "t=1/0", "q=1,q=2", "x=1", "q", "t=abc"]
+SPECS = [
+    "q=0,t=0", "q=1/2", "t=-1", "q=1/0", "t=1/0", "q=1,q=2", "x=1", "q", "t=abc",
+    "q=1e1000,t=2", "q=1e999999999",
+]
 
 
 def _opt(flag, values):

@@ -18,9 +18,6 @@ from kostka_forge.weights import (
     orbit_data,
     order_leq,
     partitions,
-    perm_apply,
-    perm_inverse,
-    perm_length,
     phi_k,
     spectral_vector,
     star_chain,
@@ -31,6 +28,47 @@ from kostka_forge.weights import (
 
 ONE = QTPolynomial.one()
 T = QTPolynomial.t()
+
+
+def perm_inverse(w):
+    out = [0] * len(w)
+    for i, x in enumerate(w):
+        out[x] = i
+    return tuple(out)
+
+
+def perm_apply(w, mu):
+    """Place mu_i at position w[i]."""
+    out = [0] * len(w)
+    for i, x in enumerate(mu):
+        out[w[i]] = x
+    return tuple(out)
+
+
+def perm_length(w):
+    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+
+def up_sets(orbit):
+    """For each composition of one orbit, the compositions above it: the
+    transitive closure of swapping mu_i < mu_j with i < j."""
+    def steps(mu):
+        for i, j in itertools.combinations(range(len(mu)), 2):
+            if mu[i] < mu[j]:
+                nu = list(mu)
+                nu[i], nu[j] = nu[j], nu[i]
+                yield tuple(nu)
+
+    out = {}
+    for mu in orbit:
+        seen, todo = set(), [mu]
+        while todo:
+            for nu in steps(todo.pop()):
+                if nu not in seen:
+                    seen.add(nu)
+                    todo.append(nu)
+        out[mu] = seen
+    return out
 
 
 class TestOrbitData:
@@ -90,6 +128,26 @@ class TestOrder:
         for a, b, c in itertools.product(comps, repeat=3):
             if order_leq(a, b) == "less" and order_leq(b, c) == "less":
                 assert order_leq(a, c) == "less"
+
+    def test_matches_transposition_closure(self):
+        pairs = 0
+        for n in range(1, 6):
+            for d in range(6):
+                orbits = {}
+                for mu in compositions(d, n):
+                    orbits.setdefault(tuple(sorted(mu)), []).append(mu)
+                for orbit in orbits.values():
+                    above = up_sets(orbit)
+                    for mu, lam in itertools.permutations(orbit, 2):
+                        if lam in above[mu]:
+                            expected = "less"
+                        elif mu in above[lam]:
+                            expected = "greater"
+                        else:
+                            expected = "incomparable"
+                        assert order_leq(mu, lam) == expected, (mu, lam)
+                        pairs += 1
+        assert pairs == 6166
 
     def test_orbit_maximum_everywhere(self):
         for lam in compositions(4, 3):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kostka_forge.errors import DimensionMismatch
+from kostka_forge.errors import DimensionMismatch, NotDivisible
 from kostka_forge.qt import ExactScalar
 from kostka_forge.zpoly import AlphaPolynomial, ZPolynomial
 
@@ -63,6 +63,23 @@ class TestSubstitution:
         assert f.permute((2, 0, 1)) == ZPolynomial.monomial(3, (1, 0, 2))
 
 
+class TestDivision:
+    def test_laurent_quotient(self):
+        g = z(2, 1) - z(2, 2)
+        f = (z(2, 1) + z(2, 2) ** 2).monomial_mul((-1, 2))
+        assert (f * g).exact_divide(g) == f
+
+    def test_missing_quotient_is_refused(self):
+        # every lead-term step would emit a smaller Laurent term, forever
+        with pytest.raises(NotDivisible):
+            ZPolynomial.one(2).exact_divide(z(2, 1) - z(2, 2))
+
+    def test_remainder_is_refused(self):
+        g = z(2, 1) - z(2, 2)
+        with pytest.raises(NotDivisible):
+            (g * g + z(2, 1)).exact_divide(g)
+
+
 class TestEvaluation:
     def test_single_variable(self):
         assert z(2, 1).eval_float(0.3, 0.7, (2.0, 5.0)) == 2.0
@@ -105,6 +122,13 @@ def test_ring_axioms(f, g, h):
     assert (f + g) + h == f + (g + h)
     assert f * (g + h) == f * g + f * h
     assert f * g == g * f
+
+
+@settings(deadline=None, max_examples=80)
+@given(zpolys, zpolys)
+def test_exact_divide_inverts_product(f, g):
+    if g:
+        assert (f * g).exact_divide(g) == f
 
 
 @settings(deadline=None, max_examples=80)
