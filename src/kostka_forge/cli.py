@@ -25,7 +25,6 @@ from .macdonald import (
 )
 from .verify import SUITES, run_suite
 from .weights import compositions, is_partition, length, weight
-from .zpoly import ZPolynomial
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

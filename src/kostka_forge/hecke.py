@@ -158,20 +158,33 @@ def apply_xi(f, i, direction="forward"):
 
 
 def apply_X_lambda(f, lam):
-    """The normalized creation step q^{lam_m - 1} (Abar_m - lambda-bar_m t^m A_m)."""
+    """The normalized creation step q^{lam_m - 1} (Abar_m - lambda-bar_m t^m A_m).
+
+    Delta puts q^{-a} on the term of f with z_1-exponent a, so Phi f has
+    fractions over powers of q even when f has coefficients in Z[q,t].
+    The chains run on q^D Phi f instead, D the largest z_1-exponent in f:
+    for such f (every calE_mu) that clears every denominator, and since
+    lambda-bar_m t^m is a monomial q^{lam_m} t^j with j >= 1, the Hecke
+    chains and the multiple by it stay in Z[q,t] and need no gcd.  The
+    closing factor becomes q^{lam_m - 1 - D}.  On calE_mu the result is
+    calE_lam, integral by Knop's theorem, so where that power is negative
+    it divides each coefficient exactly; for any other f it is the same
+    product in Q(q,t).
+    """
     lam = tuple(lam)
     m = length(lam)
     if m == 0:
         raise ZeroComposition("X_lambda needs a nonzero composition")
     n = len(lam)
     ev = spectral_vector(lam).scalar(m) * ExactScalar.t(m)
+    d = max((e[0] for e in f.terms), default=0)
     # A_m = H_m...H_{n-1} Phi and Abar_m = Hbar_m...Hbar_{n-1} Phi share Phi f
-    a = abar = apply_phi(f)
+    a = abar = apply_phi(f).scalar_mul(ExactScalar.q(d))
     for i in range(n - 1, m - 1, -1):
         a = apply_hecke(a, i, "H")
         abar = apply_hecke(abar, i, "Hbar")
     out = abar - a.scalar_mul(ev)
-    return out.scalar_mul(ExactScalar.q(lam[m - 1] - 1))
+    return out.scalar_mul(ExactScalar.q(lam[m - 1] - 1 - d))
 
 
 def hecke_symmetrize(f, t_symmetric_in=0):

@@ -327,6 +327,14 @@ class QTPolynomial:
         self._terms = t
         self._hash = None
 
+    @classmethod
+    def _of(cls, terms):
+        """Wrap terms that hold no zero coefficient, without a copy."""
+        p = object.__new__(cls)
+        p._terms = terms
+        p._hash = None
+        return p
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -419,6 +427,12 @@ class QTPolynomial:
     def __mul__(self, other):
         if not self._terms or not other._terms:
             return _QT_ZERO
+        if len(self._terms) == 1:
+            self, other = other, self
+        if len(other._terms) == 1:
+            # by c q^a t^b: every exponent shifts, every coefficient scales
+            (((a, b), c),) = other._terms.items()
+            return QTPolynomial._of({(x + a, y + b): v * c for (x, y), v in self._terms.items()})
         out = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
@@ -455,6 +469,15 @@ class QTPolynomial:
             raise NotDivisible("division by zero")
         if not self._terms:
             return _QT_ZERO
+        if len(other._terms) == 1:
+            # by c q^a t^b: each term divides on its own, or nothing does
+            (((la, lb), lc),) = other._terms.items()
+            quot = {}
+            for (x, y), v in self._terms.items():
+                if x < la or y < lb or v % lc:
+                    raise NotDivisible("remainder is nonzero")
+                quot[(x - la, y - lb)] = v // lc
+            return QTPolynomial._of(quot)
         (la, lb), lc = other.leading()
         rem = dict(self._terms)
         quot = {}

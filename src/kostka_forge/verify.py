@@ -50,13 +50,10 @@ from .weights import (
     dominance_cmp,
     is_partition,
     length,
-    length_stat,
     order_leq,
     pad,
     partitions,
     spectral_vector,
-    star_step,
-    weight,
 )
 from .zpoly import ZPolynomial
 

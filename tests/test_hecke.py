@@ -2,11 +2,12 @@
 rotation, creation operators, Cherednik operators, the box-adding step
 and the symmetrizer."""
 
+import itertools
 import random
 
 import pytest
 
-from kostka_forge import hecke
+from kostka_forge import hecke, macdonald
 from kostka_forge.errors import IndexOutOfRange, ZeroComposition
 from kostka_forge.hecke import (
     apply_delta,
@@ -20,7 +21,7 @@ from kostka_forge.hecke import (
 )
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.verify import random_zpoly
-from kostka_forge.weights import t_factorial
+from kostka_forge.weights import compositions, length, spectral_vector, t_factorial
 from kostka_forge.zpoly import ZPolynomial
 
 ONE_MINUS_T = ExactScalar.from_poly(QTPolynomial.one() - QTPolynomial.t())
@@ -170,6 +171,49 @@ class TestXLambda:
             calls.clear()
             apply_X_lambda(f, lam)
             assert calls == ["forward"]
+
+    def test_matches_the_unscaled_formula(self):
+        def unscaled(f, lam):
+            # q^{lam_m - 1} (Abar_m - lambda-bar_m t^m A_m) Phi f, with no q^D
+            m, n = length(lam), len(lam)
+            a = abar = apply_phi(f)
+            for i in range(n - 1, m - 1, -1):
+                a = apply_hecke(a, i, "H")
+                abar = apply_hecke(abar, i, "Hbar")
+            ev = spectral_vector(lam).scalar(m) * ExactScalar.t(m)
+            return (abar - a.scalar_mul(ev)).scalar_mul(ExactScalar.q(lam[m - 1] - 1))
+
+        rng = random.Random(29)
+        q, t = QTPolynomial.q(), QTPolynomial.t()
+        frac = ExactScalar(q + QTPolynomial.const(2), t * (QTPolynomial.one() - q * t))
+        for n in (2, 3):
+            inputs = [ZPolynomial.zero(n)]
+            for k in range(1, 6):
+                # fractional coefficients on terms with z_1-exponent down to
+                # -k; for even k every z_1-exponent is negative
+                shift = [-k] + [0] * (n - 1)
+                g = random_zpoly(rng, n, maxdeg=3, max_terms=3).scalar_mul(frac).monomial_mul(shift)
+                inputs.append(g if k % 2 == 0 else g + random_zpoly(rng, n, maxdeg=3, max_terms=3))
+            for lam in itertools.product(range(3), repeat=n):
+                if any(lam):
+                    for f in inputs:
+                        assert apply_X_lambda(f, lam) == unscaled(f, lam)
+
+    def test_creation_chains_stay_integral(self, monkeypatch):
+        seen = []
+
+        def integral_hecke(f, i, variant="H"):
+            seen.append(variant)
+            assert all(c.is_integral() for c in f.terms.values())
+            return apply_hecke(f, i, variant)
+
+        monkeypatch.setattr(hecke, "apply_hecke", integral_hecke)
+        monkeypatch.setattr(macdonald, "_CALE_CACHE", {})
+        for n in (1, 2, 3):
+            for d in range(5):
+                for lam in compositions(d, n):
+                    macdonald.nonsym_calE(lam)
+        assert seen
 
 
 def test_hecke_symmetrize_is_invariant():

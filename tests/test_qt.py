@@ -174,6 +174,43 @@ def test_evaluation_homomorphism(a, b):
 
 
 # ---------------------------------------------------------------------------
+# one-term operands: multiplication and division as exponent shifts
+# ---------------------------------------------------------------------------
+
+
+def double_loop_product(a, b):
+    out = {}
+    for (x1, y1), c1 in a.terms():
+        for (x2, y2), c2 in b.terms():
+            k = (x1 + x2, y1 + y2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return QTPolynomial(out)
+
+
+one_terms = st.builds(
+    QTPolynomial.monomial, st.integers(0, 4), st.integers(0, 4), st.integers(-6, 6).filter(bool)
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(polys, one_terms)
+def test_one_term_product_and_quotient(p, m):
+    expected = double_loop_product(p, m)
+    assert p * m == expected and m * p == expected
+    assert 0 not in (p * m)._terms.values()
+    assert (p * m).exact_divide(m) == p
+
+
+def test_one_term_divisor_refuses_a_remainder():
+    with pytest.raises(NotDivisible):
+        (Q + T).exact_divide(Q)  # t has no factor q
+    with pytest.raises(NotDivisible):
+        (Q + T).exact_divide(T)  # q has no factor t
+    with pytest.raises(NotDivisible):
+        (Q.scale(2) + ONE.scale(3)).exact_divide(ONE.scale(2))  # 3 is odd
+
+
+# ---------------------------------------------------------------------------
 # gcd against an independent reference
 # ---------------------------------------------------------------------------
 
