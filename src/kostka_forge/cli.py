@@ -1,8 +1,9 @@
 """Command-line front end: polynomial/matrix computation, verification
 suites and golden-table generation with canonical, byte-stable output.
 
-Exit codes: 0 success, 2 validation error, 3 expansion not in span,
-4 integrality violation, 5 verification failure.
+Exit codes: 0 success, 2 validation error (an unwritable --output
+included), 3 expansion not in span, 4 integrality violation,
+5 verification failure.
 """
 
 from __future__ import annotations
@@ -160,6 +161,8 @@ def cmd_expand(args):
     form = args.form
     if form in ("J", "calJ") and not is_partition(lam):
         raise ValidationError(f"{form} requires a partition, got {lam}")
+    if args.format == "latex" and args.basis != "monomial":
+        raise ValidationError(f"--format latex needs --basis monomial, got --basis {args.basis}")
     builders = {"E": nonsym_E, "calE": nonsym_calE, "J": sym_J, "calJ": sym_calJ}
     f = builders[form](lam)
     if args.basis == "monomial":
@@ -303,6 +306,8 @@ def main(argv=None):
     except NotInSpan as exc:
         return _emit_error("NotInSpan", str(exc), EXIT_NOT_IN_SPAN)
     except KostkaForgeError as exc:
+        return _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
+    except OSError as exc:  # an --output path that cannot be written
         return _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
 
 

@@ -52,6 +52,3 @@ class SingularSystem(KostkaForgeError):
 class PreconditionViolated(KostkaForgeError):
     """An operation-specific precondition does not hold."""
 
-
-class InternalNonDivisible(KostkaForgeError):
-    """A division that is mathematically exact failed (bug signal)."""

@@ -12,11 +12,9 @@ J. Symbolic Comput. 7 (1989) 31-48): evaluate t at a large integer xi,
 take the gcd of the images in Z[q] the same way one level down (one
 integer gcd), read the result back in symmetric base-xi digits and
 accept it only if it divides both operands exactly; with xi at least
-2 * min(|a|, |b|) + 2 (max norms) an accepted candidate is the gcd.  If
-six evaluation points fail, a primitive PRS (subresultant style) takes
-over: the polynomial is viewed in the variable of lower degree with
-coefficients in the other variable, whose gcds bottom out in integer
-gcds.
+2 * min(|a|, |b|) + 2 (max norms) an accepted candidate is the gcd.  A
+rejected point moves on to a larger one, and a large enough point is
+always accepted (see _heu), so the heuristic is the only gcd algorithm.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from fractions import Fraction
 from math import gcd as _igcd
 from math import isqrt
 
-from .errors import DivisionByZero, InternalNonDivisible, NotDivisible, PoleAtSpecialization
+from .errors import DivisionByZero, NotDivisible, PoleAtSpecialization
 
 # ---------------------------------------------------------------------------
 # univariate integer polynomials, represented as tuples low-to-high
@@ -41,35 +39,6 @@ def _utrim(c):
 
 def _udeg(f):
     return len(f) - 1  # zero polynomial has degree -1
-
-
-def _uadd(f, g):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] += c
-    return _utrim(out)
-
-
-def _uneg(f):
-    return tuple(-c for c in f)
-
-
-def _usub(f, g):
-    return _uadd(f, _uneg(g))
-
-
-def _umul(f, g):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] += a * b
-    return _utrim(out)
 
 
 def _uscale(f, c):
@@ -92,42 +61,16 @@ def _uprim(f):
     return tuple(a // c for a in f)
 
 
-def _uprem(f, g):
-    """Pseudo-remainder of f by g (g nonzero)."""
-    dg = _udeg(g)
-    lg = g[-1]
-    while f and _udeg(f) >= dg:
-        shift = _udeg(f) - dg
-        lf = f[-1]
-        f = _usub(_uscale(f, lg), _uscale((0,) * shift + g, lf))
-    return f
-
-
-def _ugcd(f, g):
-    if not f:
-        return _upositive(g)
-    if not g:
-        return _upositive(f)
-    cf, cg = _ucontent(f), _ucontent(g)
-    f, g = _uprim(f), _uprim(g)
-    if _udeg(f) < _udeg(g):
-        f, g = g, f
-    while g:
-        f, g = g, _uprim(_uprem(f, g))
-    f = _upositive(f)
-    return _uscale(f, _igcd(cf, cg))
-
-
 def _upositive(f):
     if f and f[-1] < 0:
-        return _uneg(f)
+        return tuple(-c for c in f)
     return f
 
 
 def _uexact_div(f, g):
-    """Exact division in Z[y]; raises InternalNonDivisible if not exact."""
+    """Exact division in Z[y]; raises NotDivisible if not exact."""
     if not g:
-        raise InternalNonDivisible("division by zero polynomial")
+        raise NotDivisible("division by zero polynomial")
     if not f:
         return ()
     if g == (1,):
@@ -139,81 +82,15 @@ def _uexact_div(f, g):
     for k in range(len(out) - 1, -1, -1):
         c = r[k + dg]
         if c % lg:
-            raise InternalNonDivisible("non-integer quotient coefficient")
+            raise NotDivisible("non-integer quotient coefficient")
         q = c // lg
         out[k] = q
         if q:
             for j, b in enumerate(g):
                 r[k + j] -= q * b
     if any(r):
-        raise InternalNonDivisible("nonzero remainder in exact division")
+        raise NotDivisible("nonzero remainder in exact division")
     return _utrim(out)
-
-
-# ---------------------------------------------------------------------------
-# bivariate layer: list of univariate coefficient polys, low-to-high in X
-# ---------------------------------------------------------------------------
-
-
-def _btrim(f):
-    i = len(f)
-    while i > 0 and not f[i - 1]:
-        i -= 1
-    return f[:i]
-
-
-def _bsub(f, g):
-    out = list(f) + [()] * (len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] = _usub(out[i], c) if i < len(f) else _uneg(c)
-    return _btrim(out)
-
-
-def _bscale(f, c):
-    return _btrim([_umul(a, c) for a in f])
-
-
-def _bprem(f, g):
-    dg = len(g) - 1
-    lg = g[-1]
-    while f and len(f) - 1 >= dg:
-        shift = len(f) - 1 - dg
-        lf = f[-1]
-        f = _bsub(_bscale(f, lg), _bscale([()] * shift + list(g), lf))
-    return f
-
-
-def _bcontent(f):
-    c = ()
-    for a in f:
-        c = _ugcd(c, a)
-        if c == (1,):
-            break
-    return c
-
-
-def _bprimdiv(f, c):
-    if c == (1,):
-        return list(f)
-    return [_uexact_div(a, c) for a in f]
-
-
-def _bgcd(f, g):
-    f, g = _btrim(list(f)), _btrim(list(g))
-    if not f:
-        return g
-    if not g:
-        return f
-    cf, cg = _bcontent(f), _bcontent(g)
-    f, g = _bprimdiv(f, cf), _bprimdiv(g, cg)
-    cont = _ugcd(cf, cg)
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        r = _bprem(f, g)
-        r = _bprimdiv(r, _bcontent(r)) if r else []
-        f, g = g, r
-    return _bscale(f, cont)
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +115,34 @@ def _heu(f, g, norm, image, image_gcd, lift, divide):
     """GCDHEU on primitive f, g, where norm = min(|f|_inf, |g|_inf): evaluate
     both at xi (image), take the gcd of the images (image_gcd), read it back
     in symmetric base-xi digits as a primitive candidate (lift), and accept
-    it if divide(f, h) and divide(g, h) raise nothing; None after six
-    rejected points.  The gcd image is a nonnegative integer or has a
-    positive leading coefficient, and the top symmetric digit of a positive
-    integer is positive, so an accepted candidate has a positive
-    (lex-)leading coefficient."""
+    it if divide(f, h) and divide(g, h) raise no NotDivisible; otherwise
+    move on to a larger xi.  Every xi is at least 2 * norm + 2, so an
+    accepted candidate is the gcd.  The gcd image is a nonnegative integer
+    or has a positive leading coefficient, and the top symmetric digit of a
+    positive integer is positive, so an accepted candidate has a positive
+    (lex-)leading coefficient.
+
+    The loop ends.  Write f = G*A and g = G*B with G the gcd and A, B
+    coprime; the gcd of the images at xi is gamma * G(xi), gamma the gcd
+    of the cofactor images.  In Z[y], gamma divides the resultant
+    res(A, B), a fixed nonzero integer.  In Z[q,t], once xi is none of the
+    finitely many roots of res_q(A, B)(t) or of the leading q-coefficients,
+    gamma is an integer, and it divides a fixed nonzero integer because the
+    contents of A and B are coprime.  So once xi > 2 * |gamma| * |G|_inf
+    the digits give back gamma * G, whose primitive part G is accepted.
+    The points grow like xi^(5/4), so reaching any such bound takes
+    O(log log bound) points."""
     xi = 2 * norm + 29
-    for _ in range(6):
+    while True:
         h = lift(image_gcd(image(f, xi), image(g, xi)), xi)
         try:
             divide(f, h)
             divide(g, h)
             return h
-        except (InternalNonDivisible, NotDivisible):
+        except NotDivisible:
             pass
         # the next point, xi * floor(xi^(1/4)) * 73794 / 27011
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
-    return None
 
 
 def _ueval(f, x):
@@ -265,21 +153,18 @@ def _ueval(f, x):
 
 
 def _uheu_gcd(f, g):
-    """Gcd in Z[y] (as _ugcd): six heuristic points, else the PRS."""
+    """Gcd in Z[y], content included, leading coefficient positive."""
     if not f or not g:
-        return _ugcd(f, g)
+        return _upositive(f or g)
     pf, pg = _uprim(f), _uprim(g)
     norm = min(max(map(abs, pf)), max(map(abs, pg)))
     h = _heu(pf, pg, norm, _ueval, _igcd, lambda n, xi: _uprim(tuple(_digits(n, xi))), _uexact_div)
-    if h is None:
-        return _ugcd(f, g)
     return _uscale(h, _igcd(_ucontent(f), _ucontent(g)))
 
 
 def _heu_gcd(a, b):
     """Gcd of primitive a, b in Z[q,t] with two or more terms each,
-    lex-leading coefficient positive, or None after six rejected
-    evaluation points t = xi."""
+    lex-leading coefficient positive."""
     dq = max(a.deg_q(), b.deg_q())
     dt = max(a.deg_t(), b.deg_t())
 
@@ -525,11 +410,6 @@ class QTPolynomial:
         a, aq, at, ca = a._primitive()
         b, bq, bt, cb = b._primitive()
         g = _heu_gcd(a, b)
-        if g is None:
-            # primitive PRS in the variable of lower maximal degree
-            main_q = max(a.deg_q(), b.deg_q()) <= max(a.deg_t(), b.deg_t())
-            g = _bgcd(a._to_b(main_q), b._to_b(main_q))
-            g = QTPolynomial._from_b(g, main_q)._positive()
         mq, mt, c = min(aq, bq), min(at, bt), _igcd(ca, cb)
         if mq or mt or c != 1:
             g = QTPolynomial({(x + mq, y + mt): v * c for (x, y), v in g._terms.items()})
@@ -549,29 +429,6 @@ class QTPolynomial:
         if self._terms and self.leading()[1] < 0:
             return -self
         return self
-
-    def _to_b(self, main_q):
-        """Dense list in the main variable with tuple coefficients in the other."""
-        if main_q:
-            dm = self.deg_q()
-            do = self.deg_t()
-        else:
-            dm = self.deg_t()
-            do = self.deg_q()
-        rows = [[0] * (do + 1) for _ in range(dm + 1)]
-        for (a, b), c in self._terms.items():
-            i, j = (a, b) if main_q else (b, a)
-            rows[i][j] = c
-        return _btrim([_utrim(r) for r in rows])
-
-    @staticmethod
-    def _from_b(f, main_q):
-        terms = {}
-        for i, coeff in enumerate(f):
-            for j, c in enumerate(coeff):
-                if c:
-                    terms[(i, j) if main_q else (j, i)] = c
-        return QTPolynomial(terms)
 
     # -- evaluation and specialization --------------------------------------
 

@@ -132,6 +132,30 @@ class TestValidation:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize(
+        "argv, target, kind",
+        [
+            (("table", "--n", "1", "--maxdeg", "1"), "missing/x.json", "FileNotFoundError"),
+            (("kostka", "--degree", "1"), ".", "IsADirectoryError"),
+        ],
+    )
+    def test_unwritable_output(self, capsys, tmp_path, argv, target, kind):
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path / target))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == kind
+
+    @pytest.mark.parametrize("basis", ["tmon", "tmon-partial", "tmon-aug"])
+    def test_latex_needs_the_monomial_basis(self, capsys, basis):
+        code, out, err = run(
+            capsys,
+            "expand", "--n", "2", "--lambda", "2,1",
+            "--form", "J", "--basis", basis, "--format", "latex",
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["kostka", "--help"])

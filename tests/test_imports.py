@@ -1,6 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module-level private helper is used somewhere in the package.
 
-`__init__.py` is exempt: its imports are the package's re-exports.
+`__init__.py` is exempt from the import scan: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -10,6 +12,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kostka_forge"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def unused_imports(source):
@@ -34,3 +37,43 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], f"unused imports in {path.name}"
+
+
+def dead_private_helpers(sources):
+    """(module, name) for each module-level `def _name` in sources (module
+    name -> text) that no other top-level statement of any module refers
+    to by Name, Attribute or import alias."""
+    statements, helpers = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update((node.name, node.asname))
+            statements.append((stmt, names))
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_"):
+                if not stmt.name.startswith("__"):
+                    helpers.append((module, stmt))
+    return sorted(
+        (module, helper.name)
+        for module, helper in helpers
+        if not any(helper.name in names for stmt, names in statements if stmt is not helper)
+    )
+
+
+def test_the_scan_sees_a_dead_helper():
+    sources = {
+        "a.py": "def _used(): pass\ndef _by_attribute(): pass\ndef _imported(): pass\n"
+        "def _dead(): pass\ndef _recursive(): return _recursive()\ndef __getattr__(n): pass\n"
+        "x = _used\n",
+        "b.py": "from .a import _imported\nfrom . import a\ny = a._by_attribute\n",
+    }
+    assert dead_private_helpers(sources) == [("a.py", "_dead"), ("a.py", "_recursive")]
+
+
+def test_no_dead_private_helpers():
+    assert dead_private_helpers(SOURCES) == []

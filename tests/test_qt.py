@@ -1,15 +1,15 @@
 """Exact arithmetic in Z[q,t] and Q(q,t): canonical forms, gcd, fractions."""
 
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from kostka_forge import macdonald, qt
+from kostka_forge import qt
 from kostka_forge.errors import DivisionByZero, NotDivisible, PoleAtSpecialization
 from kostka_forge.qt import ExactScalar, QTPolynomial
-from kostka_forge.weights import compositions
 
 
 def P(terms):
@@ -240,12 +240,24 @@ contents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 6)).ma
 @given(factor_polys, factor_polys, factor_polys, contents, contents)
 def test_gcd_matches_sympy_on_planted_factor(g, a, b, ca, cb):
     a, b = g * a * ca, g * b * cb
-    expected = sympy_gcd(a, b)
-    assert QTPolynomial.gcd(a, b) == expected
-    # the primitive PRS, which the heuristic falls back to, agrees as well
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qt, "_heu_gcd", lambda a, b: None)
-        assert QTPolynomial.gcd(a, b) == expected
+    assert QTPolynomial.gcd(a, b) == sympy_gcd(a, b)
+
+
+Y_SYM = sympy.Symbol("y")
+
+
+def upoly(f):
+    """Z[y] tuple (low to high) as a sympy Poly."""
+    return sympy.Poly(list(reversed(f)) or [0], Y_SYM, domain="ZZ")
+
+
+def sympy_ugcd(f, g):
+    """Gcd over Z[y] by sympy, content included, leading coefficient positive."""
+    return qt._utrim(tuple(int(c) for c in reversed(sympy.gcd(upoly(f), upoly(g)).all_coeffs())))
+
+
+def umul(f, g):
+    return qt._utrim(tuple(int(c) for c in reversed((upoly(f) * upoly(g)).all_coeffs())))
 
 
 upolys = st.lists(st.integers(-40, 40), min_size=1, max_size=5).map(qt._utrim).filter(bool)
@@ -253,39 +265,57 @@ upolys = st.lists(st.integers(-40, 40), min_size=1, max_size=5).map(qt._utrim).f
 
 @settings(deadline=None, max_examples=150)
 @given(upolys, upolys, upolys)
-def test_univariate_heuristic_matches_prs(g, a, b):
-    a, b = qt._umul(g, a), qt._umul(g, b)
-    assert qt._uheu_gcd(a, b) == qt._ugcd(a, b)
+def test_univariate_heuristic_matches_sympy(g, a, b):
+    a, b = umul(g, a), umul(g, b)
+    assert qt._uheu_gcd(a, b) == sympy_ugcd(a, b)
 
 
 def test_heuristic_after_a_rejected_point():
     # at the first point xi = 31 the images of y - 1 and 1 - 29791 y share
     # the factor 30, whose digits read back as y - 1, which does not
     # divide 1 - 29791 y; the next point finds the gcd 1
-    assert qt._uheu_gcd((-1, 1), (1, -29791)) == qt._ugcd((-1, 1), (1, -29791)) == (1,)
+    assert qt._uheu_gcd((-1, 1), (1, -29791)) == sympy_ugcd((-1, 1), (1, -29791)) == (1,)
     assert QTPolynomial.gcd(T - ONE, ONE - T.scale(29791)) == ONE
 
 
-def test_heuristic_with_a_zero_image(monkeypatch):
+def test_heuristic_with_a_zero_image():
     # the first point is xi = 2 * 1 + 29 = 31, a root of t - 31 and of y - 31
     a, b = T - ONE.scale(31), T + ONE
     assert QTPolynomial.gcd(a, b) == sympy_gcd(a, b) == ONE
     assert str(ExactScalar(a, b)) == "(t - 31)/(t + 1)"
-    assert qt._uheu_gcd((-31, 1), (1, 1)) == qt._ugcd((-31, 1), (1, 1)) == (1,)
-    assert qt._uheu_gcd((), (2, 4)) == (2, 4)
+    assert qt._uheu_gcd((-31, 1), (1, 1)) == sympy_ugcd((-31, 1), (1, 1)) == (1,)
+    assert qt._uheu_gcd((), (2, 4)) == qt._uheu_gcd((-2, -4), ()) == (2, 4)
+    assert qt._uheu_gcd((), ()) == ()
     a, b = (Q - ONE.scale(31)) * (T + ONE), (Q + ONE) * (T + ONE)
     assert QTPolynomial.gcd(a, b) == sympy_gcd(a, b) == T + ONE
-    monkeypatch.setattr(qt, "_heu_gcd", lambda a, b: None)
-    assert QTPolynomial.gcd(T - ONE.scale(31), T + ONE) == ONE
 
 
-def test_oracle_equivalence_without_the_prs(monkeypatch):
-    def refuse(f, g):
-        raise AssertionError("primitive PRS reached")
+# the points _heu tries when the smaller max norm is 1: 2 * 1 + 29, then
+# each one times the floor of its fourth root, times 73794 / 27011
+POINTS = [
+    31, 169, 1385, 22702, 744261, 58966268, 14015328567, 13171708628261, 68551582381583973,
+]
 
-    monkeypatch.setattr(qt, "_bgcd", refuse)
-    monkeypatch.setattr(macdonald, "_CALE_CACHE", {})
-    monkeypatch.setattr(macdonald, "_XI_MONO_CACHE", {})
-    for d in range(4):
-        for lam in compositions(d, 3):
-            assert macdonald.nonsym_E(lam) == macdonald.eigen_oracle_E(lam)
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_heuristic_past_six_points(k, monkeypatch):
+    # xi - 1 divides N at each of the first k points, so there the images of
+    # y - 1 and y + N - 1 share the factor xi - 1, which reads back as y - 1
+    # and is rejected; the next point finds the gcd 1
+    n = math.lcm(*(xi - 1 for xi in POINTS[:k]))
+    ueval, uheu_gcd = qt._ueval, qt._uheu_gcd
+    points, image_gcds = [], []
+    monkeypatch.setattr(qt, "_ueval", lambda p, x: points.append(x) or ueval(p, x))
+    f, g = (-1, 1), (n - 1, 1)
+    assert qt._uheu_gcd(f, g) == sympy_ugcd(f, g) == (1,)
+    assert sorted(set(points)) == POINTS[: k + 1]
+    # one level up, one image gcd per point
+    monkeypatch.setattr(qt, "_uheu_gcd", lambda f, g: image_gcds.append(f) or uheu_gcd(f, g))
+    a, b = T - ONE, T + ONE.scale(n - 1)
+    assert QTPolynomial.gcd(a, b) == sympy_gcd(a, b) == ONE
+    assert len(image_gcds) == k + 1
+    # the same pairs times a planted factor, at both levels
+    planted = (Q + T + ONE) * (Q - T.scale(3))
+    assert QTPolynomial.gcd(a * planted, b * planted) == sympy_gcd(a * planted, b * planted)
+    h = (5, -3, 2)
+    assert uheu_gcd(umul(f, h), umul(g, h)) == sympy_ugcd(umul(f, h), umul(g, h)) == h
