@@ -2,13 +2,14 @@
 suites and golden-table generation with canonical, byte-stable output.
 
 Exit codes: 0 success, 2 validation error (an unwritable --output
-included), 3 expansion not in span, 4 integrality violation,
-5 verification failure.
+included, refused before any computation), 3 expansion not in span,
+4 integrality violation, 5 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -57,16 +58,19 @@ def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _write(text, path):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(path):
+    """The --output file, opened before the computation so that a path that
+    cannot be written is refused at once; stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
 
 
-def _emit_error(kind, message, code):
-    sys.stderr.write(canonical_json({"error": {"type": kind, "message": message}}))
+def _emit_error(kind, message, code, **extra):
+    sys.stderr.write(canonical_json({"error": {"type": kind, "message": message, **extra}}))
     return code
 
 
@@ -163,27 +167,28 @@ def cmd_expand(args):
         raise ValidationError(f"{form} requires a partition, got {lam}")
     if args.format == "latex" and args.basis != "monomial":
         raise ValidationError(f"--format latex needs --basis monomial, got --basis {args.basis}")
+    m = args.m if args.m is not None else length(lam)
+    if args.basis in ("tmon-partial", "tmon-aug") and not 0 <= m <= args.n:
+        raise ValidationError(f"m={m} out of range for n={args.n}")
     builders = {"E": nonsym_E, "calE": nonsym_calE, "J": sym_J, "calJ": sym_calJ}
-    f = builders[form](lam)
-    if args.basis == "monomial":
-        if args.format == "latex":
-            _write(poly_to_latex(f) + "\n", args.output)
+    with _output(args.output) as fh:
+        f = builders[form](lam)
+        if args.basis == "monomial":
+            if args.format == "latex":
+                fh.write(poly_to_latex(f) + "\n")
+            else:
+                fh.write(canonical_json({"form": form, "lambda": list(lam), "polynomial": f.to_json_dict()}))
+            return EXIT_OK
+        if args.basis == "tmon":
+            coeffs = expand_in_t_monomials(f)
+            labels = sorted(coeffs)
+            exp = BasisExpansion("t_monomial", labels, [coeffs[l] for l in labels])
         else:
-            _write(canonical_json({"form": form, "lambda": list(lam), "polynomial": f.to_json_dict()}), args.output)
-        return EXIT_OK
-    if args.basis == "tmon":
-        coeffs = expand_in_t_monomials(f)
-        labels = sorted(coeffs)
-        exp = BasisExpansion("t_monomial", labels, [coeffs[l] for l in labels])
-    else:
-        m = args.m if args.m is not None else length(lam)
-        if not 0 <= m <= args.n:
-            raise ValidationError(f"m={m} out of range for n={args.n}")
-        exp = expand_in_partial_t_monomials(f, m, augmented=(args.basis == "tmon-aug"))
-        exp.sort()
-    payload = {"form": form, "lambda": list(lam)}
-    payload.update(exp.to_json_dict())
-    _write(canonical_json(payload), args.output)
+            exp = expand_in_partial_t_monomials(f, m, augmented=(args.basis == "tmon-aug"))
+            exp.sort()
+        payload = {"form": form, "lambda": list(lam)}
+        payload.update(exp.to_json_dict())
+        fh.write(canonical_json(payload))
     return EXIT_OK
 
 
@@ -194,20 +199,21 @@ def cmd_kostka(args):
     if args.n < args.degree:
         raise ValidationError(f"kostka needs n >= degree ({args.n} < {args.degree})")
     qv, tv = _parse_specialize(args.specialize) if args.specialize else (None, None)
-    km = kostka_matrix(args.degree, args.n)
-    violations = not km.all_integral()
-    out = km.specialize(qv, tv) if args.specialize else km
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # specialized entries can be longer
-    try:
-        if args.format == "csv":
-            _write(matrix_to_csv(out), args.output)
-        elif args.format == "latex":
-            _write(matrix_to_latex(out), args.output)
-        else:
-            _write(canonical_json(out.to_json_dict()), args.output)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    with _output(args.output) as fh:
+        km = kostka_matrix(args.degree, args.n)
+        violations = not km.all_integral()
+        out = km.specialize(qv, tv) if args.specialize else km
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # specialized entries can be longer
+        try:
+            if args.format == "csv":
+                fh.write(matrix_to_csv(out))
+            elif args.format == "latex":
+                fh.write(matrix_to_latex(out))
+            else:
+                fh.write(canonical_json(out.to_json_dict()))
+        finally:
+            sys.set_int_max_str_digits(limit)
     if violations:
         return _emit_error(
             "IntegralityViolation",
@@ -223,11 +229,20 @@ def cmd_verify(args):
     _require_at_least(args, "n", 1)
     _require_at_least(args, "maxdeg", 0)
     _require_at_least(args, "trials", 1)
-    report = run_suite(
-        args.suite, n=args.n, maxdeg=args.maxdeg, trials=args.trials, seed=args.seed
-    )
-    _write(canonical_json(report), args.output)
-    return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
+    with _output(args.output) as fh:
+        report = run_suite(
+            args.suite, n=args.n, maxdeg=args.maxdeg, trials=args.trials, seed=args.seed
+        )
+        fh.write(canonical_json(report))
+    if report["passed"]:
+        return EXIT_OK
+    checks = report["checks"]
+    if not checks:
+        message, failed = f"suite {args.suite} ran no checks", "no checks ran"
+    else:
+        failed = [c["name"] for c in checks if not c["passed"]]
+        message = f"suite {args.suite}: {len(failed)} of {len(checks)} checks failed"
+    return _emit_error("VerificationFailed", message, EXIT_VERIFY_FAILED, failed=failed)
 
 
 def cmd_table(args):
@@ -237,9 +252,10 @@ def cmd_table(args):
     for d in range(args.maxdeg + 1):
         lams.extend(compositions(d, args.n))
     lams.sort(key=lambda l: (weight(l), l))
-    entries = [{"lambda": list(lam), "calE": nonsym_calE(lam).to_json_dict()} for lam in lams]
-    payload = {"n": args.n, "maxdeg": args.maxdeg, "entries": entries}
-    _write(canonical_json(payload), args.output)
+    with _output(args.output) as fh:
+        entries = [{"lambda": list(lam), "calE": nonsym_calE(lam).to_json_dict()} for lam in lams]
+        payload = {"n": args.n, "maxdeg": args.maxdeg, "entries": entries}
+        fh.write(canonical_json(payload))
     return EXIT_OK
 
 

@@ -8,7 +8,9 @@ These deliberately avoid the Hecke machinery so they can cross-check it.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import SingularSystem, TooFewVariables
@@ -18,48 +20,45 @@ from .zpoly import ZPolynomial
 
 
 def schur_bialternant(mu, n):
-    """Schur polynomial s_mu in n variables as a ratio of alternants."""
+    """Schur polynomial s_mu in n variables as a ratio of alternants.
+
+    a_delta is the product of the z_i - z_j, i < j (Macdonald I (3.1)), so
+    a_{mu+delta} is divided by one monic linear factor at a time, with
+    integer coefficients that become ExactScalars only at the end.
+    """
     mu = pad(tuple(mu), n)
     if len(mu) > n:
         raise TooFewVariables(f"{mu} needs more than {n} variables")
-    delta = tuple(range(n - 1, -1, -1))
-
-    def alternant(exps):
-        terms = {}
-        for w in itertools.permutations(range(n)):
-            sign = 1
-            wl = list(w)
-            # inversion parity
-            inv = sum(1 for i in range(n) for j in range(i + 1, n) if wl[i] > wl[j])
-            sign = -1 if inv % 2 else 1
-            key = tuple(exps[w[i]] for i in range(n))
-            c = terms.get(key, ExactScalar.zero()) + ExactScalar.from_int(sign)
-            if c:
-                terms[key] = c
-            elif key in terms:
-                del terms[key]
-        return ZPolynomial(n, terms)
-
-    num = alternant(tuple(m + d for m, d in zip(mu, delta)))
-    den = alternant(delta)
-    return num.exact_divide(den)
+    exps = [m + n - 1 - i for i, m in enumerate(mu)]
+    terms = {}
+    for w in itertools.permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+        terms[tuple(exps[i] for i in w)] = -1 if inv % 2 else 1
+    f = ZPolynomial(n, terms)
+    for i, j in itertools.combinations(range(n), 2):
+        zi = [0] * n
+        zj = [0] * n
+        zi[i] = zj[j] = 1
+        f = f.exact_divide(ZPolynomial(n, {tuple(zi): 1, tuple(zj): -1}))
+    return ZPolynomial(n, {e: ExactScalar.from_int(c) for e, c in f.terms.items()})
 
 
 def power_sum(r, n):
     """p_r = z_1^r + ... + z_n^r."""
-    terms = {}
-    for i in range(n):
-        e = [0] * n
-        e[i] = r
-        terms[tuple(e)] = ExactScalar.one()
-    return ZPolynomial(n, terms)
+    return power_sum_product((r,), n)
+
+
+def _integer_power_sum_product(rho, n):
+    """p_rho in n variables, with int coefficients."""
+    f = ZPolynomial(n, {(0,) * n: 1})
+    for r in rho:
+        f = f * ZPolynomial(n, {tuple(r if j == i else 0 for j in range(n)): 1 for i in range(n)})
+    return f
 
 
 def power_sum_product(rho, n):
-    f = ZPolynomial.one(n)
-    for r in rho:
-        f = f * power_sum(r, n)
-    return f
+    f = _integer_power_sum_product(rho, n)
+    return ZPolynomial(n, {e: ExactScalar.from_int(c) for e, c in f.terms.items()})
 
 
 def msym_coords(f, n):
@@ -104,6 +103,16 @@ def _solve_scalar_system(basis, targets):
     return [[m[r][size + k] for r in range(size)] for k in range(len(targets))]
 
 
+@functools.lru_cache(maxsize=None)
+def _power_sum_basis(d):
+    """The partitions rho of d, their padded msym labels, and each p_rho's
+    msym coordinates in d variables; built once per degree."""
+    labels = tuple(sorted(partitions(d, d), reverse=True))
+    coords = tuple(pad(p, d) for p in labels)
+    basis = tuple(tuple(msym_vector(power_sum_product(rho, d), coords)) for rho in labels)
+    return labels, coords, basis
+
+
 def schur_power_sum_expansion(mu, n):
     """s_mu = sum_rho c_rho p_rho with exact rational c_rho.
 
@@ -115,9 +124,7 @@ def schur_power_sum_expansion(mu, n):
     d = sum(mu)
     if n < d:
         raise TooFewVariables(f"power-sum basis needs n >= {d}")
-    labels = sorted(partitions(d, d), reverse=True)
-    coords = [pad(p, d) for p in labels]
-    basis = [msym_vector(power_sum_product(rho, d), coords) for rho in labels]
+    labels, coords, basis = _power_sum_basis(d)
     target = msym_vector(schur_bialternant(mu, d), coords)
     (sol,) = _solve_scalar_system(basis, [target])
     out = {}
@@ -130,16 +137,22 @@ def schur_power_sum_expansion(mu, n):
 
 
 def t_schur_polynomial(mu, n):
-    """S_mu(z;t): the Schur function with p_r rescaled to (1-t^r) p_r."""
+    """S_mu(z;t): the Schur function with p_r rescaled to (1-t^r) p_r.
+
+    The sum over rho runs in Z[t], scaled by the common denominator D of
+    the power-sum expansion; each coefficient is divided by D once.
+    """
     mu = tuple(x for x in mu if x)
     if n < sum(mu):
         raise TooFewVariables(f"t-Schur construction needs n >= {sum(mu)}")
     expansion = schur_power_sum_expansion(mu, n)
-    out = ZPolynomial.zero(n)
+    den = math.lcm(*(c.denominator for c in expansion.values()))
+    num = {}
     for rho, c in expansion.items():
-        factor = QTPolynomial.one()
+        factor = QTPolynomial.const(c.numerator * (den // c.denominator))
         for r in rho:
             factor = factor * (QTPolynomial.one() - QTPolynomial.t(r))
-        scalar = ExactScalar.from_fraction(c) * ExactScalar.from_poly(factor)
-        out = out + power_sum_product(rho, n).scalar_mul(scalar)
-    return out
+        for e, k in _integer_power_sum_product(rho, n).terms.items():
+            num[e] = num[e] + factor.scale(k) if e in num else factor.scale(k)
+    den = QTPolynomial.const(den)
+    return ZPolynomial(n, {e: ExactScalar(p, den) for e, p in num.items()})

@@ -3,12 +3,16 @@
 ZPolynomial keeps a dict from exponent vectors (tuples in Z^n) to
 coefficients.  The coefficient type is ExactScalar throughout the q,t
 theory; the Jack degeneration reuses the same class with AlphaPolynomial
-coefficients (any ring element with +, -, * and truthiness works).
+coefficients, and the Schur bialternant with int coefficients (any ring
+element with +, -, * and truthiness works; exact_divide also needs / by
+a divisor's leading coefficient unless that is 1).
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from operator import add, le, neg, sub
 
 from .errors import DimensionMismatch, NotDivisible
 from .qt import ExactScalar, QTPolynomial
@@ -173,7 +177,10 @@ class ZPolynomial:
         return ZPolynomial(self.n, out)
 
     def exact_divide(self, other):
-        """Exact division by another ZPolynomial (lex leading-term elimination)."""
+        """Exact division by another ZPolynomial: lex leading-term
+        elimination, with the remainder's exponents kept in a max-heap
+        (Monagan and Pearce, J. Symbolic Comput. 46, 2011), so each step
+        finds the leading term without rescanning the remainder."""
         self._check(other)
         if not other:
             raise NotDivisible("division by zero")
@@ -181,30 +188,41 @@ class ZPolynomial:
             return ZPolynomial(self.n)
         lead = max(other.terms)
         lc = other.terms[lead]
+        rest = [(e, c) for e, c in other.terms.items() if e != lead]
         # degrees in each variable add, so every quotient exponent k has
         # min_j(self) - min_j(other) <= k_j <= max_j(self) - max_j(other)
-        box = [
-            (min(a) - min(b), max(a) - max(b))
-            for a, b in zip(zip(*self.terms), zip(*other.terms))
-        ]
+        cols = list(zip(zip(*self.terms), zip(*other.terms)))
+        lo = [min(a) - min(b) for a, b in cols]
+        hi = [max(a) - max(b) for a, b in cols]
         rem = dict(self.terms)
+        # heapq is a min-heap: negated exponents pop in decreasing lex order.
+        # A key cancelled from rem stays behind and is skipped when popped.
+        heap = [tuple(map(neg, e)) for e in rem]
+        heapq.heapify(heap)
         quot = {}
-        while rem:
-            m = max(rem)
-            k = tuple(a - b for a, b in zip(m, lead))
-            if not all(lo <= x <= hi for x, (lo, hi) in zip(k, box)):
+        while heap:
+            m = tuple(map(neg, heapq.heappop(heap)))
+            if m not in rem:
+                continue
+            k = tuple(map(sub, m, lead))
+            if not (all(map(le, lo, k)) and all(map(le, k, hi))):
                 raise NotDivisible("remainder is nonzero")
-            qc = rem[m] / lc
+            qc = rem.pop(m)
+            if lc != 1:  # by a monic divisor, integers stay integers
+                qc = qc / lc
             quot[k] = qc
-            for e2, c2 in other.terms.items():
-                kk = tuple(a + b for a, b in zip(k, e2))
-                s = rem[kk] - qc * c2 if kk in rem else -(qc * c2)
-                if s:
-                    rem[kk] = s
-                elif kk in rem:
-                    del rem[kk]
-            if rem and max(rem) >= m:
-                raise NotDivisible("remainder is nonzero")
+            # every k + e2 is lex-below m, since e2 is lex-below lead
+            for e2, c2 in rest:
+                kk = tuple(map(add, k, e2))
+                if kk in rem:
+                    s = rem[kk] - qc * c2
+                    if s:
+                        rem[kk] = s
+                    else:
+                        del rem[kk]
+                else:
+                    rem[kk] = -(qc * c2)
+                    heapq.heappush(heap, tuple(map(neg, kk)))
         return ZPolynomial(self.n, quot)
 
     # -- evaluation ---------------------------------------------------------

@@ -2,13 +2,14 @@
 byte determinism across parallelism settings."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kostka_forge.cli import (
     EXIT_INTEGRALITY,
@@ -145,6 +146,25 @@ class TestValidation:
         assert out == ""
         assert json.loads(err)["error"]["type"] == kind
 
+    @pytest.mark.parametrize(
+        "argv, computation",
+        [
+            (("kostka", "--degree", "5"), "kostka_matrix"),
+            (("table", "--n", "2", "--maxdeg", "2"), "nonsym_calE"),
+            (("expand", "--n", "2", "--lambda", "1,0"), "nonsym_calE"),
+            (("verify", "--suite", "oracle"), "run_suite"),
+        ],
+    )
+    def test_output_is_opened_before_computing(self, capsys, monkeypatch, tmp_path, argv, computation):
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{computation} ran before --output was opened")
+
+        monkeypatch.setattr(f"kostka_forge.cli.{computation}", reached)
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "IsADirectoryError"
+
     @pytest.mark.parametrize("basis", ["tmon", "tmon-partial", "tmon-aug"])
     def test_latex_needs_the_monomial_basis(self, capsys, basis):
         code, out, err = run(
@@ -173,6 +193,25 @@ class TestValidation:
 
 
 class TestKostka:
+    # the benchmark's pins, taken from perfbench/workloads.py PINNED
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (
+                ("kostka", "--degree", "5"),
+                "c471f00b1a8cccc3a88665cf907fba6e6f826870fd6c3a9a1784099c317c0a4f",
+            ),
+            (
+                ("kostka", "--degree", "4", "--n", "6"),
+                "848ea6c693b098677ae1dffb2337d817c6dd5ce19e3c64a590908a39441520d5",
+            ),
+        ],
+    )
+    def test_pinned_output(self, capsys, argv, sha256):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_degree_two_csv(self, capsys):
         code, out, _ = run(capsys, "kostka", "--degree", "2", "--format", "csv")
         assert code == EXIT_OK
@@ -242,6 +281,33 @@ class TestVerify:
         report = json.loads(out)
         assert report["checks"] == []
         assert report["passed"] is False
+
+    def test_suite_without_checks_says_why(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "t-schur", "--maxdeg", "0", "--trials", "1")
+        assert code == EXIT_VERIFY_FAILED
+        assert json.loads(out)["checks"] == []
+        error = json.loads(err)["error"]
+        assert error["type"] == "VerificationFailed"
+        assert error["failed"] == "no checks ran"
+        assert error["message"]
+
+    def test_failed_checks_are_named_on_stderr(self, capsys, monkeypatch):
+        def half_broken(n=3, maxdeg=4, seed=0, trials=None):
+            return [
+                {"name": "holds", "passed": True, "detail": ""},
+                {"name": "always_fails", "passed": False, "detail": ""},
+            ]
+
+        from kostka_forge import verify as verify_mod
+
+        monkeypatch.setitem(verify_mod.SUITES, "hecke-relations", half_broken)
+        code, out, err = run(capsys, "verify", "--suite", "hecke-relations")
+        assert code == EXIT_VERIFY_FAILED
+        assert [c["name"] for c in json.loads(out)["checks"]] == ["holds", "always_fails"]
+        error = json.loads(err)["error"]
+        assert error["type"] == "VerificationFailed"
+        assert error["failed"] == ["always_fails"]
+        assert "1 of 2" in error["message"]
 
     def test_failing_suite_exit_code(self, capsys, monkeypatch):
         def broken(n=3, maxdeg=4, seed=0, trials=None):
@@ -337,6 +403,7 @@ ARGV = st.one_of(
 
 @settings(deadline=None, max_examples=100)
 @given(argv=ARGV)
+@example(argv=["verify", "--suite", "t-schur", "--maxdeg", "0", "--trials", "1"])
 def test_fuzz_argv_ends_in_documented_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     try:

@@ -1,6 +1,7 @@
 """Independent symmetric-function oracles: Schur bialternants and the
 power-sum expansion machinery behind the t-Schur construction."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from kostka_forge import macdonald
+from kostka_forge import macdonald, symfunc
 from kostka_forge.errors import SingularSystem
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.symfunc import (
@@ -73,6 +74,63 @@ def test_msym_coords_reads_dominant_monomials():
     coords = msym_coords(f, 3)
     assert coords[(2, 1, 0)] == ExactScalar.one()
     assert coords[(1, 1, 1)] == ExactScalar.from_int(2)
+
+
+def _partitions(d, largest=None):
+    """Partitions of d with parts at most largest, in decreasing order."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(min(d, largest or d), 0, -1):
+        for rest in _partitions(d - first, first):
+            yield (first,) + rest
+
+
+def _kostka_number(shape, content):
+    """Semistandard tableaux of the given shape and content, counted by
+    removing the cells of the largest entry: a horizontal strip, so each
+    row i keeps between shape[i + 1] and shape[i] cells."""
+    shape = tuple(x for x in shape if x)
+    if not content:
+        return 1 if not shape else 0
+    *rest, last = content
+    if sum(shape) != sum(content):
+        return 0
+    total = 0
+    for inner in itertools.product(
+        *(range(shape[i + 1] if i + 1 < len(shape) else 0, shape[i] + 1) for i in range(len(shape)))
+    ):
+        if sum(shape) - sum(inner) == last:
+            total += _kostka_number(inner, tuple(rest))
+    return total
+
+
+def test_kostka_numbers_by_tableaux():
+    assert _kostka_number((2, 1), (1, 1, 1)) == 2
+    assert _kostka_number((3, 2), (2, 2, 1)) == 2
+    assert _kostka_number((2, 2), (3, 1)) == 0
+    assert [_kostka_number(mu, (1,) * 4) for mu in _partitions(4)] == [1, 3, 2, 3, 1]
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_bialternant_coefficients_are_kostka_numbers(d):
+    # s_mu = sum_nu K_{mu nu} m_nu: the coefficient of every z^e is the
+    # number of tableaux of shape mu whose content is e sorted
+    for mu in _partitions(d):
+        s = schur_bialternant(mu, d)
+        for e, c in s.terms.items():
+            assert c == ExactScalar.from_int(_kostka_number(mu, tuple(sorted(e, reverse=True))))
+        for nu in _partitions(d):
+            k = _kostka_number(mu, nu)
+            key = nu + (0,) * (d - len(nu))
+            assert s.coeff(key) == (ExactScalar.from_int(k) if k else None)
+
+
+def test_power_sum_basis_is_built_once_per_degree():
+    symfunc._power_sum_basis.cache_clear()
+    for mu in [(3,), (2, 1), (1, 1, 1)]:
+        schur_power_sum_expansion(mu, 4)
+    assert symfunc._power_sum_basis.cache_info().misses == 1
 
 
 def test_power_sum_expansion_does_not_depend_on_n():

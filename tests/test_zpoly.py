@@ -1,9 +1,11 @@
 """Sparse Laurent polynomials in z and the alpha-coefficient ring."""
 
+import contextlib
+import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kostka_forge.errors import DimensionMismatch, NotDivisible
 from kostka_forge.qt import ExactScalar
@@ -129,6 +131,59 @@ def test_ring_axioms(f, g, h):
 def test_exact_divide_inverts_product(f, g):
     if g:
         assert (f * g).exact_divide(g) == f
+
+
+ONE, Q, T = ExactScalar.one(), ExactScalar.q(), ExactScalar.t()
+# coefficients in Q(q,t), none of them 1, so a divisor's leading term is not monic
+non_units = st.sampled_from(
+    [ExactScalar.from_int(k) for k in (-3, -2, -1, 2, 5)]
+    + [Q, ONE - T, ExactScalar.from_fraction(Fraction(2, 3)), ONE / (ONE - Q * T)]
+)
+laurent_exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+laurent = st.dictionaries(laurent_exps, st.one_of(st.just(ONE), non_units), min_size=1, max_size=4)
+
+
+@settings(deadline=None, max_examples=60)
+@given(laurent, laurent, non_units)
+def test_exact_divide_laurent_non_monic(a, b, lead):
+    a, b = ZPolynomial(3, a), ZPolynomial(3, {**b, max(b): lead})
+    assert (a * b).exact_divide(b) == a
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block if it runs longer than seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(deadline=None, max_examples=60)
+@given(laurent, laurent, laurent_exps, non_units)
+def test_exact_divide_refuses_an_extra_term(a, b, e, c):
+    # only a monomial divides a monomial, so b needs two terms
+    assume(len(b) >= 2)
+    a, b = ZPolynomial(3, a), ZPolynomial(3, b)
+    p = a * b
+    assume(e not in p.terms)
+    with time_limit(2), pytest.raises(NotDivisible):
+        (p + ZPolynomial.monomial(3, e, c)).exact_divide(b)
+
+
+def test_exact_divide_by_a_monic_divisor_keeps_integers():
+    f = ZPolynomial(2, {(2, 0): 3, (0, 2): -3})
+    g = ZPolynomial(2, {(1, 0): 1, (0, 1): -1})
+    quot = f.exact_divide(g)
+    assert quot.terms == {(1, 0): 3, (0, 1): 3}
+    assert all(type(c) is int for c in quot.terms.values())
 
 
 @settings(deadline=None, max_examples=80)
