@@ -81,5 +81,26 @@ from .jack import (
     positivity_report,
 )
 from .verify import SUITES, run_suite
+from . import jack, macdonald, symfunc
 
 __version__ = "1.0.0"
+
+
+def clear_caches():
+    """Empty the memo tables and return how many entries each held.
+
+    The tables only grow; a long-running process that has built what it
+    needs can call this to release them.  Later calls rebuild equal values.
+    """
+    tables = {
+        "macdonald._CALE_CACHE": macdonald._CALE_CACHE,
+        "macdonald._TMONO_CACHE": macdonald._TMONO_CACHE,
+        "macdonald._XI_MONO_CACHE": macdonald._XI_MONO_CACHE,
+        "jack._JACK_CACHE": jack._JACK_CACHE,
+    }
+    sizes = {name: len(table) for name, table in tables.items()}
+    sizes["symfunc._power_sum_basis"] = symfunc._power_sum_basis.cache_info().currsize
+    for table in tables.values():
+        table.clear()
+    symfunc._power_sum_basis.cache_clear()
+    return sizes

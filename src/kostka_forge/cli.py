@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -35,6 +36,17 @@ EXIT_INTEGRALITY = 4
 EXIT_VERIFY_FAILED = 5
 
 _MAX_VALUE_DIGITS = 10_000  # for each --specialize value
+
+# Size caps: an input above them would not finish in about a minute, so it
+# is refused before anything is computed.  Each cap is the largest size
+# whose slowest case took under a minute in single runs on a 2-vCPU x86
+# host: `kostka --degree 7 --n 8` took 44 s, and expand's slowest case,
+# `--form J --basis tmon` at lambda = (|lambda|, 0, ..., 0), took 30 to
+# 48 s at the caps for n = 2, 3, 5 and 8 (one more unit of weight took
+# 60 s at n = 4 and over 75 s at n = 6).
+_MAX_KOSTKA_DEGREE = 7
+_MAX_KOSTKA_N = 8
+_MAX_EXPAND_WEIGHT = {1: 24, 2: 24, 3: 16, 4: 10, 5: 8, 6: 6, 7: 5, 8: 5}  # n -> |lambda|
 
 
 # --parallel and KOSTKA_FORGE_THREADS are accepted for compatibility and
@@ -78,6 +90,12 @@ def _require_at_least(args, name, least):
     value = getattr(args, name)
     if value < least:
         raise ValidationError(f"--{name} must be at least {least}, got {value}")
+
+
+def _require_at_most(args, name, most):
+    value = getattr(args, name)
+    if value > most:
+        raise ValidationError(f"--{name} must be at most {most}, got {value}")
 
 
 def _parse_lambda(text, n):
@@ -161,7 +179,12 @@ def matrix_to_csv(km):
 
 
 def cmd_expand(args):
+    _require_at_most(args, "n", max(_MAX_EXPAND_WEIGHT))
     lam = _parse_lambda(args.lam, args.n)
+    if weight(lam) > _MAX_EXPAND_WEIGHT[args.n]:
+        raise ValidationError(
+            f"|lambda| must be at most {_MAX_EXPAND_WEIGHT[args.n]} for n={args.n}, got {weight(lam)}"
+        )
     form = args.form
     if form in ("J", "calJ") and not is_partition(lam):
         raise ValidationError(f"{form} requires a partition, got {lam}")
@@ -194,10 +217,12 @@ def cmd_expand(args):
 
 def cmd_kostka(args):
     _require_at_least(args, "degree", 0)
+    _require_at_most(args, "degree", _MAX_KOSTKA_DEGREE)
     if args.n is None:
         args.n = args.degree
     if args.n < args.degree:
         raise ValidationError(f"kostka needs n >= degree ({args.n} < {args.degree})")
+    _require_at_most(args, "n", _MAX_KOSTKA_N)
     qv, tv = _parse_specialize(args.specialize) if args.specialize else (None, None)
     with _output(args.output) as fh:
         km = kostka_matrix(args.degree, args.n)
@@ -314,6 +339,12 @@ def build_parser():
 
 
 def main(argv=None):
+    # The cyclic collector is paused for the run.  Exact-algebra values
+    # (QTPolynomial, ExactScalar, ZPolynomial) are acyclic trees freed by
+    # reference counting, so its passes find no garbage; they only rescan
+    # the growing memo tables.  The caller's setting is restored on exit.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -325,6 +356,9 @@ def main(argv=None):
         return _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
     except OSError as exc:  # an --output path that cannot be written
         return _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

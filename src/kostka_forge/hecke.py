@@ -162,8 +162,10 @@ def apply_X_lambda(f, lam):
 
     Delta puts q^{-a} on the term of f with z_1-exponent a, so Phi f has
     fractions over powers of q even when f has coefficients in Z[q,t].
-    The chains run on q^D Phi f instead, D the largest z_1-exponent in f:
-    for such f (every calE_mu) that clears every denominator, and since
+    The chains run on q^D Phi f instead, D the largest z_1-exponent in f,
+    computed as Phi(q^D f) since Phi is Q(q,t)-linear: Delta then puts
+    q^{D-a} on each term, so for f over Z[q,t] (every calE_mu) each
+    rotated coefficient is integral as soon as it is formed.  Since
     lambda-bar_m t^m is a monomial q^{lam_m} t^j with j >= 1, the Hecke
     chains and the multiple by it stay in Z[q,t] and need no gcd.  The
     closing factor becomes q^{lam_m - 1 - D}.  On calE_mu the result is
@@ -179,7 +181,7 @@ def apply_X_lambda(f, lam):
     ev = spectral_vector(lam).scalar(m) * ExactScalar.t(m)
     d = max((e[0] for e in f.terms), default=0)
     # A_m = H_m...H_{n-1} Phi and Abar_m = Hbar_m...Hbar_{n-1} Phi share Phi f
-    a = abar = apply_phi(f).scalar_mul(ExactScalar.q(d))
+    a = abar = apply_phi(f.scalar_mul(ExactScalar.q(d)))
     for i in range(n - 1, m - 1, -1):
         a = apply_hecke(a, i, "H")
         abar = apply_hecke(abar, i, "Hbar")

@@ -301,10 +301,10 @@ class QTPolynomial:
                 out[k] = s
             elif k in out:
                 del out[k]
-        return QTPolynomial(out)
+        return QTPolynomial._of(out)
 
     def __neg__(self):
-        return QTPolynomial({k: -c for k, c in self._terms.items()})
+        return QTPolynomial._of({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -327,7 +327,7 @@ class QTPolynomial:
                     out[k] = s
                 elif k in out:
                     del out[k]
-        return QTPolynomial(out)
+        return QTPolynomial._of(out)
 
     def scale(self, c):
         if not c:
@@ -644,6 +644,8 @@ class ExactScalar:
             return _ES_ZERO
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
+        if d1.is_one() and d2.is_one():
+            return ExactScalar(n1 * n2, _QT_ONE, _reduced=True)
         # cross-cancel so the products below are already coprime
         if not d2.is_one():
             g1 = QTPolynomial.gcd(n1, d2)

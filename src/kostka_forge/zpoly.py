@@ -95,7 +95,15 @@ class ZPolynomial:
         return ZPolynomial(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out[k] - c if k in out else -c
+            if s:
+                out[k] = s
+            elif k in out:
+                del out[k]
+        return ZPolynomial(self.n, out)
 
     def __mul__(self, other):
         self._check(other)
@@ -146,6 +154,7 @@ class ZPolynomial:
         """
         if len(images) != self.n:
             raise DimensionMismatch("need one image per variable")
+        powers = {}  # (i, power) -> coeff_i**power, built once per call
         out = {}
         for e, c in self.terms.items():
             k = [0] * self.n
@@ -157,7 +166,10 @@ class ZPolynomial:
                 for j, s in enumerate(vec):
                     k[j] += s * power
                 if coeff is not None and not coeff.is_one():
-                    v = v * coeff**power
+                    p = powers.get((i, power))
+                    if p is None:
+                        p = powers[(i, power)] = coeff**power
+                    v = v * p
             k = tuple(k)
             s = out[k] + v if k in out else v
             if s:

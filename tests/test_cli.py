@@ -2,10 +2,12 @@
 byte determinism across parallelism settings."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,10 +21,11 @@ from kostka_forge.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from kostka_forge import macdonald
 from kostka_forge.macdonald import KostkaMatrix, kostka_matrix, nonsym_E
-from kostka_forge.qt import ExactScalar
+from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.verify import SUITES
-from kostka_forge.zpoly import ZPolynomial
+from kostka_forge.zpoly import AlphaPolynomial, ZPolynomial
 
 
 def run(capsys, *argv):
@@ -165,6 +168,45 @@ class TestValidation:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "IsADirectoryError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kostka", "--degree", "30"),
+            ("kostka", "--degree", "3", "--n", "9"),
+            ("expand", "--n", "2", "--lambda", "300,0", "--form", "E"),
+            ("expand", "--n", "3", "--lambda", "0,17,0"),
+            ("expand", "--n", "8", "--lambda", "0,0,6,0,0,0,0,0", "--form", "calE"),
+            ("expand", "--n", "9", "--lambda", "1,0,0,0,0,0,0,0,0"),
+        ],
+    )
+    def test_oversize_input_is_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "argv, computation",
+        [
+            (("kostka", "--degree", "7", "--n", "8"), "kostka_matrix"),
+            (("expand", "--n", "2", "--lambda", "24,0", "--form", "J", "--basis", "tmon"), "sym_J"),
+            (("expand", "--n", "3", "--lambda", "16,0,0", "--form", "E"), "nonsym_E"),
+            (("expand", "--n", "8", "--lambda", "5,0,0,0,0,0,0,0"), "nonsym_calE"),
+        ],
+    )
+    def test_largest_accepted_sizes_are_computed(self, capsys, monkeypatch, argv, computation):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(f"kostka_forge.cli.{computation}", reached)
+        with pytest.raises(Reached):
+            main(list(argv))
+
     @pytest.mark.parametrize("basis", ["tmon", "tmon-partial", "tmon-aug"])
     def test_latex_needs_the_monomial_basis(self, capsys, basis):
         code, out, err = run(
@@ -204,6 +246,10 @@ class TestKostka:
             (
                 ("kostka", "--degree", "4", "--n", "6"),
                 "848ea6c693b098677ae1dffb2337d817c6dd5ce19e3c64a590908a39441520d5",
+            ),
+            (
+                ("table", "--n", "4", "--maxdeg", "7"),
+                "a4193c08a20ffb1a13e647c5c22a1e2e807cf244678ecdbf198490374e39efac",
             ),
         ],
     )
@@ -348,6 +394,64 @@ class TestDeterminism:
             ["kostka", "--degree", "3", "--n", "3", "--parallel", "2", "--output", str(b)]
         ) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector, which is only sound if the values it
+    builds form no reference cycles."""
+
+    @contextlib.contextmanager
+    def collector(self, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            yield
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("table", "--n", "2", "--maxdeg", "1"), EXIT_OK),
+            (("kostka", "--degree", "-1"), EXIT_VALIDATION),
+        ],
+    )
+    def test_caller_setting_is_restored(self, capsys, enabled, argv, code):
+        with self.collector(enabled):
+            assert run(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_is_restored_after_help(self, capsys, enabled):
+        with self.collector(enabled):
+            with pytest.raises(SystemExit):
+                main(["table", "--help"])
+            assert gc.isenabled() is enabled
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--n", "3", "--maxdeg", "4"),
+            ("verify", "--suite", "oracle", "--n", "2", "--maxdeg", "2"),
+        ],
+    )
+    def test_runs_leave_no_cyclic_garbage(self, capsys, monkeypatch, argv):
+        for cache in ("_CALE_CACHE", "_TMONO_CACHE", "_XI_MONO_CACHE"):
+            monkeypatch.setattr(macdonald, cache, {})  # cold, so everything is built
+        flags = gc.get_debug()
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert run(capsys, *argv)[0] == EXIT_OK
+            gc.collect()
+            kinds = (ZPolynomial, QTPolynomial, ExactScalar, AlphaPolynomial)
+            assert [type(x).__name__ for x in gc.garbage if isinstance(x, kinds)] == []
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
 
 
 # Small or garbage values: every invocation finishes in well under a second.

@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kostka_forge import hecke, macdonald
 from kostka_forge.errors import IndexOutOfRange, ZeroComposition
@@ -172,17 +173,18 @@ class TestXLambda:
             apply_X_lambda(f, lam)
             assert calls == ["forward"]
 
-    def test_matches_the_unscaled_formula(self):
-        def unscaled(f, lam):
-            # q^{lam_m - 1} (Abar_m - lambda-bar_m t^m A_m) Phi f, with no q^D
-            m, n = length(lam), len(lam)
-            a = abar = apply_phi(f)
-            for i in range(n - 1, m - 1, -1):
-                a = apply_hecke(a, i, "H")
-                abar = apply_hecke(abar, i, "Hbar")
-            ev = spectral_vector(lam).scalar(m) * ExactScalar.t(m)
-            return (abar - a.scalar_mul(ev)).scalar_mul(ExactScalar.q(lam[m - 1] - 1))
+    @staticmethod
+    def scaled_after_phi(f, lam, d):
+        """q^{lam_m - 1 - d} (Abar_m - lambda-bar_m t^m A_m) on q^d Phi f."""
+        m, n = length(lam), len(lam)
+        a = abar = apply_phi(f).scalar_mul(ExactScalar.q(d))
+        for i in range(n - 1, m - 1, -1):
+            a = apply_hecke(a, i, "H")
+            abar = apply_hecke(abar, i, "Hbar")
+        ev = spectral_vector(lam).scalar(m) * ExactScalar.t(m)
+        return (abar - a.scalar_mul(ev)).scalar_mul(ExactScalar.q(lam[m - 1] - 1 - d))
 
+    def test_matches_the_unscaled_formula(self):
         rng = random.Random(29)
         q, t = QTPolynomial.q(), QTPolynomial.t()
         frac = ExactScalar(q + QTPolynomial.const(2), t * (QTPolynomial.one() - q * t))
@@ -197,7 +199,20 @@ class TestXLambda:
             for lam in itertools.product(range(3), repeat=n):
                 if any(lam):
                     for f in inputs:
-                        assert apply_X_lambda(f, lam) == unscaled(f, lam)
+                        # no q^D at all
+                        assert apply_X_lambda(f, lam) == self.scaled_after_phi(f, lam, 0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_scaling_before_phi_matches_scaling_after(self, data):
+        n = data.draw(st.integers(2, 3))
+        weights = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+        mu = data.draw(weights)
+        lam = data.draw(weights.filter(any))
+        # E_mu has fractional coefficients once mu is not zero
+        f = macdonald.nonsym_E(mu)
+        d = max(e[0] for e in f.terms)
+        assert apply_X_lambda(f, lam) == self.scaled_after_phi(f, lam, d)
 
     def test_creation_chains_stay_integral(self, monkeypatch):
         seen = []

@@ -201,6 +201,24 @@ def test_one_term_product_and_quotient(p, m):
     assert (p * m).exact_divide(m) == p
 
 
+@settings(deadline=None, max_examples=150)
+@given(polys, polys)
+def test_sum_negation_and_product_hold_no_zero_terms(a, b):
+    for p in (a + b, -a, a - b, a * b, a - a):
+        assert 0 not in p._terms.values()
+    assert not (a - a)
+
+
+@settings(deadline=None, max_examples=150)
+@given(polys, polys)
+def test_integral_product_is_the_reduced_product(a, b):
+    x, y = ExactScalar.from_poly(a), ExactScalar.from_poly(b)
+    product = x * y
+    assert product == ExactScalar(a * b, ONE)
+    assert product.den.is_one()
+    assert is_canonical(product)
+
+
 def test_one_term_divisor_refuses_a_remainder():
     with pytest.raises(NotDivisible):
         (Q + T).exact_divide(Q)  # t has no factor q

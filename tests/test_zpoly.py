@@ -150,6 +150,51 @@ def test_exact_divide_laurent_non_monic(a, b, lead):
     assert (a * b).exact_divide(b) == a
 
 
+@settings(deadline=None, max_examples=80)
+@given(laurent, laurent)
+def test_difference_is_sum_of_negative(a, b):
+    a, b = ZPolynomial(3, a), ZPolynomial(3, b)
+    assert a - b == a + (-b)
+    assert not (a - a).terms
+    assert (a - b) + b == a
+
+
+def test_difference_needs_equal_dimensions():
+    with pytest.raises(DimensionMismatch):
+        z(2, 1) - z(3, 1)
+
+
+# each variable's image: a coefficient (q^{+-1}, t or None) and a unit vector
+images3 = st.lists(
+    st.tuples(
+        st.sampled_from([None, ExactScalar.q(1), ExactScalar.q(-1), T]),
+        st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    ),
+    min_size=3,
+    max_size=3,
+)
+
+
+def substitute_per_term(f, images):
+    """The substitution with coeff**power computed afresh for every term."""
+    out = ZPolynomial(f.n)
+    for e, c in f.terms.items():
+        k = [0] * f.n
+        for (coeff, vec), power in zip(images, e):
+            k = [x + s * power for x, s in zip(k, vec)]
+            if coeff is not None:
+                c = c * coeff**power
+        out = out + ZPolynomial.monomial(f.n, k, c)
+    return out
+
+
+@settings(deadline=None, max_examples=80)
+@given(laurent, images3)
+def test_substitute_matches_per_term_powers(terms, images):
+    f = ZPolynomial(3, terms)
+    assert f.substitute(images) == substitute_per_term(f, images)
+
+
 @contextlib.contextmanager
 def time_limit(seconds):
     """Raise TimeoutError in the block if it runs longer than seconds."""
