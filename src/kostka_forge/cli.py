@@ -43,10 +43,14 @@ _MAX_VALUE_DIGITS = 10_000  # for each --specialize value
 # host: `kostka --degree 7 --n 8` took 44 s, and expand's slowest case,
 # `--form J --basis tmon` at lambda = (|lambda|, 0, ..., 0), took 30 to
 # 48 s at the caps for n = 2, 3, 5 and 8 (one more unit of weight took
-# 60 s at n = 4 and over 75 s at n = 6).
+# 60 s at n = 4 and over 75 s at n = 6).  `table` took 10 to 57 s at its
+# caps, within a 3 GB address space; one more degree took 65 s at n = 1
+# and ran out of that space after 40 to 53 s at n = 3 to 8 (README has
+# each time).
 _MAX_KOSTKA_DEGREE = 7
 _MAX_KOSTKA_N = 8
 _MAX_EXPAND_WEIGHT = {1: 24, 2: 24, 3: 16, 4: 10, 5: 8, 6: 6, 7: 5, 8: 5}  # n -> |lambda|
+_MAX_TABLE_DEGREE = {1: 105, 2: 28, 3: 14, 4: 10, 5: 7, 6: 6, 7: 5, 8: 5}  # n -> --maxdeg
 
 
 # --parallel and KOSTKA_FORGE_THREADS are accepted for compatibility and
@@ -272,7 +276,12 @@ def cmd_verify(args):
 
 def cmd_table(args):
     _require_at_least(args, "n", 1)
+    _require_at_most(args, "n", max(_MAX_TABLE_DEGREE))
     _require_at_least(args, "maxdeg", 0)
+    if args.maxdeg > _MAX_TABLE_DEGREE[args.n]:
+        raise ValidationError(
+            f"--maxdeg must be at most {_MAX_TABLE_DEGREE[args.n]} for n={args.n}, got {args.maxdeg}"
+        )
     lams = []
     for d in range(args.maxdeg + 1):
         lams.extend(compositions(d, args.n))

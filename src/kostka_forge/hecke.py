@@ -10,9 +10,8 @@ algebraic notation (s_i swaps z_i and z_{i+1}).
 from __future__ import annotations
 
 from .errors import IndexOutOfRange, ZeroComposition
-from .qt import ExactScalar
+from .qt import ExactScalar, Kronecker, QTPolynomial
 from .weights import length, spectral_vector
-from .qt import QTPolynomial
 from .zpoly import ZPolynomial
 
 _ONE_MINUS_T = ExactScalar.from_poly(QTPolynomial.one() - QTPolynomial.t())
@@ -63,6 +62,52 @@ def apply_divided_difference(f, i):
     return ZPolynomial(f.n, out)
 
 
+def _hecke_terms(terms, i, bar, times_one_minus_t):
+    """H_i (bar false) or Hbar_i (bar true) on a dict from exponent vectors
+    to coefficients, in one pass: the reflection goes straight to the
+    output while the divided difference, N_i z_i or z_{i+1} N_i, is summed
+    into corr by the per-term geometric sum; then (1-t) corr is subtracted.
+
+    Coefficients need only +, -, truthiness and times_one_minus_t, so the
+    same body runs on ExactScalars and on Kronecker-packed ints.
+    """
+    ii = i - 1
+    up = 1 if bar else 0
+    out = {}
+    corr = {}
+    for e, c in terms.items():
+        k = list(e)
+        a, b = k[ii], k[i]
+        k[ii], k[i] = b, a
+        out[tuple(k)] = c  # s_i is a bijection on exponents
+        # N_i z_i sums over (x, y) = (a + 1, b), z_{i+1} N_i over (a, b)
+        # and then multiplies by w = z_{i+1}; for x > y,
+        # (z^x w^y - z^y w^x)/(z - w) = sum_{s < x-y} z^(x-1-s) w^(y+s)
+        x, y = a + 1 - up, b
+        if x == y:
+            continue
+        if x < y:
+            x, y, c = y, x, -c
+        for s in range(x - y):
+            k[ii], k[i] = x - 1 - s, y + s + up
+            key = tuple(k)
+            corr[key] = corr[key] + c if key in corr else c
+    for key, c in corr.items():
+        if not c:
+            continue
+        c = times_one_minus_t(c)
+        s = out[key] - c if key in out else -c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+def _times_one_minus_t(c):
+    return c * _ONE_MINUS_T
+
+
 def apply_hecke(f, i, variant="H"):
     """H_i, Hbar_i and their closed-form inverses.
 
@@ -75,17 +120,9 @@ def apply_hecke(f, i, variant="H"):
         return apply_hecke(f, i, "Hbar").scalar_mul(ExactScalar.t(-1))
     if variant == "Hbar_inv":
         return apply_hecke(f, i, "H").scalar_mul(ExactScalar.t(-1))
-    if variant == "H":
-        zi = [0] * f.n
-        zi[i - 1] = 1
-        corr = apply_divided_difference(f.monomial_mul(zi), i)
-    elif variant == "Hbar":
-        zi1 = [0] * f.n
-        zi1[i] = 1
-        corr = apply_divided_difference(f, i).monomial_mul(zi1)
-    else:
+    if variant not in ("H", "Hbar"):
         raise ValueError(f"unknown Hecke variant {variant!r}")
-    return apply_reflection(f, i) - corr.scalar_mul(_ONE_MINUS_T)
+    return ZPolynomial(f.n, _hecke_terms(f.terms, i, variant == "Hbar", _times_one_minus_t))
 
 
 def apply_delta(f, direction="forward"):
@@ -167,26 +204,79 @@ def apply_X_lambda(f, lam):
     q^{D-a} on each term, so for f over Z[q,t] (every calE_mu) each
     rotated coefficient is integral as soon as it is formed.  Since
     lambda-bar_m t^m is a monomial q^{lam_m} t^j with j >= 1, the Hecke
-    chains and the multiple by it stay in Z[q,t] and need no gcd.  The
-    closing factor becomes q^{lam_m - 1 - D}.  On calE_mu the result is
-    calE_lam, integral by Knop's theorem, so where that power is negative
-    it divides each coefficient exactly; for any other f it is the same
-    product in Q(q,t).
+    chains and the multiple by it stay in Z[q,t]; they run on
+    Kronecker-packed ints (_packed_creation) whenever q^D Phi f is
+    integral, and on ExactScalars otherwise.  The closing factor becomes
+    q^{lam_m - 1 - D}.  On calE_mu the result is calE_lam, integral by
+    Knop's theorem, so where that power is negative it divides each
+    coefficient exactly; for any other f it is the same product in Q(q,t).
     """
     lam = tuple(lam)
     m = length(lam)
     if m == 0:
         raise ZeroComposition("X_lambda needs a nonzero composition")
     n = len(lam)
-    ev = spectral_vector(lam).scalar(m) * ExactScalar.t(m)
     d = max((e[0] for e in f.terms), default=0)
     # A_m = H_m...H_{n-1} Phi and Abar_m = Hbar_m...Hbar_{n-1} Phi share Phi f
-    a = abar = apply_phi(f.scalar_mul(ExactScalar.q(d)))
+    g = apply_phi(f.scalar_mul(ExactScalar.q(d)))
+    if all(c.is_integral() for c in g.terms.values()):
+        return _packed_creation(g, lam, d)
+    ev = spectral_vector(lam).scalar(m) * ExactScalar.t(m)
+    a = abar = g
     for i in range(n - 1, m - 1, -1):
         a = apply_hecke(a, i, "H")
         abar = apply_hecke(abar, i, "Hbar")
     out = abar - a.scalar_mul(ev)
     return out.scalar_mul(ExactScalar.q(lam[m - 1] - 1 - d))
+
+
+def _packed_creation(g, lam, d):
+    """apply_X_lambda's chains on g = q^D Phi f over Z[q,t], each
+    coefficient one Kronecker-packed int (qt.Kronecker): H_i and Hbar_i by
+    _hecke_terms with (1-t) c = c - (c << B*Q), the multiple by
+    lambda-bar_m t^m = q^{lam_m} t^j one shift, and q^{lam_m - 1 - D}
+    applied while unpacking.
+
+    The digits must fit.  Let G = max - min + 1 over all z-exponents of g.
+    H_i keeps every z-exponent within [min, max]: s_i permutes them, and
+    the geometric sum stays between the two exponents it starts from.  A
+    term c z^e of g gives at most G terms of size |c| in N_i z_i g or
+    z_{i+1} N_i g, which (1-t) at most doubles, so with L1 the sum of the
+    absolute values of all integer coefficients,
+    L1(H_i g) <= (1 + 2G) L1(g), and the same for Hbar_i.  The multiple by
+    a monomial keeps L1, so every output digit is at most
+    2 (1 + 2G)^{n-m} L1(g) in absolute value, and B is chosen with that
+    below 2^(B-1); it is widened past 64 bits when needed.  The q-degree
+    grows only by the shift by q^{lam_m}, so Q = deg_q(g) + lam_m + 1.
+    Packing is a ring homomorphism, so intermediate ints need no bound.
+    """
+    n = g.n
+    m = length(lam)
+    qa, tb = spectral_vector(lam).exponents[m - 1]
+    tb += m
+    nums = [c.num for c in g.terms.values()]
+    gap = max(map(max, g.terms), default=0) - min(map(min, g.terms), default=0) + 1
+    bound = 2 * (1 + 2 * gap) ** (n - m) * sum(p.norm1() for p in nums)
+    Q = max((p.deg_q() for p in nums), default=0) + qa + 1
+    codec = Kronecker(bound, Q, lam[m - 1] - 1 - d)
+    t_shift = codec.B * Q
+
+    def times_one_minus_t(c):
+        return c - (c << t_shift)
+
+    a = abar = {e: codec.pack(p) for e, p in zip(g.terms, nums)}
+    for i in range(n - 1, m - 1, -1):
+        a = _hecke_terms(a, i, False, times_one_minus_t)
+        abar = _hecke_terms(abar, i, True, times_one_minus_t)
+    ev_shift = codec.B * (qa + Q * tb)
+    out = dict(abar)
+    for e, v in a.items():
+        s = out[e] - (v << ev_shift) if e in out else -(v << ev_shift)
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return ZPolynomial(n, {e: codec.unpack(v) for e, v in out.items()})
 
 
 def hecke_symmetrize(f, t_symmetric_in=0):

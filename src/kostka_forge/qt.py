@@ -19,6 +19,8 @@ always accepted (see _heu), so the heuristic is the only gcd algorithm.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd as _igcd
 from math import isqrt
@@ -269,6 +271,10 @@ class QTPolynomial:
 
     def deg_t(self):
         return max((b for _, b in self._terms), default=-1)
+
+    def norm1(self):
+        """Sum of the absolute values of the coefficients."""
+        return sum(map(abs, self._terms.values()))
 
     def leading(self):
         """Lexicographically largest term ((a, b), coeff); q before t."""
@@ -725,3 +731,88 @@ class ExactScalar:
 
 _ES_ZERO = ExactScalar(_QT_ZERO, _QT_ONE, _reduced=True)
 _ES_ONE = ExactScalar(_QT_ONE, _QT_ONE, _reduced=True)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution: a polynomial in Z[q,t] as one int
+# ---------------------------------------------------------------------------
+
+_WORDS_ARE_LITTLE = sys.byteorder == "little"
+
+
+class Kronecker:
+    """Z[q,t] in Z by the substitution q -> 2^B, t -> 2^(B*Q):
+    sum a_ij q^i t^j maps to sum a_ij 2^(B*(i + Q*j)).
+
+    The map is a ring homomorphism, so a sum is one int addition and a
+    product by q^a t^b is a left shift by B*(a + Q*b).  An int decodes
+    back to the polynomial it is the image of whenever that polynomial has
+    q-degree below Q and coefficients in (-2^(B-1), 2^(B-1)): they are
+    then its balanced base-2^B digits.  Both directions go through bytes
+    against an offset whose digits are all 2^(B-1) (adding it makes every
+    digit nonnegative without a carry), so each is linear in the size.
+    """
+
+    __slots__ = ("B", "Q", "_qshift", "_nbytes", "_half", "_ndigits", "_offset", "_keys")
+
+    def __init__(self, bound, Q, qshift=0):
+        """B is the least multiple of 64 with bound < 2^(B-1), so digits of
+        absolute value at most bound decode; unpack multiplies by q^qshift."""
+        self.B = 64 * ((bound.bit_length() + 64) // 64)
+        self.Q = Q
+        self._qshift = qshift
+        self._nbytes = self.B // 8
+        self._half = 1 << (self.B - 1)
+        self._ndigits = 0
+        self._offset = 0
+        self._keys = []
+
+    def _offset_of(self, ndigits):
+        """The offset with ndigits digits, all 2^(B-1); grows the stored
+        offset and the table of decoded exponents to cover them."""
+        B = self.B
+        if ndigits > self._ndigits:
+            self._ndigits = max(ndigits, 2 * self._ndigits)
+            self._offset = self._half * ((1 << (B * self._ndigits)) - 1) // ((1 << B) - 1)
+            Q, s = self.Q, self._qshift
+            self._keys = [(i + s, j) for j in range(-(-self._ndigits // Q)) for i in range(Q)]
+        return self._offset >> (B * (self._ndigits - ndigits))
+
+    def pack(self, p):
+        """The image of a nonzero p with q-degree below Q and coefficients
+        inside the digit bound."""
+        terms = p._terms
+        Q, half, nbytes = self.Q, self._half, self._nbytes
+        ndigits = Q * (max(j for _, j in terms) + 1)
+        offset = self._offset_of(ndigits)
+        if nbytes == 8 and _WORDS_ARE_LITTLE:
+            words = array("Q", [half]) * ndigits
+            for (i, j), a in terms.items():
+                words[i + Q * j] = a + half
+            return int.from_bytes(words, "little") - offset
+        buf = bytearray(offset.to_bytes(ndigits * nbytes, "little"))
+        for (i, j), a in terms.items():
+            k = (i + Q * j) * nbytes
+            buf[k : k + nbytes] = (a + half).to_bytes(nbytes, "little")
+        return int.from_bytes(buf, "little") - offset
+
+    def unpack(self, v):
+        """q^qshift times the polynomial whose image is the nonzero int v, as
+        a reduced ExactScalar: over q^k if qshift leaves a q^-k."""
+        B, nbytes, half = self.B, self._nbytes, self._half
+        # a top digit d != 0 over lower digits below 2^(B-1) gives |v| >=
+        # 2^(B*top - 2), so this many digits hold all of v
+        ndigits = (abs(v).bit_length() + 1) // B + 1
+        buf = (v + self._offset_of(ndigits)).to_bytes(ndigits * nbytes, "little")
+        if nbytes == 8 and _WORDS_ARE_LITTLE:
+            words = memoryview(buf).cast("Q")
+        else:
+            words = [int.from_bytes(buf[k : k + nbytes], "little") for k in range(0, len(buf), nbytes)]
+        terms = {key: w - half for key, w in zip(self._keys, words) if w != half}
+        if self._qshift < 0:
+            low = min(terms)[0]
+            if low < 0:
+                num = QTPolynomial._of({(i - low, j): a for (i, j), a in terms.items()})
+                # num has a q^0 term, so it is coprime to q^-low
+                return ExactScalar(num, QTPolynomial.q(-low), _reduced=True)
+        return ExactScalar(QTPolynomial._of(terms), _QT_ONE, _reduced=True)

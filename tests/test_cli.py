@@ -177,6 +177,8 @@ class TestValidation:
             ("expand", "--n", "3", "--lambda", "0,17,0"),
             ("expand", "--n", "8", "--lambda", "0,0,6,0,0,0,0,0", "--form", "calE"),
             ("expand", "--n", "9", "--lambda", "1,0,0,0,0,0,0,0,0"),
+            ("table", "--n", "4", "--maxdeg", "11"),
+            ("table", "--n", "9", "--maxdeg", "1"),
         ],
     )
     def test_oversize_input_is_refused_at_once(self, capsys, argv):
@@ -194,6 +196,8 @@ class TestValidation:
             (("expand", "--n", "2", "--lambda", "24,0", "--form", "J", "--basis", "tmon"), "sym_J"),
             (("expand", "--n", "3", "--lambda", "16,0,0", "--form", "E"), "nonsym_E"),
             (("expand", "--n", "8", "--lambda", "5,0,0,0,0,0,0,0"), "nonsym_calE"),
+            (("table", "--n", "4", "--maxdeg", "10"), "nonsym_calE"),
+            (("table", "--n", "8", "--maxdeg", "5"), "nonsym_calE"),
         ],
     )
     def test_largest_accepted_sizes_are_computed(self, capsys, monkeypatch, argv, computation):

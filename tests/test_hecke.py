@@ -85,6 +85,47 @@ class TestHecke:
                 assert apply_hecke(apply_hecke(f, i, "Hbar"), i, "Hbar_inv") == f
 
 
+def hecke_reference(f, i, variant):
+    """apply_hecke from its definition, by apply_reflection and
+    apply_divided_difference: H_i = s_i - (1-t) N_i z_i and
+    Hbar_i = s_i - (1-t) z_{i+1} N_i, with H_i^{-1} = t^{-1} Hbar_i and
+    Hbar_i^{-1} = t^{-1} H_i."""
+    if variant.endswith("_inv"):
+        other = "Hbar" if variant == "H_inv" else "H"
+        return hecke_reference(f, i, other).scalar_mul(ExactScalar.t(-1))
+    zi, zi1 = [0] * f.n, [0] * f.n
+    zi[i - 1], zi1[i] = 1, 1
+    if variant == "H":
+        corr = apply_divided_difference(f.monomial_mul(zi), i)
+    else:
+        corr = apply_divided_difference(f, i).monomial_mul(zi1)
+    return apply_reflection(f, i) - corr.scalar_mul(ONE_MINUS_T)
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=3
+).map(QTPolynomial)
+fractions = st.tuples(small_polys, small_polys.filter(bool)).map(lambda p: ExactScalar(*p))
+
+
+@st.composite
+def laurent_zpolys(draw, coeffs):
+    n = draw(st.integers(2, 4))
+    exps = st.lists(st.integers(-2, 3), min_size=n, max_size=n).map(tuple)
+    return ZPolynomial(n, draw(st.dictionaries(exps, coeffs, max_size=4)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_fused_hecke_matches_its_definition(data):
+    f = data.draw(laurent_zpolys(fractions))
+    i = data.draw(st.integers(1, f.n - 1))
+    for variant in ("H", "Hbar", "H_inv", "Hbar_inv"):
+        assert apply_hecke(f, i, variant) == hecke_reference(f, i, variant)
+    assert apply_hecke(apply_hecke(f, i, "H"), i, "H_inv") == f
+    assert apply_hecke(apply_hecke(f, i, "Hbar"), i, "Hbar_inv") == f
+
+
 class TestDelta:
     def test_constant(self):
         one = ZPolynomial.one(3)
@@ -215,20 +256,82 @@ class TestXLambda:
         assert apply_X_lambda(f, lam) == self.scaled_after_phi(f, lam, d)
 
     def test_creation_chains_stay_integral(self, monkeypatch):
-        seen = []
+        # every nonzero-weight creation step runs its Hecke chains on
+        # packed ints, entered with an integral q^D Phi f; the ExactScalar
+        # chain (apply_hecke) is never reached
+        packed_creation = hecke._packed_creation
+        entered = []
 
-        def integral_hecke(f, i, variant="H"):
-            seen.append(variant)
-            assert all(c.is_integral() for c in f.terms.values())
-            return apply_hecke(f, i, variant)
+        def integral_packed(g, lam, d):
+            entered.append(lam)
+            assert all(c.is_integral() for c in g.terms.values())
+            return packed_creation(g, lam, d)
 
-        monkeypatch.setattr(hecke, "apply_hecke", integral_hecke)
+        def no_fallback(f, i, variant="H"):
+            raise AssertionError(f"ExactScalar Hecke chain reached: H_{i} {variant}")
+
+        monkeypatch.setattr(hecke, "_packed_creation", integral_packed)
+        monkeypatch.setattr(hecke, "apply_hecke", no_fallback)
         monkeypatch.setattr(macdonald, "_CALE_CACHE", {})
+        steps = []
         for n in (1, 2, 3):
             for d in range(5):
                 for lam in compositions(d, n):
                     macdonald.nonsym_calE(lam)
-        assert seen
+                    if d:
+                        steps.append(lam)
+        assert sorted(entered) == sorted(steps)
+
+
+integral_coeffs = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.one_of(st.integers(-5, 5), st.integers(-(2**66), 2**66)).filter(bool),
+    min_size=1,
+    max_size=3,
+).map(lambda t: ExactScalar.from_poly(QTPolynomial(t)))
+
+
+class TestPackedCreation:
+    """apply_X_lambda's packed chains against the ExactScalar chains."""
+
+    @staticmethod
+    def exact_chains(f, lam):
+        d = max((e[0] for e in f.terms), default=0)
+        return TestXLambda.scaled_after_phi(f, lam, d)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_matches_the_exact_chains(self, data):
+        # Laurent z-exponents, negative and wide coefficients; a large
+        # z_1-exponent makes q^{lam_m - 1 - D} leave powers of q below
+        f = data.draw(laurent_zpolys(integral_coeffs))
+        lam = data.draw(st.lists(st.integers(0, 3), min_size=f.n, max_size=f.n).filter(any))
+        assert apply_X_lambda(f, lam) == self.exact_chains(f, tuple(lam))
+
+    @pytest.mark.parametrize("c", [2**62 + 1, -(2**63), 2**63 + 5])
+    def test_digits_past_64_bits(self, monkeypatch, c):
+        # with m = n there is no Hecke step and the bound is 2 * L1 = 2|c|,
+        # just over 2^63 for the first c; the other two have a digit of
+        # 2^63 or more, which 64-bit digits cannot hold
+        widths = []
+        kronecker = hecke.Kronecker
+
+        def spy(bound, Q, qshift):
+            codec = kronecker(bound, Q, qshift)
+            widths.append(codec.B)
+            return codec
+
+        monkeypatch.setattr(hecke, "Kronecker", spy)
+        f = mono(3, (2, 0, 1), ExactScalar.from_int(c))
+        assert apply_X_lambda(f, (1, 0, 1)) == self.exact_chains(f, (1, 0, 1))
+        assert widths == [128]
+
+    def test_closing_power_leaves_powers_of_q_below(self):
+        # D = 4 > lam_m - 1, and the term at z_1^4 has a q^0 digit
+        f = mono(2, (4, 0)) + mono(2, (1, 1), ExactScalar.q(2))
+        out = apply_X_lambda(f, (1, 1))
+        assert out == self.exact_chains(f, (1, 1))
+        assert {c.den for c in out.terms.values()} >= {QTPolynomial.q(4)}
 
 
 def test_hecke_symmetrize_is_invariant():

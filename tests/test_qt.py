@@ -229,6 +229,33 @@ def test_one_term_divisor_refuses_a_remainder():
 
 
 # ---------------------------------------------------------------------------
+# Kronecker substitution
+# ---------------------------------------------------------------------------
+
+wide_polys = st.dictionaries(
+    exponents, st.integers(-(2**130), 2**130).filter(bool), min_size=1, max_size=5
+).map(QTPolynomial)
+
+
+@settings(deadline=None, max_examples=150)
+@given(wide_polys, wide_polys, st.integers(-6, 3), st.integers(0, 2), st.integers(0, 2))
+def test_kronecker_sums_and_shifts_decode(a, b, qshift, qa, tb):
+    """pack is additive, a shift multiplies by q^qa t^tb, and unpack gives
+    back the product by q^qshift, over a power of q where it is negative."""
+    expected = a + b * P({(qa, tb): 1})
+    bound = max(max(map(abs, p._terms.values()), default=0) for p in (a, b, expected))
+    codec = qt.Kronecker(bound, max(a.deg_q(), b.deg_q() + qa) + 1, qshift)
+    # B is the least multiple of 64 that holds the bound
+    assert codec.B % 64 == 0 and bound < 2 ** (codec.B - 1)
+    assert codec.B == 64 or bound >= 2 ** (codec.B - 65)
+    v = codec.pack(a) + (codec.pack(b) << codec.B * (qa + codec.Q * tb))
+    if expected:
+        assert codec.unpack(v) == ExactScalar(expected) * ExactScalar.q(qshift)
+    else:
+        assert v == 0
+
+
+# ---------------------------------------------------------------------------
 # gcd against an independent reference
 # ---------------------------------------------------------------------------
 
