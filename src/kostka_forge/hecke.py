@@ -197,41 +197,37 @@ def apply_xi(f, i, direction="forward"):
 def apply_X_lambda(f, lam):
     """The normalized creation step q^{lam_m - 1} (Abar_m - lambda-bar_m t^m A_m).
 
-    Delta puts q^{-a} on the term of f with z_1-exponent a, so Phi f has
-    fractions over powers of q even when f has coefficients in Z[q,t].
-    The chains run on q^D Phi f instead, D the largest z_1-exponent in f,
-    computed as Phi(q^D f) since Phi is Q(q,t)-linear: Delta then puts
-    q^{D-a} on each term, so for f over Z[q,t] (every calE_mu) each
-    rotated coefficient is integral as soon as it is formed.  Since
-    lambda-bar_m t^m is a monomial q^{lam_m} t^j with j >= 1, the Hecke
-    chains and the multiple by it stay in Z[q,t]; they run on
-    Kronecker-packed ints (_packed_creation) whenever q^D Phi f is
-    integral, and on ExactScalars otherwise.  The closing factor becomes
-    q^{lam_m - 1 - D}.  On calE_mu the result is calE_lam, integral by
-    Knop's theorem, so where that power is negative it divides each
-    coefficient exactly; for any other f it is the same product in Q(q,t).
+    The step is Q(q,t)-linear, so denominators are cleared once, at entry:
+    with L the lcm of the coefficient denominators of f (1 on every
+    calE_mu) and D the largest z_1-exponent in f, the chains run on
+    q^D Phi(L f), computed as Phi(L q^D f).  Delta puts q^{-a} on the term
+    with z_1-exponent a, so each rotated coefficient carries q^{D-a} and
+    is integral as soon as it is formed.  Since lambda-bar_m t^m is a
+    monomial q^{lam_m} t^j with j >= 1, the Hecke chains and the multiple
+    by it stay in Z[q,t] and run on Kronecker-packed ints
+    (_packed_creation).  The closing factor becomes q^{lam_m - 1 - D},
+    and the result is divided by L.  On calE_mu the result is calE_lam,
+    integral by Knop's theorem, so where that power is negative it divides
+    each coefficient exactly; for any other f it is the same product in
+    Q(q,t).
     """
     lam = tuple(lam)
     m = length(lam)
     if m == 0:
         raise ZeroComposition("X_lambda needs a nonzero composition")
-    n = len(lam)
     d = max((e[0] for e in f.terms), default=0)
+    den = QTPolynomial.one()
+    for c in f.terms.values():
+        if not c.den.is_one():
+            den = den * c.den.exact_divide(QTPolynomial.gcd(den, c.den))
+    scale = ExactScalar.q(d) if den.is_one() else ExactScalar.from_poly(den) * ExactScalar.q(d)
     # A_m = H_m...H_{n-1} Phi and Abar_m = Hbar_m...Hbar_{n-1} Phi share Phi f
-    g = apply_phi(f.scalar_mul(ExactScalar.q(d)))
-    if all(c.is_integral() for c in g.terms.values()):
-        return _packed_creation(g, lam, d)
-    ev = spectral_vector(lam).scalar(m) * ExactScalar.t(m)
-    a = abar = g
-    for i in range(n - 1, m - 1, -1):
-        a = apply_hecke(a, i, "H")
-        abar = apply_hecke(abar, i, "Hbar")
-    out = abar - a.scalar_mul(ev)
-    return out.scalar_mul(ExactScalar.q(lam[m - 1] - 1 - d))
+    out = _packed_creation(apply_phi(f.scalar_mul(scale)), lam, d)
+    return out if den.is_one() else out.scalar_mul(ExactScalar.from_poly(den).inverse())
 
 
 def _packed_creation(g, lam, d):
-    """apply_X_lambda's chains on g = q^D Phi f over Z[q,t], each
+    """apply_X_lambda's chains on g = q^D Phi(L f) over Z[q,t], each
     coefficient one Kronecker-packed int (qt.Kronecker): H_i and Hbar_i by
     _hecke_terms with (1-t) c = c - (c << B*Q), the multiple by
     lambda-bar_m t^m = q^{lam_m} t^j one shift, and q^{lam_m - 1 - D}

@@ -168,10 +168,10 @@ def positivity_report(expansion, alphas=(0, 1, 2)):
     return report
 
 
-def _eval_alpha_poly(f, alpha, z):
+def _eval_alpha_terms(terms, z):
+    """Sum of v z^e over (exponent, float coefficient) pairs (e, v)."""
     total = 0.0
-    for e, c in f.terms.items():
-        v = float(c.evaluate(alpha))
+    for e, v in terms:
         for zi, p in zip(z, e):
             v *= zi**p
         total += v
@@ -204,11 +204,12 @@ def numeric_limit_check(lam, alpha0, t0=0.999, grid=None):
     alpha_side = jack_nonsym(lam)
     d = weight(lam)
     t1 = 1.0 - (1.0 - t0) / 2.0
+    alpha_terms = [(e, float(c.evaluate(alpha0))) for e, c in alpha_side.terms.items()]
     worst = 0.0
     for z in grid:
         a0 = qt_side.eval_float(t0**alpha0, t0, z) / (1.0 - t0) ** d
         a1 = qt_side.eval_float(t1**alpha0, t1, z) / (1.0 - t1) ** d
         a = 2.0 * a1 - a0
-        b = _eval_alpha_poly(alpha_side, alpha0, z)
+        b = _eval_alpha_terms(alpha_terms, z)
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     return worst

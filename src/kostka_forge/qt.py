@@ -504,6 +504,14 @@ _QT_ONE = QTPolynomial({(0, 0): 1})
 # ---------------------------------------------------------------------------
 
 
+def _cancel(a, b):
+    """g = gcd(a, b) and the cofactors a/g and b/g; no division when g = 1."""
+    g = QTPolynomial.gcd(a, b)
+    if g.is_one():
+        return g, a, b
+    return g, a.exact_divide(g), b.exact_divide(g)
+
+
 class ExactScalar:
     """Element of Q(q,t) as a reduced fraction of integer polynomials.
 
@@ -530,10 +538,7 @@ class ExactScalar:
         if not num:
             return _QT_ZERO, _QT_ONE
         if not den.is_one():
-            g = QTPolynomial.gcd(num, den)
-            if not g.is_one():
-                num = num.exact_divide(g)
-                den = den.exact_divide(g)
+            _, num, den = _cancel(num, den)
         if den.leading()[1] < 0:
             num, den = -num, -den
         return num, den
@@ -616,27 +621,17 @@ class ExactScalar:
                 return _ES_ZERO
             if d1.is_one():
                 return ExactScalar(num, d1, _reduced=True)
-            g = QTPolynomial.gcd(num, d1)
-            if g.is_one():
-                return ExactScalar(num, d1, _reduced=True)
-            return ExactScalar(num.exact_divide(g), d1.exact_divide(g), _reduced=True)
+            _, num, den = _cancel(num, d1)
+            return ExactScalar(num, den, _reduced=True)
         # with both operands reduced, any common factor of the combined
         # numerator and denominator must divide g = gcd(d1, d2)
-        g = QTPolynomial.gcd(d1, d2)
-        if g.is_one():
-            num = self.num * d2 + other.num * d1
-            if not num:
-                return _ES_ZERO
-            return ExactScalar(num, d1 * d2, _reduced=True)
-        d1g = d1.exact_divide(g)
-        d2g = d2.exact_divide(g)
+        g, d1g, d2g = _cancel(d1, d2)
         num = self.num * d2g + other.num * d1g
         if not num:
             return _ES_ZERO
-        h = QTPolynomial.gcd(num, g)
-        if not h.is_one():
-            num = num.exact_divide(h)
-            g = g.exact_divide(h)
+        if g.is_one():
+            return ExactScalar(num, d1 * d2, _reduced=True)
+        _, num, g = _cancel(num, g)
         return ExactScalar(num, d1g * d2g * g, _reduced=True)
 
     def __neg__(self):
@@ -654,15 +649,9 @@ class ExactScalar:
             return ExactScalar(n1 * n2, _QT_ONE, _reduced=True)
         # cross-cancel so the products below are already coprime
         if not d2.is_one():
-            g1 = QTPolynomial.gcd(n1, d2)
-            if not g1.is_one():
-                n1 = n1.exact_divide(g1)
-                d2 = d2.exact_divide(g1)
+            _, n1, d2 = _cancel(n1, d2)
         if not d1.is_one():
-            g2 = QTPolynomial.gcd(n2, d1)
-            if not g2.is_one():
-                n2 = n2.exact_divide(g2)
-                d1 = d1.exact_divide(g2)
+            _, n2, d1 = _cancel(n2, d1)
         return ExactScalar(n1 * n2, d1 * d2, _reduced=True)
 
     def __truediv__(self, other):

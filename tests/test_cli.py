@@ -21,7 +21,7 @@ from kostka_forge.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from kostka_forge import macdonald
+from kostka_forge import cli, macdonald
 from kostka_forge.macdonald import KostkaMatrix, kostka_matrix, nonsym_E
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.verify import SUITES
@@ -383,6 +383,22 @@ class TestDeterminism:
         ) == 0
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_table_is_written_entry_by_entry(self, capsys, monkeypatch):
+        # no single serialization holds the whole table
+        serialize = cli.canonical_json
+        sizes = []
+
+        def spy(obj):
+            text = serialize(obj)
+            sizes.append(len(text))
+            return text
+
+        monkeypatch.setattr(cli, "canonical_json", spy)
+        code, out, _ = run(capsys, "table", "--n", "3", "--maxdeg", "4")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["entries"]) == 35
+        assert sizes and max(sizes) <= len(out) / 2
 
     def test_env_var_parallelism(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

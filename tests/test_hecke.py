@@ -4,6 +4,7 @@ and the symmetrizer."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,23 +226,36 @@ class TestXLambda:
         ev = spectral_vector(lam).scalar(m) * ExactScalar.t(m)
         return (abar - a.scalar_mul(ev)).scalar_mul(ExactScalar.q(lam[m - 1] - 1 - d))
 
-    def test_matches_the_unscaled_formula(self):
+    def test_matches_the_unscaled_formula(self, monkeypatch):
         rng = random.Random(29)
         q, t = QTPolynomial.q(), QTPolynomial.t()
-        frac = ExactScalar(q + QTPolynomial.const(2), t * (QTPolynomial.one() - q * t))
+        fracs = [
+            ExactScalar(q + QTPolynomial.const(2), t * (QTPolynomial.one() - q * t)),
+            ExactScalar.from_fraction(Fraction(2, 3)),
+            ExactScalar.q(-2),
+        ]
+        cases = []
         for n in (2, 3):
             inputs = [ZPolynomial.zero(n)]
-            for k in range(1, 6):
-                # fractional coefficients on terms with z_1-exponent down to
-                # -k; for even k every z_1-exponent is negative
-                shift = [-k] + [0] * (n - 1)
-                g = random_zpoly(rng, n, maxdeg=3, max_terms=3).scalar_mul(frac).monomial_mul(shift)
-                inputs.append(g if k % 2 == 0 else g + random_zpoly(rng, n, maxdeg=3, max_terms=3))
+            for frac in fracs:
+                for k in range(1, 6):
+                    # fractional coefficients on terms with z_1-exponent down
+                    # to -k; for even k every z_1-exponent is negative
+                    shift = [-k] + [0] * (n - 1)
+                    g = random_zpoly(rng, n, maxdeg=3, max_terms=3).scalar_mul(frac).monomial_mul(shift)
+                    inputs.append(g if k % 2 == 0 else g + random_zpoly(rng, n, maxdeg=3, max_terms=3))
             for lam in itertools.product(range(3), repeat=n):
                 if any(lam):
-                    for f in inputs:
-                        # no q^D at all
-                        assert apply_X_lambda(f, lam) == self.scaled_after_phi(f, lam, 0)
+                    # no q^D at all
+                    cases.extend((f, lam, self.scaled_after_phi(f, lam, 0)) for f in inputs)
+
+        def no_exact_chain(f, i, variant="H"):
+            raise AssertionError(f"ExactScalar Hecke chain reached: H_{i} {variant}")
+
+        # fractional input clears its denominators and takes the packed chains
+        monkeypatch.setattr(hecke, "apply_hecke", no_exact_chain)
+        for f, lam, expected in cases:
+            assert apply_X_lambda(f, lam) == expected
 
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())

@@ -395,3 +395,32 @@ class TestKostka:
     def test_specialized_fraction_point(self):
         km = kostka_matrix(2, 2).specialize(qv=Fraction(1, 2), tv=Fraction(1, 3))
         assert km.entry((2, 0), (1, 1)) == ExactScalar.from_fraction(Fraction(1, 2))
+
+
+def test_clear_caches_empties_every_table(monkeypatch):
+    import kostka_forge
+    from kostka_forge import jack, symfunc
+
+    tables = {
+        "macdonald._CALE_CACHE": (macdonald, "_CALE_CACHE"),
+        "macdonald._TMONO_CACHE": (macdonald, "_TMONO_CACHE"),
+        "macdonald._XI_MONO_CACHE": (macdonald, "_XI_MONO_CACHE"),
+        "jack._JACK_CACHE": (jack, "_JACK_CACHE"),
+    }
+    for module, attr in tables.values():
+        monkeypatch.setattr(module, attr, {})
+    lam = (0, 1, 1)
+
+    def values():
+        return nonsym_calE(lam), t_monomial(lam), jack.jack_nonsym(lam)
+
+    before = values()
+    eigen_oracle_E((1, 0))
+    kostka_matrix(2, 2)
+    sizes = {name: len(getattr(module, attr)) for name, (module, attr) in tables.items()}
+    sizes["symfunc._power_sum_basis"] = symfunc._power_sum_basis.cache_info().currsize
+    assert all(sizes.values())
+    assert kostka_forge.clear_caches() == sizes
+    assert all(not getattr(module, attr) for module, attr in tables.values())
+    assert symfunc._power_sum_basis.cache_info().currsize == 0
+    assert values() == before
