@@ -2,8 +2,9 @@
 suites and golden-table generation with canonical, byte-stable output.
 
 Exit codes: 0 success, 2 validation error (an unwritable --output
-included, refused before any computation), 3 expansion not in span,
-4 integrality violation, 5 verification failure.
+included, refused before any computation) or a computation that ran out
+of memory, 3 expansion not in span, 4 integrality violation,
+5 verification failure.  Every nonzero exit writes a JSON error to stderr.
 """
 
 from __future__ import annotations
@@ -371,6 +372,8 @@ def main(argv=None):
         return _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
     except OSError as exc:  # an --output path that cannot be written
         return _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
+    except MemoryError as exc:
+        return _emit_error("MemoryError", str(exc) or "out of memory", EXIT_VALIDATION)
     finally:
         if was_enabled:
             gc.enable()

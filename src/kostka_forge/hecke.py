@@ -170,28 +170,50 @@ def apply_xi(f, i, direction="forward"):
 
     xi_i^{-1} = Hbar_i ... Hbar_{n-1} Delta H_1 ... H_{i-1}, applied
     right-to-left; the forward direction is the inverse-word composition,
-    with eigenvalue lambda-bar_i on E_lambda.
+    with eigenvalue lambda-bar_i on E_lambda.  As H_j^{-1} = t^{-1} Hbar_j
+    and Hbar_j^{-1} = t^{-1} H_j, it is
+    xi_i = t^{1-n} Hbar_{i-1} ... Hbar_1 Delta^{-1} H_{n-1} ... H_i.
+
+    Both words are Q(q,t)-linear, so each runs once on Kronecker-packed
+    ints (_pack) on L f, with L the lcm of the coefficient denominators of
+    f, and the result is divided by L.  Delta puts q^{-e_1} on the term
+    z^e and Delta^{-1} puts q^{e_n}; with lo and hi the least and the
+    largest z-exponent of f, these run as the left shifts by q^{hi - e_1}
+    and q^{e_n - lo}, and q^{-hi} (Delta) or q^{lo} t^{1-n} (Delta^{-1})
+    is applied while unpacking.
     """
     n = f.n
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"xi index {i} out of range for n={n}")
-    if direction == "inverse":
-        g = f
-        for j in range(i - 1, 0, -1):
-            g = apply_hecke(g, j, "H")
-        g = apply_delta(g, "forward")
-        for j in range(n - 1, i - 1, -1):
-            g = apply_hecke(g, j, "Hbar")
-        return g
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"unknown direction {direction!r}")
+    den = _denominator_lcm(f)
+    cofactors = {QTPolynomial.one(): den}  # L / c.den for each c.den
+    nums = {}
+    for e, c in f.terms.items():
+        k = cofactors.get(c.den)
+        if k is None:
+            k = cofactors[c.den] = den.exact_divide(c.den)
+        nums[e] = c.num if k.is_one() else c.num * k
+    lo, hi = _z_range(nums)
     if direction == "forward":
-        g = f
+        codec, g, one_minus_t = _pack(nums, n - 1, hi - lo, lo, 1 - n)
         for j in range(i, n):
-            g = apply_hecke(g, j, "Hbar_inv")
-        g = apply_delta(g, "inverse")
+            g = _hecke_terms(g, j, False, one_minus_t)
+        B = codec.B
+        g = {e[-1:] + e[:-1]: v << B * (e[-1] - lo) for e, v in g.items()}
         for j in range(1, i):
-            g = apply_hecke(g, j, "H_inv")
-        return g
-    raise ValueError(f"unknown direction {direction!r}")
+            g = _hecke_terms(g, j, True, one_minus_t)
+    else:
+        codec, g, one_minus_t = _pack(nums, n - 1, hi - lo, -hi)
+        for j in range(i - 1, 0, -1):
+            g = _hecke_terms(g, j, False, one_minus_t)
+        B = codec.B
+        g = {e[1:] + e[:1]: v << B * (hi - e[0]) for e, v in g.items()}
+        for j in range(n - 1, i - 1, -1):
+            g = _hecke_terms(g, j, True, one_minus_t)
+    out = _unpack(codec, n, g)
+    return out if den.is_one() else out.scalar_mul(ExactScalar.from_poly(den).inverse())
 
 
 def apply_X_lambda(f, lam):
@@ -216,10 +238,7 @@ def apply_X_lambda(f, lam):
     if m == 0:
         raise ZeroComposition("X_lambda needs a nonzero composition")
     d = max((e[0] for e in f.terms), default=0)
-    den = QTPolynomial.one()
-    for c in f.terms.values():
-        if not c.den.is_one():
-            den = den * c.den.exact_divide(QTPolynomial.gcd(den, c.den))
+    den = _denominator_lcm(f)
     scale = ExactScalar.q(d) if den.is_one() else ExactScalar.from_poly(den) * ExactScalar.q(d)
     # A_m = H_m...H_{n-1} Phi and Abar_m = Hbar_m...Hbar_{n-1} Phi share Phi f
     out = _packed_creation(apply_phi(f.scalar_mul(scale)), lam, d)
@@ -227,44 +246,21 @@ def apply_X_lambda(f, lam):
 
 
 def _packed_creation(g, lam, d):
-    """apply_X_lambda's chains on g = q^D Phi(L f) over Z[q,t], each
-    coefficient one Kronecker-packed int (qt.Kronecker): H_i and Hbar_i by
-    _hecke_terms with (1-t) c = c - (c << B*Q), the multiple by
+    """apply_X_lambda's chains on g = q^D Phi(L f) over Z[q,t], packed by
+    _pack: H_i and Hbar_i by _hecke_terms, the multiple by
     lambda-bar_m t^m = q^{lam_m} t^j one shift, and q^{lam_m - 1 - D}
-    applied while unpacking.
-
-    The digits must fit.  Let G = max - min + 1 over all z-exponents of g.
-    H_i keeps every z-exponent within [min, max]: s_i permutes them, and
-    the geometric sum stays between the two exponents it starts from.  A
-    term c z^e of g gives at most G terms of size |c| in N_i z_i g or
-    z_{i+1} N_i g, which (1-t) at most doubles, so with L1 the sum of the
-    absolute values of all integer coefficients,
-    L1(H_i g) <= (1 + 2G) L1(g), and the same for Hbar_i.  The multiple by
-    a monomial keeps L1, so every output digit is at most
-    2 (1 + 2G)^{n-m} L1(g) in absolute value, and B is chosen with that
-    below 2^(B-1); it is widened past 64 bits when needed.  The q-degree
-    grows only by the shift by q^{lam_m}, so Q = deg_q(g) + lam_m + 1.
-    Packing is a ring homomorphism, so intermediate ints need no bound.
-    """
+    applied while unpacking."""
     n = g.n
     m = length(lam)
     qa, tb = spectral_vector(lam).exponents[m - 1]
     tb += m
-    nums = [c.num for c in g.terms.values()]
-    gap = max(map(max, g.terms), default=0) - min(map(min, g.terms), default=0) + 1
-    bound = 2 * (1 + 2 * gap) ** (n - m) * sum(p.norm1() for p in nums)
-    Q = max((p.deg_q() for p in nums), default=0) + qa + 1
-    codec = Kronecker(bound, Q, lam[m - 1] - 1 - d)
-    t_shift = codec.B * Q
-
-    def times_one_minus_t(c):
-        return c - (c << t_shift)
-
-    a = abar = {e: codec.pack(p) for e, p in zip(g.terms, nums)}
+    nums = {e: c.num for e, c in g.terms.items()}
+    codec, a, one_minus_t = _pack(nums, n - m, qa, lam[m - 1] - 1 - d, runs=2)
+    abar = a
     for i in range(n - 1, m - 1, -1):
-        a = _hecke_terms(a, i, False, times_one_minus_t)
-        abar = _hecke_terms(abar, i, True, times_one_minus_t)
-    ev_shift = codec.B * (qa + Q * tb)
+        a = _hecke_terms(a, i, False, one_minus_t)
+        abar = _hecke_terms(abar, i, True, one_minus_t)
+    ev_shift = codec.B * (qa + codec.Q * tb)
     out = dict(abar)
     for e, v in a.items():
         s = out[e] - (v << ev_shift) if e in out else -(v << ev_shift)
@@ -272,7 +268,65 @@ def _packed_creation(g, lam, d):
             out[e] = s
         else:
             del out[e]
-    return ZPolynomial(n, {e: codec.unpack(v) for e, v in out.items()})
+    return _unpack(codec, n, out)
+
+
+def _denominator_lcm(f):
+    """The lcm of the coefficient denominators of f, 1 if f is integral."""
+    den = QTPolynomial.one()
+    for c in f.terms.values():
+        if not c.den.is_one():
+            den = den * c.den.exact_divide(QTPolynomial.gcd(den, c.den))
+    return den
+
+
+def _z_range(terms):
+    """The least and the largest z-exponent in terms, over all variables."""
+    return min(map(min, terms), default=0), max(map(max, terms), default=0)
+
+
+def _pack(nums, hecke_steps, q_growth, qshift, tshift=0, runs=1):
+    """Kronecker-pack nums, a dict from exponent vectors to polynomials in
+    Z[q,t], for a run of hecke_steps steps H_i or Hbar_i (_hecke_terms),
+    any number of rotations of the exponent vectors and of products by
+    monomials q^a t^b with a, b >= 0 whose q-exponents on any one term add
+    up to at most q_growth, and a sum or difference of `runs` such runs.
+    Returns the codec (qt.Kronecker; its unpack multiplies by
+    q^qshift t^tshift), the dict of packed ints and (1-t) on a packed int,
+    c - (c << B*Q).
+
+    The digits must fit.  Let G = hi - lo + 1, with lo and hi the least
+    and the largest z-exponent in nums (_z_range).  H_i keeps every
+    z-exponent within [lo, hi]: s_i permutes them, and the geometric sum
+    stays between the two exponents it starts from; a rotation permutes
+    them too.  A term c z^e gives at most G terms of size |c| in
+    N_i z_i g or z_{i+1} N_i g, which (1-t) at most doubles, so with L1
+    the sum of the absolute values of all integer coefficients,
+    L1(H_i g) <= (1 + 2G) L1(g), and the same for Hbar_i.  A rotation maps
+    distinct exponent vectors to distinct ones and a monomial multiple
+    keeps each coefficient's L1, so every output digit is at most
+    runs (1 + 2G)^hecke_steps L1(nums) in absolute value, and B is chosen
+    with that below 2^(B-1); it is widened past 64 bits when needed.  Only
+    the monomial multiples raise the q-degree, so
+    Q = deg_q(nums) + q_growth + 1.  Packing is a ring homomorphism, so
+    intermediate ints need no bound.
+    """
+    lo, hi = _z_range(nums)
+    polys = nums.values()
+    bound = runs * (3 + 2 * (hi - lo)) ** hecke_steps * sum(p.norm1() for p in polys)
+    Q = max((p.deg_q() for p in polys), default=0) + q_growth + 1
+    codec = Kronecker(bound, Q, qshift, tshift)
+    t_shift = codec.B * Q
+
+    def one_minus_t(c):
+        return c - (c << t_shift)
+
+    return codec, {e: codec.pack(p) for e, p in nums.items()}, one_minus_t
+
+
+def _unpack(codec, n, packed):
+    """The ZPolynomial of the packed ints, each unpacked by codec."""
+    return ZPolynomial(n, {e: codec.unpack(v) for e, v in packed.items()})
 
 
 def hecke_symmetrize(f, t_symmetric_in=0):

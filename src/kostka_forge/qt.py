@@ -742,14 +742,16 @@ class Kronecker:
     digit nonnegative without a carry), so each is linear in the size.
     """
 
-    __slots__ = ("B", "Q", "_qshift", "_nbytes", "_half", "_ndigits", "_offset", "_keys")
+    __slots__ = ("B", "Q", "_qshift", "_tshift", "_nbytes", "_half", "_ndigits", "_offset", "_keys")
 
-    def __init__(self, bound, Q, qshift=0):
+    def __init__(self, bound, Q, qshift=0, tshift=0):
         """B is the least multiple of 64 with bound < 2^(B-1), so digits of
-        absolute value at most bound decode; unpack multiplies by q^qshift."""
+        absolute value at most bound decode; unpack multiplies by
+        q^qshift t^tshift."""
         self.B = 64 * ((bound.bit_length() + 64) // 64)
         self.Q = Q
         self._qshift = qshift
+        self._tshift = tshift
         self._nbytes = self.B // 8
         self._half = 1 << (self.B - 1)
         self._ndigits = 0
@@ -763,8 +765,8 @@ class Kronecker:
         if ndigits > self._ndigits:
             self._ndigits = max(ndigits, 2 * self._ndigits)
             self._offset = self._half * ((1 << (B * self._ndigits)) - 1) // ((1 << B) - 1)
-            Q, s = self.Q, self._qshift
-            self._keys = [(i + s, j) for j in range(-(-self._ndigits // Q)) for i in range(Q)]
+            Q, s, u = self.Q, self._qshift, self._tshift
+            self._keys = [(i + s, j + u) for j in range(-(-self._ndigits // Q)) for i in range(Q)]
         return self._offset >> (B * (self._ndigits - ndigits))
 
     def pack(self, p):
@@ -786,8 +788,9 @@ class Kronecker:
         return int.from_bytes(buf, "little") - offset
 
     def unpack(self, v):
-        """q^qshift times the polynomial whose image is the nonzero int v, as
-        a reduced ExactScalar: over q^k if qshift leaves a q^-k."""
+        """q^qshift t^tshift times the polynomial whose image is the nonzero
+        int v, as a reduced ExactScalar: the negative q- and t-exponents
+        that the shifts leave go to a monomial denominator, with no gcd."""
         B, nbytes, half = self.B, self._nbytes, self._half
         # a top digit d != 0 over lower digits below 2^(B-1) gives |v| >=
         # 2^(B*top - 2), so this many digits hold all of v
@@ -798,10 +801,11 @@ class Kronecker:
         else:
             words = [int.from_bytes(buf[k : k + nbytes], "little") for k in range(0, len(buf), nbytes)]
         terms = {key: w - half for key, w in zip(self._keys, words) if w != half}
-        if self._qshift < 0:
-            low = min(terms)[0]
-            if low < 0:
-                num = QTPolynomial._of({(i - low, j): a for (i, j), a in terms.items()})
-                # num has a q^0 term, so it is coprime to q^-low
-                return ExactScalar(num, QTPolynomial.q(-low), _reduced=True)
+        dq = max(-min(terms)[0], 0) if self._qshift < 0 else 0
+        dt = max(-min(j for _, j in terms), 0) if self._tshift < 0 else 0
+        if dq or dt:
+            num = QTPolynomial._of({(i + dq, j + dt): a for (i, j), a in terms.items()})
+            # num has a q^0 term if dq > 0 and a t^0 term if dt > 0, so it
+            # is coprime to the monomial denominator
+            return ExactScalar(num, QTPolynomial.monomial(dq, dt), _reduced=True)
         return ExactScalar(QTPolynomial._of(terms), _QT_ONE, _reduced=True)

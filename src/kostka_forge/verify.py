@@ -228,28 +228,55 @@ def _all_compositions(n, maxdeg):
         yield from compositions(d, n)
 
 
+def _to_json(value):
+    return value.to_json() if isinstance(value, ExactScalar) else value.to_json_dict()
+
+
+def _check(name, items, detail, counterexample):
+    """A report entry; a failing one also carries its first counterexample."""
+    out = {"name": name, "passed": not items, "detail": detail}
+    if items:
+        out["counterexample"] = counterexample
+    return out
+
+
 def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
+    """The E-polynomial theorems, each an equality lhs == rhs per composition.
+    A failing check's counterexample holds the first failing lambda (with i,
+    or a and b, where the check has them) and both sides."""
     results = []
     bad = {"oracle": [], "eigen": [], "support": [], "fixpoint": [], "phi": [], "haction": [], "interchange": []}
+    examples = {}
     count = 0
+
+    def holds(key, item, lhs, rhs, **where):
+        if lhs == rhs:
+            return True
+        bad[key].append(item)
+        if key not in examples:
+            examples[key] = {"lambda": list(lam), **where, "lhs": _to_json(lhs), "rhs": _to_json(rhs)}
+        return False
+
     for lam in _all_compositions(n, maxdeg):
         count += 1
         e = nonsym_E(lam)
-        if e != eigen_oracle_E(lam):
-            bad["oracle"].append(lam)
+        holds("oracle", lam, e, eigen_oracle_E(lam))
         sv = spectral_vector(lam)
         for i in range(1, n + 1):
-            if apply_xi(e, i, "forward") != e.scalar_mul(sv.scalar(i)):
-                bad["eigen"].append((lam, i))
+            holds("eigen", (lam, i), apply_xi(e, i, "forward"), e.scalar_mul(sv.scalar(i)), i=i)
         if e.coeff(lam) != ExactScalar.one() or not all(
             mu == lam or order_leq(mu, lam) == "less" for mu in e.terms
         ):
-            bad["support"].append(lam)
+            # the shape the check asks for: z^lam plus the terms of e below lam
+            shape = ZPolynomial.monomial(n, lam) + ZPolynomial(
+                n, {mu: c for mu, c in e.terms.items() if order_leq(mu, lam) == "less"}
+            )
+            holds("support", lam, e, shape)
         t = ExactScalar.t()
         for i in range(1, n):
             if lam[i - 1] == lam[i]:
-                if apply_hecke(e, i, "H") != e.scalar_mul(t) or apply_hecke(e, i, "Hbar") != e:
-                    bad["fixpoint"].append((lam, i))
+                if holds("fixpoint", (lam, i), apply_hecke(e, i, "H"), e.scalar_mul(t), i=i):
+                    holds("fixpoint", (lam, i), apply_hecke(e, i, "Hbar"), e, i=i)
         if lam[-1] != 0:
             # E_lam = q^{lam_n - 1} Phi(E_{lam*}): the q-power compensates
             # the q^{-1} that Phi's rotation puts on the leading monomial
@@ -257,14 +284,12 @@ def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
             scaled = apply_phi(nonsym_E(prev), "Phi").scalar_mul(
                 ExactScalar.q(lam[-1] - 1)
             )
-            if scaled != e:
-                bad["phi"].append(lam)
+            holds("phi", lam, scaled, e)
         for i in range(1, n):
             if lam[i - 1] > lam[i]:
                 swapped = list(lam)
                 swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-                if haction_step(nonsym_E(tuple(swapped)), lam, i) != e:
-                    bad["haction"].append((lam, i))
+                holds("haction", (lam, i), haction_step(nonsym_E(tuple(swapped)), lam, i), e, i=i)
         # interchange of a nonzero part with the end of a following zero run:
         # (1 - c) E_lam = [Hbar_a ... Hbar_{b-1} - c H_a ... H_{b-1}] E_hashed
         # where c = lbar_a t^a when nothing nonzero follows position b; in
@@ -282,8 +307,7 @@ def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
                 )
                 c = ExactScalar.qt_monomial(lam[a - 1], texp)
                 if all(x == 0 for x in lam[a:]):
-                    if c != sv.scalar(a) * ExactScalar.t(a):
-                        bad["interchange"].append((lam, a, b, "scalar"))
+                    holds("interchange", (lam, a, b, "scalar"), c, sv.scalar(a) * ExactScalar.t(a), a=a, b=b)
                 lhs = e.scalar_mul(ExactScalar.one() - c)
                 g = h = nonsym_E(
                     lam[: a - 1] + (0,) + lam[a : b - 1] + (lam[a - 1],) + lam[b:]
@@ -291,17 +315,17 @@ def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
                 for j in range(b - 1, a - 1, -1):
                     g = apply_hecke(g, j, "Hbar")
                     h = apply_hecke(h, j, "H")
-                if lhs != g - h.scalar_mul(c):
-                    bad["interchange"].append((lam, a, b))
+                holds("interchange", (lam, a, b), lhs, g - h.scalar_mul(c), a=a, b=b)
                 b += 1
     for key, items in bad.items():
         results.append(
-            {
-                "name": f"oracle_{key}",
-                "passed": not items,
-                "detail": f"{len(items)} failures / {count} compositions"
+            _check(
+                f"oracle_{key}",
+                items,
+                f"{len(items)} failures / {count} compositions"
                 + (f"; first: {items[0]}" if items else ""),
-            }
+                examples.get(key),
+            )
         )
     return results
 
@@ -312,35 +336,50 @@ def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
 
 
 def suite_integrality(n=3, maxdeg=4, seed=0, trials=None):
+    """Integrality of calE_lam and of its partial t-monomial expansions, and
+    of calJ_lam's t-monomial expansion.  A failing check's counterexample
+    holds the first failing lambda (with m where the check has it), the
+    form and, where one was computed, its expansion."""
     results = []
     cale_bad, expand_bad, span_bad = [], [], []
+    examples = {}
     count = 0
     for lam in _all_compositions(n, maxdeg):
         count += 1
         cal = nonsym_calE(lam)
         if not all(c.is_integral() for c in cal.terms.values()):
             cale_bad.append(lam)
+            examples.setdefault("cale", {"lambda": list(lam), "form": cal.to_json_dict()})
         for m in range(length(lam), n + 1):
             try:
                 exp = expand_in_partial_t_monomials(cal, m)
             except NotInSpan:
                 span_bad.append((lam, m))
+                examples.setdefault("span", {"lambda": list(lam), "m": m, "form": cal.to_json_dict()})
                 continue
             if not exp.all_integral():
                 expand_bad.append((lam, m))
-    results.append({"name": "calE_coefficients_integral", "passed": not cale_bad, "detail": f"{len(cale_bad)} failures / {count}"})
-    results.append({"name": "partial_tmono_in_span", "passed": not span_bad, "detail": f"{len(span_bad)} failures"})
-    results.append({"name": "partial_tmono_integral", "passed": not expand_bad, "detail": f"{len(expand_bad)} failures"})
+                examples.setdefault(
+                    "expand",
+                    {"lambda": list(lam), "m": m, "form": cal.to_json_dict(), "expansion": exp.to_json_dict()},
+                )
+    results.append(_check("calE_coefficients_integral", cale_bad, f"{len(cale_bad)} failures / {count}", examples.get("cale")))
+    results.append(_check("partial_tmono_in_span", span_bad, f"{len(span_bad)} failures", examples.get("span")))
+    results.append(_check("partial_tmono_integral", expand_bad, f"{len(expand_bad)} failures", examples.get("expand")))
     calj_bad = []
     pcount = 0
     for d in range(maxdeg + 1):
         for p in partitions(d, n):
             pcount += 1
             lam = pad(p, n)
-            exp = expand_in_partial_t_monomials(sym_calJ(lam), 0)
+            calj = sym_calJ(lam)
+            exp = expand_in_partial_t_monomials(calj, 0)
             if not exp.all_integral():
                 calj_bad.append(lam)
-    results.append({"name": "calJ_tmono_integral", "passed": not calj_bad, "detail": f"{len(calj_bad)} failures / {pcount} partitions"})
+                examples.setdefault(
+                    "calj", {"lambda": list(lam), "form": calj.to_json_dict(), "expansion": exp.to_json_dict()}
+                )
+    results.append(_check("calJ_tmono_integral", calj_bad, f"{len(calj_bad)} failures / {pcount} partitions", examples.get("calj")))
     return results
 
 

@@ -149,6 +149,18 @@ class TestValidation:
         assert out == ""
         assert json.loads(err)["error"]["type"] == kind
 
+    def test_out_of_memory_is_a_json_error(self, capsys, monkeypatch):
+        def exhausted(lam):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "nonsym_calE", exhausted)
+        code, out, err = run(capsys, "table", "--n", "2", "--maxdeg", "2")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "MemoryError"
+        assert error["message"]
+
     @pytest.mark.parametrize(
         "argv, computation",
         [
@@ -369,6 +381,57 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "hecke-relations")
         assert code == EXIT_VERIFY_FAILED
         assert json.loads(out)["passed"] is False
+
+
+    @staticmethod
+    def failing_checks(capsys, *argv):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == EXIT_VERIFY_FAILED
+        checks = json.loads(out)["checks"]
+        # a passing check carries no counterexample
+        assert all(("counterexample" in c) != c["passed"] for c in checks)
+        return {c["name"]: c["counterexample"] for c in checks if not c["passed"]}
+
+    def test_oracle_failure_carries_a_counterexample(self, capsys, monkeypatch):
+        from kostka_forge import verify as verify_mod
+
+        two = ExactScalar.from_int(2)
+        real_oracle, real_xi = verify_mod.eigen_oracle_E, verify_mod.apply_xi
+        monkeypatch.setattr(
+            verify_mod, "eigen_oracle_E",
+            lambda lam: real_oracle(lam).scalar_mul(two) if lam == (0, 1) else real_oracle(lam),
+        )
+        monkeypatch.setattr(
+            verify_mod, "apply_xi",
+            lambda f, i, d="forward": real_xi(f, i, d).scalar_mul(two) if i == 2 else real_xi(f, i, d),
+        )
+        failed = self.failing_checks(capsys, "--suite", "oracle", "--n", "2", "--maxdeg", "2")
+        assert sorted(failed) == ["oracle_eigen", "oracle_oracle"]
+        e = nonsym_E((0, 1))
+        assert failed["oracle_oracle"] == {
+            "lambda": [0, 1], "lhs": e.to_json_dict(), "rhs": e.scalar_mul(two).to_json_dict()
+        }
+        one = ZPolynomial.one(2)
+        t_inv = one.scalar_mul(ExactScalar.t(-1))
+        assert failed["oracle_eigen"] == {
+            "lambda": [0, 0], "i": 2, "lhs": t_inv.scalar_mul(two).to_json_dict(), "rhs": t_inv.to_json_dict()
+        }
+
+    def test_integrality_failure_carries_a_counterexample(self, capsys, monkeypatch):
+        from kostka_forge import verify as verify_mod
+
+        real = verify_mod.nonsym_calE
+        bad = real((1, 0)).scalar_mul(ExactScalar.q(-1))
+        monkeypatch.setattr(verify_mod, "nonsym_calE", lambda lam: bad if lam == (1, 0) else real(lam))
+        failed = self.failing_checks(capsys, "--suite", "integrality", "--n", "2", "--maxdeg", "2")
+        assert sorted(failed) == ["calE_coefficients_integral", "partial_tmono_integral"]
+        assert failed["calE_coefficients_integral"] == {"lambda": [1, 0], "form": bad.to_json_dict()}
+        assert failed["partial_tmono_integral"] == {
+            "lambda": [1, 0],
+            "m": 1,
+            "form": bad.to_json_dict(),
+            "expansion": macdonald.expand_in_partial_t_monomials(bad, 1).to_json_dict(),
+        }
 
 
 class TestDeterminism:

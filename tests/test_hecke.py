@@ -178,6 +178,98 @@ class TestXi:
                 assert g == f
 
 
+def xi_reference(f, i, direction):
+    """apply_xi as its word of ExactScalar steps: xi_i^{-1} =
+    Hbar_i ... Hbar_{n-1} Delta H_1 ... H_{i-1} and xi_i =
+    Hbar_{i-1}^{-1} ... Hbar_1^{-1} Delta^{-1} H_{n-1}^{-1} ... H_i^{-1},
+    with H_j^{-1} = t^{-1} Hbar_j and Hbar_j^{-1} = t^{-1} H_j."""
+    n = f.n
+    tinv = ExactScalar.t(-1)
+    if direction == "inverse":
+        for j in range(i - 1, 0, -1):
+            f = apply_hecke(f, j, "H")
+        f = apply_delta(f, "forward")
+        for j in range(n - 1, i - 1, -1):
+            f = apply_hecke(f, j, "Hbar")
+        return f
+    for j in range(i, n):
+        f = apply_hecke(f, j, "H").scalar_mul(tinv)
+    f = apply_delta(f, "inverse")
+    for j in range(1, i):
+        f = apply_hecke(f, j, "Hbar").scalar_mul(tinv)
+    return f
+
+
+_Q, _T = QTPolynomial.q(), QTPolynomial.t()
+xi_coeffs = st.one_of(
+    fractions,
+    st.integers(-(2**40), 2**40).filter(bool).map(ExactScalar.from_int),
+    st.tuples(small_polys, st.integers(1, 9), st.integers(0, 3)).map(
+        lambda a: ExactScalar(a[0], QTPolynomial.monomial(a[2], 0, a[1]))
+    ),
+    small_polys.map(lambda p: ExactScalar(p, QTPolynomial.one() - _Q * _T)),
+)
+
+
+class TestPackedXi:
+    """apply_xi's packed word against the ExactScalar word."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_matches_the_exact_word(self, data):
+        # Laurent exponents; integer, fractional, q-power and 1 - qt
+        # denominators; then xi again on a xi output
+        f = data.draw(laurent_zpolys(xi_coeffs))
+        for direction in ("forward", "inverse"):
+            for i in range(1, f.n + 1):
+                g = apply_xi(f, i, direction)
+                assert g == xi_reference(f, i, direction)
+        j = data.draw(st.integers(1, f.n))
+        second = data.draw(st.sampled_from(["forward", "inverse"]))
+        assert apply_xi(g, j, second) == xi_reference(g, j, second)
+
+    @pytest.mark.parametrize(
+        "exps, c",
+        [((1, 0), 2**62 + 1), ((1, 0), -(2**63)), ((1, 0), 2**63 + 5), ((0, 4, 0, 0), 2**62 - 1)],
+    )
+    def test_digits_past_64_bits(self, monkeypatch, exps, c):
+        # the bound (1 + 2G)^(n-1) |c| is past 2^63 each time; in the last
+        # case |c| is below 2^62 but xi_1 puts 3c on some q^a t^b
+        widths = []
+        kronecker = hecke.Kronecker
+
+        def spy(*args):
+            codec = kronecker(*args)
+            widths.append(codec.B)
+            return codec
+
+        monkeypatch.setattr(hecke, "Kronecker", spy)
+        n = len(exps)
+        f = mono(n, exps, ExactScalar.from_int(c))
+        for direction in ("forward", "inverse"):
+            for i in range(1, n + 1):
+                assert apply_xi(f, i, direction) == xi_reference(f, i, direction)
+        assert widths == [128] * (2 * n)
+
+    def test_runs_no_exact_step(self, monkeypatch):
+        rng = random.Random(41)
+        cases = [macdonald.nonsym_E(lam) for lam in [(1, 0, 2), (0, 2, 1), (2, 0)]]
+        cases += [random_zpoly(rng, n).scalar_mul(ExactScalar.q(-1)) for n in (1, 2, 3)]
+        expected = [
+            [xi_reference(f, i, d) for i in range(1, f.n + 1) for d in ("forward", "inverse")]
+            for f in cases
+        ]
+
+        def no_exact_step(*args, **kwargs):
+            raise AssertionError("ExactScalar Hecke or Delta step reached")
+
+        monkeypatch.setattr(hecke, "apply_hecke", no_exact_step)
+        monkeypatch.setattr(hecke, "apply_delta", no_exact_step)
+        for f, want in zip(cases, expected):
+            got = [apply_xi(f, i, d) for i in range(1, f.n + 1) for d in ("forward", "inverse")]
+            assert got == want
+
+
 class TestXLambda:
     def test_column_box(self):
         out = apply_X_lambda(ZPolynomial.one(2), (0, 1))
@@ -330,8 +422,8 @@ class TestPackedCreation:
         widths = []
         kronecker = hecke.Kronecker
 
-        def spy(bound, Q, qshift):
-            codec = kronecker(bound, Q, qshift)
+        def spy(*args):
+            codec = kronecker(*args)
             widths.append(codec.B)
             return codec
 

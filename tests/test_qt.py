@@ -238,19 +238,20 @@ wide_polys = st.dictionaries(
 
 
 @settings(deadline=None, max_examples=150)
-@given(wide_polys, wide_polys, st.integers(-6, 3), st.integers(0, 2), st.integers(0, 2))
-def test_kronecker_sums_and_shifts_decode(a, b, qshift, qa, tb):
+@given(wide_polys, wide_polys, st.integers(-6, 3), st.integers(-6, 3), st.integers(0, 2), st.integers(0, 2))
+def test_kronecker_sums_and_shifts_decode(a, b, qshift, tshift, qa, tb):
     """pack is additive, a shift multiplies by q^qa t^tb, and unpack gives
-    back the product by q^qshift, over a power of q where it is negative."""
+    back the product by q^qshift t^tshift, over a monomial where an
+    exponent is negative."""
     expected = a + b * P({(qa, tb): 1})
     bound = max(max(map(abs, p._terms.values()), default=0) for p in (a, b, expected))
-    codec = qt.Kronecker(bound, max(a.deg_q(), b.deg_q() + qa) + 1, qshift)
+    codec = qt.Kronecker(bound, max(a.deg_q(), b.deg_q() + qa) + 1, qshift, tshift)
     # B is the least multiple of 64 that holds the bound
     assert codec.B % 64 == 0 and bound < 2 ** (codec.B - 1)
     assert codec.B == 64 or bound >= 2 ** (codec.B - 65)
     v = codec.pack(a) + (codec.pack(b) << codec.B * (qa + codec.Q * tb))
     if expected:
-        assert codec.unpack(v) == ExactScalar(expected) * ExactScalar.q(qshift)
+        assert codec.unpack(v) == ExactScalar(expected) * ExactScalar.qt_monomial(qshift, tshift)
     else:
         assert v == 0
 
