@@ -146,7 +146,8 @@ def apply_delta(f, direction="forward"):
 
 
 def apply_phi(f, variant="Phi"):
-    """Phi = z_n Delta;  Phi' = t^{1-n} z_n H_{n-1}...H_1;  Phi_1 = z_n s_{n-1}...s_1."""
+    """Phi = z_n Delta;  Phi' = t^{1-n} z_n H_{n-1}...H_1;  Phi_1 = z_n s_{n-1}...s_1,
+    where s_{n-1}...s_1 rotates each exponent vector left by one place."""
     n = f.n
     zn = [0] * n
     zn[n - 1] = 1
@@ -158,10 +159,7 @@ def apply_phi(f, variant="Phi"):
             g = apply_hecke(g, i, "H")
         return g.monomial_mul(zn).scalar_mul(ExactScalar.t(1 - n))
     if variant == "Phi_one":
-        g = f
-        for i in range(1, n):
-            g = apply_reflection(g, i)
-        return g.monomial_mul(zn)
+        return ZPolynomial(n, {e[1:] + (e[0] + 1,): c for e, c in f.terms.items()})
     raise ValueError(f"unknown Phi variant {variant!r}")
 
 

@@ -43,20 +43,14 @@ def _creation_step(f, lam):
     n = len(lam)
     m = length(lam)
     k = sum(1 for i in range(m - 1) if lam[i] >= lam[m - 1])
-    base = apply_phi(f, "Phi_one")
-    # partial products g_j = s_j ... s_{n-1} (base), built from the right
-    suffix = {n: base}
+    g = apply_phi(f, "Phi_one")
+    total = ZPolynomial.zero(n)
+    # one chain: with g = s_{j+1} ... s_{n-1} Phi_1 f, the words from s_j on
+    # that leave out one s_i are g and s_j of those from s_{j+1} on
     for j in range(n - 1, m - 1, -1):
-        suffix[j] = apply_reflection(suffix[j + 1], j)
-    out = ZPolynomial.zero(n)
-    for i in range(m, n):
-        # s_m ... s_{i-1} applied to (omit s_i) s_{i+1} ... s_{n-1} base
-        g = suffix[i + 1]
-        for j in range(i - 1, m - 1, -1):
-            g = apply_reflection(g, j)
-        out = out + g
-    scale = AlphaPolynomial((m - k, lam[m - 1]))
-    return out + suffix[m].scalar_mul(scale)
+        total = g + apply_reflection(total, j)
+        g = apply_reflection(g, j)
+    return total + g.scalar_mul(AlphaPolynomial((m - k, lam[m - 1])))
 
 
 def jack_nonsym(lam):
@@ -75,7 +69,8 @@ def jack_nonsym(lam):
 
 def _jack_seed(lam):
     """The seed that jack_sym symmetrizes: jack_nonsym of
-    lam0 = (lam_m - 1, ..., lam_1 - 1, 0, ..., 0), rotated m times by Phi_1.
+    lam0 = (lam_m - 1, ..., lam_1 - 1, 0, ..., 0), rotated m times by Phi_1:
+    z^e goes to z^(e_{m+1}, ..., e_n, e_1 + 1, ..., e_m + 1).
 
     Its n - m leading variables carry the zero parts, and it is symmetric
     in them: s_i seed = seed for i < n - m.
@@ -84,9 +79,7 @@ def _jack_seed(lam):
     m = length(lam)
     lam0 = tuple(lam[i] - 1 for i in range(m - 1, -1, -1)) + (0,) * (n - m)
     seed = jack_nonsym(lam0)
-    for _ in range(m):
-        seed = apply_phi(seed, "Phi_one")
-    return seed
+    return ZPolynomial(n, {e[m:] + tuple(x + 1 for x in e[:m]): c for e, c in seed.terms.items()})
 
 
 def jack_sym(lam):
@@ -120,10 +113,7 @@ def limit_basis_element(mu, m):
     if not is_partition(tail):
         raise NotInSpan(f"tail {tail} is not a partition")
     u = AlphaPolynomial.const(u_factor(tail))
-    out = ZPolynomial.zero(n)
-    for nu in distinct_permutations(tail):
-        out = out + ZPolynomial.monomial(n, head + nu, AlphaPolynomial.one())
-    return out.scalar_mul(u)
+    return ZPolynomial(n, {head + nu: u for nu in distinct_permutations(tail)})
 
 
 def expand_in_limit_basis(f, m):

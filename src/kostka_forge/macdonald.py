@@ -20,13 +20,13 @@ from .errors import (
     TooFewVariables,
 )
 from .hecke import (
+    _ONE_MINUS_T,
     apply_hecke,
-    apply_phi,
     apply_X_lambda,
     apply_xi,
     hecke_symmetrize,
 )
-from .qt import ExactScalar, QTPolynomial
+from .qt import ExactScalar
 from .symfunc import _solve_scalar_system, msym_vector, t_schur_polynomial as t_schur
 from .weights import (
     b_factor,
@@ -196,8 +196,7 @@ def haction_step(e_swapped, lam, i):
         raise PreconditionViolated("needs lam_i > lam_{i+1}")
     sv = spectral_vector(lam)
     x = ExactScalar.one() - sv.scalar(i) / sv.scalar(i + 1)
-    one_minus_t = ExactScalar.from_poly(QTPolynomial.one() - QTPolynomial.t())
-    rhs = apply_hecke(e_swapped, i, "H").scalar_mul(x) + e_swapped.scalar_mul(one_minus_t)
+    rhs = apply_hecke(e_swapped, i, "H").scalar_mul(x) + e_swapped.scalar_mul(_ONE_MINUS_T)
     return rhs.scalar_mul(x.inverse())
 
 
@@ -248,9 +247,6 @@ def t_monomial_hecke_action(lam, i, variant="H"):
             labels, coeffs = [swapped], [one]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    if len(labels) == 2 and labels[0] == labels[1]:
-        merged = coeffs[0] + coeffs[1]
-        labels, coeffs = ([labels[0]], [merged]) if merged else ([], [])
     return BasisExpansion("t_monomial", labels, coeffs)
 
 
@@ -338,7 +334,8 @@ def expand_in_partial_t_monomials(f, m, augmented=True):
 def _calJ_seed(lam):
     """The calE seed that sym_calJ symmetrizes: calE_lam0 for
     lam0 = (lam_m - 1, ..., lam_1 - 1, 0, ..., 0), rotated m times by Phi
-    onto the antidominant (0, ..., 0, lam_m, ..., lam_1).
+    onto the antidominant (0, ..., 0, lam_m, ..., lam_1), times q^{|lam| - m}:
+    Phi^m z^e = q^{-(e_1 + ... + e_m)} z^(e_{m+1}, ..., e_n, e_1 + 1, ..., e_m + 1).
 
     Its n - m leading variables carry the zero parts, and it is
     t-symmetric in them: H_i seed = t seed for i < n - m.
@@ -346,12 +343,11 @@ def _calJ_seed(lam):
     n = len(lam)
     m = length(lam)
     lam0 = tuple(lam[i] - 1 for i in range(m - 1, -1, -1)) + (0,) * (n - m)
-    seed = nonsym_calE(lam0)
-    for _ in range(m):
-        seed = apply_phi(seed, "Phi")
-    # each Phi step produces the target calE only up to q^{(rotated entry)};
-    # the chain from lam0 is short a total factor of q^{|lam| - m}
-    return seed.scalar_mul(ExactScalar.q(weight(lam) - m))
+    shift = weight(lam) - m
+    out = {}
+    for e, c in nonsym_calE(lam0).terms.items():
+        out[e[m:] + tuple(x + 1 for x in e[:m])] = c * ExactScalar.q(shift - sum(e[:m]))
+    return ZPolynomial(n, out)
 
 
 def sym_calJ(lam):
@@ -367,8 +363,7 @@ def sym_calJ(lam):
         raise NotAPartition(f"{lam} is not a partition")
     m = length(lam)
     total = hecke_symmetrize(_calJ_seed(lam), len(lam) - m)
-    one_minus_t = ExactScalar.from_poly(QTPolynomial.one() - QTPolynomial.t())
-    return total.scalar_mul(one_minus_t**m)
+    return total.scalar_mul(_ONE_MINUS_T**m)
 
 
 def sym_J(lam):

@@ -13,9 +13,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import SingularSystem, TooFewVariables
+from .errors import NotAPartition, SingularSystem, TooFewVariables
 from .qt import ExactScalar, QTPolynomial
-from .weights import pad, partitions
+from .weights import is_partition, pad, partitions
 from .zpoly import ZPolynomial
 
 
@@ -105,30 +105,30 @@ def _solve_scalar_system(basis, targets):
 
 @functools.lru_cache(maxsize=None)
 def _power_sum_basis(d):
-    """The partitions rho of d, their padded msym labels, and each p_rho's
-    msym coordinates in d variables; built once per degree."""
-    labels = tuple(sorted(partitions(d, d), reverse=True))
-    coords = tuple(pad(p, d) for p in labels)
-    basis = tuple(tuple(msym_vector(power_sum_product(rho, d), coords)) for rho in labels)
-    return labels, coords, basis
+    """{mu: {rho: c_rho}}, s_mu = sum_rho c_rho p_rho for every partition mu
+    of d: one solve per degree, in msym coordinates in d variables, with the
+    p_rho as basis and every s_mu as a target."""
+    labels = sorted(partitions(d, d), reverse=True)
+    coords = [pad(p, d) for p in labels]
+    basis = [msym_vector(power_sum_product(rho, d), coords) for rho in labels]
+    targets = [msym_vector(schur_bialternant(mu, d), coords) for mu in labels]
+    return {mu: dict(zip(labels, sol)) for mu, sol in zip(labels, _solve_scalar_system(basis, targets))}
 
 
 def schur_power_sum_expansion(mu, n):
     """s_mu = sum_rho c_rho p_rho with exact rational c_rho.
 
     Valid (and unique) for n >= |mu|, where the c_rho do not depend on n;
-    so the system is solved in |mu| variables, in monomial-symmetric
-    coordinates against the p_rho basis.
+    so they are read off the table of degree |mu| (_power_sum_basis).
     """
     mu = tuple(x for x in mu if x)
     d = sum(mu)
     if n < d:
         raise TooFewVariables(f"power-sum basis needs n >= {d}")
-    labels, coords, basis = _power_sum_basis(d)
-    target = msym_vector(schur_bialternant(mu, d), coords)
-    (sol,) = _solve_scalar_system(basis, [target])
+    if not is_partition(mu):
+        raise NotAPartition(f"{mu} is not a partition")
     out = {}
-    for rho, c in zip(labels, sol):
+    for rho, c in _power_sum_basis(d)[mu].items():
         if not (c.num.is_const() and c.den.is_const()):
             raise SingularSystem("non-constant coefficient in a Q-expansion")
         if c:

@@ -5,7 +5,7 @@ coefficients.  The coefficient type is ExactScalar throughout the q,t
 theory; the Jack degeneration reuses the same class with AlphaPolynomial
 coefficients, and the Schur bialternant with int coefficients (any ring
 element with +, -, * and truthiness works; exact_divide also needs / by
-a divisor's leading coefficient unless that is 1).
+a divisor's leading coefficient unless that is 1, or // on ints).
 """
 
 from __future__ import annotations
@@ -220,8 +220,10 @@ class ZPolynomial:
             if not (all(map(le, lo, k)) and all(map(le, k, hi))):
                 raise NotDivisible("remainder is nonzero")
             qc = rem.pop(m)
-            if lc != 1:  # by a monic divisor, integers stay integers
-                qc = qc / lc
+            if lc != 1:  # a monic divisor divides nothing
+                qc, r = divmod(qc, lc) if isinstance(qc, int) else (qc / lc, 0)
+                if r:
+                    raise NotDivisible("remainder is nonzero")
             quot[k] = qc
             # every k + e2 is lex-below m, since e2 is lex-below lead
             for e2, c2 in rest:

@@ -150,6 +150,26 @@ class TestPhi:
     def test_phi_one_on_z2(self):
         assert apply_phi(z(2, 2), "Phi_one") == z(2, 1) * z(2, 2)
 
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_phi_one_is_the_reflection_word(self, data):
+        # Phi_1 = z_n s_{n-1} ... s_1, on Laurent inputs too
+        f = data.draw(laurent_zpolys(fractions))
+        g = f
+        for i in range(1, f.n):
+            g = apply_reflection(g, i)
+        zn = (0,) * (f.n - 1) + (1,)
+        assert apply_phi(f, "Phi_one") == g.monomial_mul(zn)
+
+    def test_phi_one_makes_no_reflection(self, monkeypatch):
+        def refuse(f, i):
+            raise AssertionError("Phi_1 is one rotation")
+
+        monkeypatch.setattr(hecke, "apply_reflection", refuse)
+        f = mono(3, (2, -1, 0)) + mono(3, (0, 0, 4), ExactScalar.q(-1))
+        assert apply_phi(f, "Phi_one") == mono(3, (-1, 0, 3)) + mono(3, (0, 4, 1), ExactScalar.q(-1))
+        assert apply_phi(mono(1, (-2,)), "Phi_one") == mono(1, (-1,))
+
     def test_phi_prime_matches_inverse_word(self):
         rng = random.Random(5)
         for _ in range(5):

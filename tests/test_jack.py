@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from kostka_forge import jack
 from kostka_forge.errors import NotAPartition, NotInSpan
+from kostka_forge.hecke import apply_phi, apply_reflection
 from kostka_forge.jack import (
+    _creation_step,
     _jack_seed,
     expand_in_limit_basis,
     jack_nonsym,
@@ -18,7 +21,7 @@ from kostka_forge.jack import (
     positivity_report,
     u_factor,
 )
-from kostka_forge.weights import compositions, is_partition, length, pad, partitions
+from kostka_forge.weights import compositions, is_partition, length, pad, partitions, star_step
 from kostka_forge.zpoly import AlphaPolynomial, ZPolynomial
 
 
@@ -46,6 +49,61 @@ def _outcome(expand, f, m):
         return expand(f, m)
     except NotInSpan:
         return NotInSpan
+
+
+def _creation_reference(f, lam):
+    """The creation step as its words, each applied from scratch: the sum
+    over i of s_m ... (omit s_i) ... s_{n-1} Phi_1 f, plus
+    (alpha lam_m - k + m) s_m ... s_{n-1} Phi_1 f."""
+    n, m = len(lam), length(lam)
+    k = sum(1 for i in range(m - 1) if lam[i] >= lam[m - 1])
+    base = apply_phi(f, "Phi_one")
+
+    def word(skip):
+        g = base
+        for j in range(n - 1, m - 1, -1):
+            if j != skip:
+                g = apply_reflection(g, j)
+        return g
+
+    out = ZPolynomial.zero(n)
+    for i in range(m, n):
+        out = out + word(i)
+    return out + word(None).scalar_mul(AlphaPolynomial((m - k, lam[m - 1])))
+
+
+class TestCreationStep:
+    def test_matches_the_word_sum(self):
+        for n in range(1, 6):
+            for d in range(1, 5):
+                for lam in compositions(d, n):
+                    f = jack_nonsym(star_step(lam))
+                    assert _creation_step(f, lam) == _creation_reference(f, lam), lam
+
+    def test_one_chain_of_reflections(self, monkeypatch):
+        calls = []
+
+        def counting(f, i):
+            calls.append(i)
+            return apply_reflection(f, i)
+
+        monkeypatch.setattr(jack, "apply_reflection", counting)
+        for lam in [(1, 0, 0, 0, 0), (0, 2, 0, 0, 0), (1, 0, 1, 0, 0), (0, 0, 0, 0, 1)]:
+            m = length(lam)
+            calls.clear()
+            _creation_step(jack_nonsym(star_step(lam)), lam)
+            assert len(calls) == 2 * (len(lam) - m), lam
+
+    def test_seed_is_the_rotated_nonsymmetric_form(self):
+        for n in range(1, 6):
+            for d in range(6):
+                for part in partitions(d, n):
+                    lam = pad(part, n)
+                    m = length(lam)
+                    seed = jack_nonsym(tuple(lam[i] - 1 for i in range(m - 1, -1, -1)) + (0,) * (n - m))
+                    for _ in range(m):
+                        seed = apply_phi(seed, "Phi_one")
+                    assert _jack_seed(lam) == seed, lam
 
 
 class TestNonsym:

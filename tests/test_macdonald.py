@@ -14,7 +14,7 @@ from kostka_forge.errors import (
     TooFewVariables,
 )
 from kostka_forge import macdonald
-from kostka_forge.hecke import apply_hecke
+from kostka_forge.hecke import apply_hecke, apply_phi
 from kostka_forge.macdonald import (
     _calJ_seed,
     _span_below,
@@ -35,7 +35,16 @@ from kostka_forge.macdonald import (
 )
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.symfunc import msym_coords, schur_bialternant
-from kostka_forge.weights import b_factor, compositions, is_partition, length, norm_factor, order_leq
+from kostka_forge.weights import (
+    b_factor,
+    compositions,
+    is_partition,
+    length,
+    norm_factor,
+    order_leq,
+    pad,
+    partitions,
+)
 from kostka_forge.zpoly import ZPolynomial
 
 ONE = QTPolynomial.one()
@@ -280,6 +289,18 @@ class TestSymmetric:
     def test_needs_partition(self):
         with pytest.raises(NotAPartition):
             sym_calJ((0, 1))
+
+    def test_seed_is_the_rotated_integral_form(self):
+        # m steps of Phi from calE_lam0, times q^{|lam| - m}
+        for n in range(1, 6):
+            for d in range(6):
+                for part in partitions(d, n):
+                    lam = pad(part, n)
+                    m = length(lam)
+                    seed = nonsym_calE(tuple(lam[i] - 1 for i in range(m - 1, -1, -1)) + (0,) * (n - m))
+                    for _ in range(m):
+                        seed = apply_phi(seed, "Phi")
+                    assert _calJ_seed(lam) == seed.scalar_mul(ExactScalar.q(d - m)), lam
 
     def test_seed_is_t_symmetric_in_its_zero_parts(self):
         # sym_calJ relies on this to skip the S_{n-m} stabilizer

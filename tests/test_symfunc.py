@@ -10,7 +10,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from kostka_forge import macdonald, symfunc
-from kostka_forge.errors import SingularSystem
+from kostka_forge.errors import NotAPartition, SingularSystem
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.symfunc import (
     _solve_scalar_system,
@@ -58,15 +58,18 @@ def test_schur_power_sum_expansion_classic():
 
 
 def test_expansion_reconstructs_schur():
-    for mu in [(2, 1), (3,), (1, 1, 1)]:
-        n = 3
-        exp = schur_power_sum_expansion(mu, n)
-        recon = ZPolynomial.zero(n)
-        for rho, c in exp.items():
-            recon = recon + power_sum_product(rho, n).scalar_mul(
-                ExactScalar.from_fraction(c)
-            )
-        assert recon == schur_bialternant(mu, n)
+    for d in range(7):
+        n = max(d, 1)
+        for mu in _partitions(d):
+            recon = ZPolynomial.zero(n)
+            for rho, c in schur_power_sum_expansion(mu, n).items():
+                recon = recon + power_sum_product(rho, n).scalar_mul(ExactScalar.from_fraction(c))
+            assert recon == schur_bialternant(mu, n), mu
+
+
+def test_power_sum_expansion_needs_a_partition():
+    with pytest.raises(NotAPartition):
+        schur_power_sum_expansion((1, 2), 3)
 
 
 def test_msym_coords_reads_dominant_monomials():
@@ -126,11 +129,20 @@ def test_bialternant_coefficients_are_kostka_numbers(d):
             assert s.coeff(key) == (ExactScalar.from_int(k) if k else None)
 
 
-def test_power_sum_basis_is_built_once_per_degree():
+def test_power_sum_basis_is_built_once_per_degree(monkeypatch):
+    # one solve, with every s_mu of the degree as a target
+    calls = []
+
+    def counting(basis, targets):
+        calls.append(len(targets))
+        return _solve_scalar_system(basis, targets)
+
+    monkeypatch.setattr(symfunc, "_solve_scalar_system", counting)
     symfunc._power_sum_basis.cache_clear()
     for mu in [(3,), (2, 1), (1, 1, 1)]:
         schur_power_sum_expansion(mu, 4)
     assert symfunc._power_sum_basis.cache_info().misses == 1
+    assert calls == [3]
 
 
 def test_power_sum_expansion_does_not_depend_on_n():

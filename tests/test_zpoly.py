@@ -231,6 +231,18 @@ def test_exact_divide_by_a_monic_divisor_keeps_integers():
     assert all(type(c) is int for c in quot.terms.values())
 
 
+def test_exact_divide_by_a_non_monic_divisor_keeps_integers():
+    two_z = ZPolynomial(1, {(1,): 2})
+    assert two_z.exact_divide(two_z).terms == {(0,): 1}
+    a = ZPolynomial(2, {(1, 0): 3, (0, 1): 1})
+    b = ZPolynomial(2, {(1, 0): -2, (0, 1): 3, (0, 0): 5})
+    quot = (a * b).exact_divide(b)
+    assert quot == a
+    assert all(type(c) is int for c in quot.terms.values())
+    with pytest.raises(NotDivisible):
+        ZPolynomial(1, {(1,): 3, (0,): 1}).exact_divide(two_z)
+
+
 @settings(deadline=None, max_examples=80)
 @given(zpolys, zpolys)
 def test_eval_float_homomorphism(f, g):
