@@ -46,12 +46,27 @@ _MAX_VALUE_DIGITS = 10_000  # for each --specialize value
 # 48 s at the caps for n = 2, 3, 5 and 8 (one more unit of weight took
 # 60 s at n = 4 and over 75 s at n = 6).  `table` took 10 to 57 s at its
 # caps, within a 3 GB address space; one more degree took 65 s at n = 1
-# and ran out of that space after 40 to 53 s at n = 3 to 8 (README has
-# each time).
+# and ran out of that space after 40 to 53 s at n = 3 to 8.  Each verify
+# suite took under a minute at its caps, in a 2 GB address space, and one
+# more --maxdeg took longer unless t-schur's n bound came first (README
+# has each time).
 _MAX_KOSTKA_DEGREE = 7
 _MAX_KOSTKA_N = 8
 _MAX_EXPAND_WEIGHT = {1: 24, 2: 24, 3: 16, 4: 10, 5: 8, 6: 6, 7: 5, 8: 5}  # n -> |lambda|
 _MAX_TABLE_DEGREE = {1: 105, 2: 28, 3: 14, 4: 10, 5: 7, 6: 6, 7: 5, 8: 5}  # n -> --maxdeg
+# verify: suite -> {n: --maxdeg}.  t-schur's never exceed n (S_mu needs |mu|
+# variables).  hecke-relations' time grows with --trials, so it also takes
+# at most _MAX_HECKE_TRIALS[n] trials, timed at its --maxdeg cap.
+_MAX_VERIFY_DEGREE = {
+    "hecke-relations": dict.fromkeys(range(1, 9), 16),
+    "oracle": {1: 44, 2: 17, 3: 9, 4: 6, 5: 5, 6: 4, 7: 3, 8: 3},
+    "integrality": {1: 43, 2: 19, 3: 11, 4: 7, 5: 5, 6: 4, 7: 3, 8: 3},
+    "degeneration": {1: 59, 2: 22, 3: 12, 4: 8, 5: 7, 6: 5, 7: 5, 8: 4},
+    "hall-littlewood": {1: 61, 2: 61, 3: 40, 4: 19, 5: 12, 6: 9, 7: 7, 8: 3},
+    "t-schur": {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 6},
+    "jack": {1: 61, 2: 53, 3: 20, 4: 12, 5: 8, 6: 6, 7: 2, 8: 1},
+}
+_MAX_HECKE_TRIALS = {1: 20000, 2: 4000, 3: 1500, 4: 500, 5: 150, 6: 50, 7: 20, 8: 6}
 
 
 # --parallel and KOSTKA_FORGE_THREADS are accepted for compatibility and
@@ -97,10 +112,10 @@ def _require_at_least(args, name, least):
         raise ValidationError(f"--{name} must be at least {least}, got {value}")
 
 
-def _require_at_most(args, name, most):
+def _require_at_most(args, name, most, where=""):
     value = getattr(args, name)
     if value > most:
-        raise ValidationError(f"--{name} must be at most {most}, got {value}")
+        raise ValidationError(f"--{name} must be at most {most}{where}, got {value}")
 
 
 def _parse_lambda(text, n):
@@ -259,6 +274,11 @@ def cmd_verify(args):
     _require_at_least(args, "n", 1)
     _require_at_least(args, "maxdeg", 0)
     _require_at_least(args, "trials", 1)
+    caps = _MAX_VERIFY_DEGREE[args.suite]
+    _require_at_most(args, "n", max(caps))
+    _require_at_most(args, "maxdeg", caps[args.n], f" for suite {args.suite} with n={args.n}")
+    if args.suite == "hecke-relations":
+        _require_at_most(args, "trials", _MAX_HECKE_TRIALS[args.n], f" for n={args.n}")
     with _output(args.output) as fh:
         report = run_suite(
             args.suite, n=args.n, maxdeg=args.maxdeg, trials=args.trials, seed=args.seed
@@ -279,10 +299,7 @@ def cmd_table(args):
     _require_at_least(args, "n", 1)
     _require_at_most(args, "n", max(_MAX_TABLE_DEGREE))
     _require_at_least(args, "maxdeg", 0)
-    if args.maxdeg > _MAX_TABLE_DEGREE[args.n]:
-        raise ValidationError(
-            f"--maxdeg must be at most {_MAX_TABLE_DEGREE[args.n]} for n={args.n}, got {args.maxdeg}"
-        )
+    _require_at_most(args, "maxdeg", _MAX_TABLE_DEGREE[args.n], f" for n={args.n}")
     lams = []
     for d in range(args.maxdeg + 1):
         lams.extend(compositions(d, args.n))

@@ -84,6 +84,65 @@ def random_zpoly(rng, n, maxdeg=4, max_terms=5, coeff_bound=5):
     return ZPolynomial(n, terms)
 
 
+def _all_compositions(n, maxdeg):
+    for d in range(maxdeg + 1):
+        yield from compositions(d, n)
+
+
+def _all_partitions(n, maxdeg):
+    """Partitions of weight at most maxdeg in at most n parts, padded to n."""
+    for d in range(maxdeg + 1):
+        yield from (pad(p, n) for p in partitions(d, n))
+
+
+# ---------------------------------------------------------------------------
+# failure records
+# ---------------------------------------------------------------------------
+
+
+def _to_json(value):
+    if isinstance(value, ExactScalar):
+        return value.to_json()
+    if isinstance(value, tuple):  # a composition
+        return list(value)
+    return value.to_json_dict() if hasattr(value, "to_json_dict") else value
+
+
+class _Failures:
+    """Each check's failing items, in order, and its first counterexample,
+    serialized when it is recorded."""
+
+    def __init__(self):
+        self.items, self.examples = {}, {}
+
+    def add(self, name, item, example):
+        if name not in self.items:
+            self.items[name] = []
+            self.examples[name] = {k: _to_json(v) for k, v in example.items()}
+        self.items[name].append(item)
+        return False
+
+    def equal(self, name, lam, lhs, rhs, **where):
+        """lhs == rhs, or a failure of (lambda, *where) holding both sides."""
+        if lhs == rhs:
+            return True
+        item = (lam, *where.values()) if where else lam
+        return self.add(name, item, {"lambda": lam, **where, "lhs": lhs, "rhs": rhs})
+
+    def entry(self, name, detail):
+        out = {"name": name, "passed": name not in self.items, "detail": detail}
+        if name in self.items:
+            out["counterexample"] = self.examples[name]
+        return out
+
+    def tally(self, name, total=None, first=False):
+        """The entry whose detail counts the failures (of total) and, with
+        first, names the first one."""
+        items = self.items.get(name, [])
+        detail = f"{len(items)} failures" + (f" / {total}" if total is not None else "")
+        return self.entry(name, detail + (f"; first: {items[0]}" if first and items else ""))
+
+
 # ---------------------------------------------------------------------------
 # suite: hecke-relations
 # ---------------------------------------------------------------------------
@@ -195,27 +254,23 @@ def _hecke_relation_checks(n):
     return checks
 
 
-def _xi_triangularity(rng, n, maxdeg):
-    lam = tuple(rng.randint(0, maxdeg) for _ in range(n))
-    i = rng.randint(1, n)
-    f = apply_xi(ZPolynomial.monomial(n, lam), i, "forward")
-    ev = spectral_vector(lam).scalar(i)
-    diff = f - ZPolynomial.monomial(n, lam, ev)
-    return all(order_leq(mu, lam) == "less" for mu in diff.terms)
-
-
 def suite_hecke_relations(n=3, trials=50, seed=0, maxdeg=4):
     rng = random.Random(seed)
-    results = []
-    for name, pred in _hecke_relation_checks(n):
-        failures = 0
-        for _ in range(trials):
-            if not pred(random_zpoly(rng, n, maxdeg)):
-                failures += 1
-        results.append({"name": name, "passed": failures == 0, "detail": f"{failures} failures / {trials} trials"})
-    tri_fail = sum(1 for _ in range(trials) if not _xi_triangularity(rng, n, maxdeg))
-    results.append({"name": "xi_triangularity", "passed": tri_fail == 0, "detail": f"{tri_fail} failures / {trials} trials"})
-    return results
+    rec = _Failures()
+    checks = _hecke_relation_checks(n)
+    for name, pred in checks:
+        for trial in range(trials):
+            f = random_zpoly(rng, n, maxdeg)
+            if not pred(f):
+                rec.add(name, trial, {"trial": trial, "f": f})
+    for trial in range(trials):
+        lam = tuple(rng.randint(0, maxdeg) for _ in range(n))
+        i = rng.randint(1, n)
+        z = ZPolynomial.monomial(n, lam)
+        diff = apply_xi(z, i, "forward") - z.scalar_mul(spectral_vector(lam).scalar(i))
+        if not all(order_leq(mu, lam) == "less" for mu in diff.terms):
+            rec.add("xi_triangularity", trial, {"trial": trial, "lambda": lam, "i": i})
+    return [rec.tally(name, f"{trials} trials") for name in [c[0] for c in checks] + ["xi_triangularity"]]
 
 
 # ---------------------------------------------------------------------------
@@ -223,47 +278,18 @@ def suite_hecke_relations(n=3, trials=50, seed=0, maxdeg=4):
 # ---------------------------------------------------------------------------
 
 
-def _all_compositions(n, maxdeg):
-    for d in range(maxdeg + 1):
-        yield from compositions(d, n)
-
-
-def _to_json(value):
-    return value.to_json() if isinstance(value, ExactScalar) else value.to_json_dict()
-
-
-def _check(name, items, detail, counterexample):
-    """A report entry; a failing one also carries its first counterexample."""
-    out = {"name": name, "passed": not items, "detail": detail}
-    if items:
-        out["counterexample"] = counterexample
-    return out
-
-
 def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
     """The E-polynomial theorems, each an equality lhs == rhs per composition.
     A failing check's counterexample holds the first failing lambda (with i,
     or a and b, where the check has them) and both sides."""
-    results = []
-    bad = {"oracle": [], "eigen": [], "support": [], "fixpoint": [], "phi": [], "haction": [], "interchange": []}
-    examples = {}
-    count = 0
-
-    def holds(key, item, lhs, rhs, **where):
-        if lhs == rhs:
-            return True
-        bad[key].append(item)
-        if key not in examples:
-            examples[key] = {"lambda": list(lam), **where, "lhs": _to_json(lhs), "rhs": _to_json(rhs)}
-        return False
-
-    for lam in _all_compositions(n, maxdeg):
-        count += 1
+    rec = _Failures()
+    lams = list(_all_compositions(n, maxdeg))
+    for lam in lams:
         e = nonsym_E(lam)
-        holds("oracle", lam, e, eigen_oracle_E(lam))
+        rec.equal("oracle_oracle", lam, e, eigen_oracle_E(lam))
         sv = spectral_vector(lam)
         for i in range(1, n + 1):
-            holds("eigen", (lam, i), apply_xi(e, i, "forward"), e.scalar_mul(sv.scalar(i)), i=i)
+            rec.equal("oracle_eigen", lam, apply_xi(e, i, "forward"), e.scalar_mul(sv.scalar(i)), i=i)
         if e.coeff(lam) != ExactScalar.one() or not all(
             mu == lam or order_leq(mu, lam) == "less" for mu in e.terms
         ):
@@ -271,12 +297,12 @@ def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
             shape = ZPolynomial.monomial(n, lam) + ZPolynomial(
                 n, {mu: c for mu, c in e.terms.items() if order_leq(mu, lam) == "less"}
             )
-            holds("support", lam, e, shape)
+            rec.equal("oracle_support", lam, e, shape)
         t = ExactScalar.t()
         for i in range(1, n):
             if lam[i - 1] == lam[i]:
-                if holds("fixpoint", (lam, i), apply_hecke(e, i, "H"), e.scalar_mul(t), i=i):
-                    holds("fixpoint", (lam, i), apply_hecke(e, i, "Hbar"), e, i=i)
+                if rec.equal("oracle_fixpoint", lam, apply_hecke(e, i, "H"), e.scalar_mul(t), i=i):
+                    rec.equal("oracle_fixpoint", lam, apply_hecke(e, i, "Hbar"), e, i=i)
         if lam[-1] != 0:
             # E_lam = q^{lam_n - 1} Phi(E_{lam*}): the q-power compensates
             # the q^{-1} that Phi's rotation puts on the leading monomial
@@ -284,12 +310,12 @@ def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
             scaled = apply_phi(nonsym_E(prev), "Phi").scalar_mul(
                 ExactScalar.q(lam[-1] - 1)
             )
-            holds("phi", lam, scaled, e)
+            rec.equal("oracle_phi", lam, scaled, e)
         for i in range(1, n):
             if lam[i - 1] > lam[i]:
                 swapped = list(lam)
                 swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-                holds("haction", (lam, i), haction_step(nonsym_E(tuple(swapped)), lam, i), e, i=i)
+                rec.equal("oracle_haction", lam, haction_step(nonsym_E(tuple(swapped)), lam, i), e, i=i)
         # interchange of a nonzero part with the end of a following zero run:
         # (1 - c) E_lam = [Hbar_a ... Hbar_{b-1} - c H_a ... H_{b-1}] E_hashed
         # where c = lbar_a t^a when nothing nonzero follows position b; in
@@ -307,7 +333,7 @@ def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
                 )
                 c = ExactScalar.qt_monomial(lam[a - 1], texp)
                 if all(x == 0 for x in lam[a:]):
-                    holds("interchange", (lam, a, b, "scalar"), c, sv.scalar(a) * ExactScalar.t(a), a=a, b=b)
+                    rec.equal("oracle_interchange", lam, c, sv.scalar(a) * ExactScalar.t(a), a=a, b=b, part="scalar")
                 lhs = e.scalar_mul(ExactScalar.one() - c)
                 g = h = nonsym_E(
                     lam[: a - 1] + (0,) + lam[a : b - 1] + (lam[a - 1],) + lam[b:]
@@ -315,19 +341,12 @@ def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
                 for j in range(b - 1, a - 1, -1):
                     g = apply_hecke(g, j, "Hbar")
                     h = apply_hecke(h, j, "H")
-                holds("interchange", (lam, a, b), lhs, g - h.scalar_mul(c), a=a, b=b)
+                rec.equal("oracle_interchange", lam, lhs, g - h.scalar_mul(c), a=a, b=b)
                 b += 1
-    for key, items in bad.items():
-        results.append(
-            _check(
-                f"oracle_{key}",
-                items,
-                f"{len(items)} failures / {count} compositions"
-                + (f"; first: {items[0]}" if items else ""),
-                examples.get(key),
-            )
-        )
-    return results
+    return [
+        rec.tally(f"oracle_{key}", f"{len(lams)} compositions", first=True)
+        for key in ("oracle", "eigen", "support", "fixpoint", "phi", "haction", "interchange")
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -340,47 +359,32 @@ def suite_integrality(n=3, maxdeg=4, seed=0, trials=None):
     of calJ_lam's t-monomial expansion.  A failing check's counterexample
     holds the first failing lambda (with m where the check has it), the
     form and, where one was computed, its expansion."""
-    results = []
-    cale_bad, expand_bad, span_bad = [], [], []
-    examples = {}
-    count = 0
-    for lam in _all_compositions(n, maxdeg):
-        count += 1
+    rec = _Failures()
+    lams = list(_all_compositions(n, maxdeg))
+    for lam in lams:
         cal = nonsym_calE(lam)
         if not all(c.is_integral() for c in cal.terms.values()):
-            cale_bad.append(lam)
-            examples.setdefault("cale", {"lambda": list(lam), "form": cal.to_json_dict()})
+            rec.add("calE_coefficients_integral", lam, {"lambda": lam, "form": cal})
         for m in range(length(lam), n + 1):
             try:
                 exp = expand_in_partial_t_monomials(cal, m)
             except NotInSpan:
-                span_bad.append((lam, m))
-                examples.setdefault("span", {"lambda": list(lam), "m": m, "form": cal.to_json_dict()})
+                rec.add("partial_tmono_in_span", (lam, m), {"lambda": lam, "m": m, "form": cal})
                 continue
             if not exp.all_integral():
-                expand_bad.append((lam, m))
-                examples.setdefault(
-                    "expand",
-                    {"lambda": list(lam), "m": m, "form": cal.to_json_dict(), "expansion": exp.to_json_dict()},
-                )
-    results.append(_check("calE_coefficients_integral", cale_bad, f"{len(cale_bad)} failures / {count}", examples.get("cale")))
-    results.append(_check("partial_tmono_in_span", span_bad, f"{len(span_bad)} failures", examples.get("span")))
-    results.append(_check("partial_tmono_integral", expand_bad, f"{len(expand_bad)} failures", examples.get("expand")))
-    calj_bad = []
-    pcount = 0
-    for d in range(maxdeg + 1):
-        for p in partitions(d, n):
-            pcount += 1
-            lam = pad(p, n)
-            calj = sym_calJ(lam)
-            exp = expand_in_partial_t_monomials(calj, 0)
-            if not exp.all_integral():
-                calj_bad.append(lam)
-                examples.setdefault(
-                    "calj", {"lambda": list(lam), "form": calj.to_json_dict(), "expansion": exp.to_json_dict()}
-                )
-    results.append(_check("calJ_tmono_integral", calj_bad, f"{len(calj_bad)} failures / {pcount} partitions", examples.get("calj")))
-    return results
+                rec.add("partial_tmono_integral", (lam, m), {"lambda": lam, "m": m, "form": cal, "expansion": exp})
+    parts = list(_all_partitions(n, maxdeg))
+    for lam in parts:
+        calj = sym_calJ(lam)
+        exp = expand_in_partial_t_monomials(calj, 0)
+        if not exp.all_integral():
+            rec.add("calJ_tmono_integral", lam, {"lambda": lam, "form": calj, "expansion": exp})
+    return [
+        rec.tally("calE_coefficients_integral", len(lams)),
+        rec.tally("partial_tmono_in_span"),
+        rec.tally("partial_tmono_integral"),
+        rec.tally("calJ_tmono_integral", f"{len(parts)} partitions"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -389,42 +393,38 @@ def suite_integrality(n=3, maxdeg=4, seed=0, trials=None):
 
 
 def suite_degeneration(n=3, maxdeg=4, seed=0, trials=None):
-    results = []
-    q0_bad, phip_bad, ladder_bad, calj_bad = [], [], [], []
-    count = 0
-    for lam in _all_compositions(n, maxdeg):
-        count += 1
-        if nonsym_calE(lam).specialize(qv=0) != t_monomial(lam):
-            q0_bad.append(lam)
+    rec = _Failures()
+    lams = list(_all_compositions(n, maxdeg))
+    for lam in lams:
+        rec.equal("calE_q0_is_tmonomial", lam, nonsym_calE(lam).specialize(qv=0), t_monomial(lam))
         if lam[-1] != 0:
             prev = (lam[-1] - 1,) + lam[:-1]
             # the exponent counts earlier parts >= lam_n (ties included:
             # the weak inequality is what the braid-recursion produces)
             a = sum(1 for i in range(n - 1) if lam[i] >= lam[-1])
             lhs = apply_phi(t_monomial(prev), "Phi_prime")
-            if lhs != t_monomial(lam).scalar_mul(ExactScalar.t(-a)):
-                phip_bad.append(lam)
+            rec.equal("phi_prime_tmonomial_step", lam, lhs, t_monomial(lam).scalar_mul(ExactScalar.t(-a)))
         # each augmented level-m basis element expands at level m+1 with Z[t] coefficients
         m = length(lam)
         if m < n and is_partition(lam[m:]):
             f = t_monomial_partial(lam, m, augmented=True)
+            example = {"lambda": lam, "m": m + 1, "form": f}
             try:
-                exp = expand_in_partial_t_monomials(f, min(m + 1, n))
+                exp = expand_in_partial_t_monomials(f, m + 1)
             except NotInSpan:
-                ladder_bad.append(lam)
+                rec.add("augmented_level_ladder", lam, example)
             else:
                 if not exp.all_integral():
-                    ladder_bad.append(lam)
-    results.append({"name": "calE_q0_is_tmonomial", "passed": not q0_bad, "detail": f"{len(q0_bad)} failures / {count}"})
-    results.append({"name": "phi_prime_tmonomial_step", "passed": not phip_bad, "detail": f"{len(phip_bad)} failures"})
-    results.append({"name": "augmented_level_ladder", "passed": not ladder_bad, "detail": f"{len(ladder_bad)} failures"})
-    for d in range(maxdeg + 1):
-        for p in partitions(d, n):
-            lam = pad(p, n)
-            if sym_calJ(lam).specialize(qv=0) != t_monomial_partial(lam, 0, augmented=True):
-                calj_bad.append(lam)
-    results.append({"name": "calJ_q0_is_augmented_hl", "passed": not calj_bad, "detail": f"{len(calj_bad)} failures"})
-    return results
+                    rec.add("augmented_level_ladder", lam, {**example, "expansion": exp})
+    for lam in _all_partitions(n, maxdeg):
+        lhs = sym_calJ(lam).specialize(qv=0)
+        rec.equal("calJ_q0_is_augmented_hl", lam, lhs, t_monomial_partial(lam, 0, augmented=True))
+    return [
+        rec.tally("calE_q0_is_tmonomial", len(lams)),
+        rec.tally("phi_prime_tmonomial_step"),
+        rec.tally("augmented_level_ladder"),
+        rec.tally("calJ_q0_is_augmented_hl"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -432,35 +432,25 @@ def suite_degeneration(n=3, maxdeg=4, seed=0, trials=None):
 # ---------------------------------------------------------------------------
 
 
-def _is_symmetric(f):
-    return all(apply_reflection(f, i) == f for i in range(1, f.n))
-
-
 def suite_hall_littlewood(n=3, maxdeg=4, seed=0, trials=None):
-    results = []
-    sym_bad, tri_bad, schur_bad = [], [], []
-    count = 0
-    for d in range(maxdeg + 1):
-        for p in partitions(d, n):
-            count += 1
-            lam = pad(p, n)
-            hl = hall_littlewood(lam, "P", n)
-            if not _is_symmetric(hl):
-                sym_bad.append(lam)
-            coords = msym_coords(hl, n)
-            diag = coords.get(lam)
-            ok = diag is not None and diag == ExactScalar.one()
-            for rho, c in coords.items():
-                if rho != lam and dominance_cmp(rho, lam) != "less":
-                    ok = False
-            if not ok:
-                tri_bad.append(lam)
-            if hl.specialize(tv=0) != schur_bialternant(p, n):
-                schur_bad.append(lam)
-    results.append({"name": "hl_symmetric", "passed": not sym_bad, "detail": f"{len(sym_bad)} failures / {count} partitions"})
-    results.append({"name": "hl_unitriangular", "passed": not tri_bad, "detail": f"{len(tri_bad)} failures"})
-    results.append({"name": "hl_t0_is_schur", "passed": not schur_bad, "detail": f"{len(schur_bad)} failures"})
-    return results
+    rec = _Failures()
+    parts = list(_all_partitions(n, maxdeg))
+    for lam in parts:
+        hl = hall_littlewood(lam, "P", n)
+        for i in range(1, n):
+            if not rec.equal("hl_symmetric", lam, apply_reflection(hl, i), hl, i=i):
+                break
+        coords = {lam: ExactScalar.zero(), **msym_coords(hl, n)}
+        for rho, c in coords.items():
+            if (c != ExactScalar.one() if rho == lam else dominance_cmp(rho, lam) != "less"):
+                rec.add("hl_unitriangular", lam, {"lambda": lam, "rho": rho, "coefficient": c})
+                break
+        rec.equal("hl_t0_is_schur", lam, hl.specialize(tv=0), schur_bialternant(lam, n))
+    return [
+        rec.tally("hl_symmetric", f"{len(parts)} partitions"),
+        rec.tally("hl_unitriangular"),
+        rec.tally("hl_t0_is_schur"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -477,18 +467,18 @@ def t_schur_in_hl_q(degree, n):
 
 
 def suite_t_schur(n=4, maxdeg=4, seed=0, trials=None):
+    rec = _Failures()
     results = []
     for d in range(1, maxdeg + 1):
+        name = f"t_schur_unitriangular_d{d}"
         labels, rows = t_schur_in_hl_q(d, n)
-        ok = True
         for i, mu in enumerate(labels):
-            if rows[i][i] != ExactScalar.one():
-                ok = False
             for j, lam in enumerate(labels):
-                # off-diagonal support sits strictly above mu in dominance
-                if rows[i][j] and lam != mu and dominance_cmp(lam, mu) != "greater":
-                    ok = False
-        results.append({"name": f"t_schur_unitriangular_d{d}", "passed": ok, "detail": f"{len(labels)} partitions"})
+                entry = rows[i][j]
+                # 1 on the diagonal; off it, support strictly above mu in dominance
+                if entry != ExactScalar.one() if i == j else entry and dominance_cmp(lam, mu) != "greater":
+                    rec.add(name, (mu, lam), {"degree": d, "mu": mu, "lambda": lam, "entry": entry})
+        results.append(rec.entry(name, f"{len(labels)} partitions"))
     return results
 
 
@@ -497,38 +487,38 @@ def suite_t_schur(n=4, maxdeg=4, seed=0, trials=None):
 # ---------------------------------------------------------------------------
 
 
+def _check_positive(rec, name, lam, exp):
+    for (label, c), item in zip(exp, positivity_report(exp)):
+        if not (item["natural"] and item["integer_values"]):
+            rec.add(name, (lam, label), {"lambda": lam, "label": label, "coefficient": str(c)})
+
+
 def suite_jack(n=3, maxdeg=4, seed=0, trials=None):
-    results = []
-    nonsym_bad, span_bad = [], []
-    count = 0
-    for lam in _all_compositions(n, maxdeg):
-        count += 1
-        f = jack_nonsym(lam)
+    rec = _Failures()
+    lams = list(_all_compositions(n, maxdeg))
+    for lam in lams:
         try:
-            exp = expand_in_limit_basis(f, length(lam))
+            exp = expand_in_limit_basis(jack_nonsym(lam), length(lam))
         except NotInSpan:
-            span_bad.append(lam)
+            rec.add("jack_nonsym_in_span", lam, {"lambda": lam, "m": length(lam)})
             continue
-        for item in positivity_report(exp):
-            if not (item["natural"] and item["integer_values"]):
-                nonsym_bad.append((lam, item["label"]))
-    results.append({"name": "jack_nonsym_in_span", "passed": not span_bad, "detail": f"{len(span_bad)} failures / {count}"})
-    results.append({"name": "jack_nonsym_positive", "passed": not nonsym_bad, "detail": f"{len(nonsym_bad)} failures" + (f"; first: {nonsym_bad[0]}" if nonsym_bad else "")})
-    sym_bad = []
-    for d in range(maxdeg + 1):
-        for p in partitions(d, n):
-            lam = pad(p, n)
-            exp = expand_in_limit_basis(jack_sym(lam), 0)
-            for item in positivity_report(exp):
-                if not (item["natural"] and item["integer_values"]):
-                    sym_bad.append((lam, item["label"]))
-    results.append({"name": "jack_sym_positive", "passed": not sym_bad, "detail": f"{len(sym_bad)} failures"})
-    worst = 0.0
+        _check_positive(rec, "jack_nonsym_positive", lam, exp)
+    for lam in _all_partitions(n, maxdeg):
+        _check_positive(rec, "jack_sym_positive", lam, expand_in_limit_basis(jack_sym(lam), 0))
+    worst, where = 0.0, None
     for lam in _all_compositions(n, min(maxdeg, 3)):
         for a in (1, 2):
-            worst = max(worst, numeric_limit_check(lam, a, 0.999))
-    results.append({"name": "jack_numeric_limit", "passed": worst < 5e-3, "detail": f"worst normalized gap {worst:.2e} (tolerance 5e-3)"})
-    return results
+            gap = numeric_limit_check(lam, a, 0.999)
+            if gap > worst:
+                worst, where = gap, (lam, a)
+    if worst >= 5e-3:
+        rec.add("jack_numeric_limit", where, {"lambda": where[0], "alpha": where[1], "gap": worst})
+    return [
+        rec.tally("jack_nonsym_in_span", len(lams)),
+        rec.tally("jack_nonsym_positive", first=True),
+        rec.tally("jack_sym_positive"),
+        rec.entry("jack_numeric_limit", f"worst normalized gap {worst:.2e} (tolerance 5e-3)"),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ byte determinism across parallelism settings."""
 import contextlib
 import gc
 import hashlib
+import importlib
 import io
 import json
+import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +27,7 @@ from kostka_forge.cli import (
 from kostka_forge import cli, macdonald
 from kostka_forge.macdonald import KostkaMatrix, kostka_matrix, nonsym_E
 from kostka_forge.qt import ExactScalar, QTPolynomial
-from kostka_forge.verify import SUITES
+from kostka_forge.verify import SUITES, random_zpoly, run_suite
 from kostka_forge.zpoly import AlphaPolynomial, ZPolynomial
 
 
@@ -191,6 +194,12 @@ class TestValidation:
             ("expand", "--n", "9", "--lambda", "1,0,0,0,0,0,0,0,0"),
             ("table", "--n", "4", "--maxdeg", "11"),
             ("table", "--n", "9", "--maxdeg", "1"),
+            ("verify", "--suite", "oracle", "--n", "4", "--maxdeg", "8", "--trials", "1"),
+            ("verify", "--suite", "integrality", "--n", "9", "--maxdeg", "0"),
+            ("verify", "--suite", "jack", "--n", "8", "--maxdeg", "2"),
+            ("verify", "--suite", "hecke-relations", "--n", "8", "--trials", "7"),
+            ("verify", "--suite", "hecke-relations", "--n", "2", "--maxdeg", "17", "--trials", "1"),
+            ("verify", "--suite", "t-schur", "--n", "3", "--maxdeg", "4"),
         ],
     )
     def test_oversize_input_is_refused_at_once(self, capsys, argv):
@@ -210,6 +219,10 @@ class TestValidation:
             (("expand", "--n", "8", "--lambda", "5,0,0,0,0,0,0,0"), "nonsym_calE"),
             (("table", "--n", "4", "--maxdeg", "10"), "nonsym_calE"),
             (("table", "--n", "8", "--maxdeg", "5"), "nonsym_calE"),
+            (("verify", "--suite", "oracle", "--n", "8", "--maxdeg", "3"), "run_suite"),
+            (("verify", "--suite", "hall-littlewood", "--n", "2", "--maxdeg", "61"), "run_suite"),
+            (("verify", "--suite", "t-schur", "--n", "7", "--maxdeg", "7"), "run_suite"),
+            (("verify", "--suite", "hecke-relations", "--n", "8", "--maxdeg", "16", "--trials", "6"), "run_suite"),
         ],
     )
     def test_largest_accepted_sizes_are_computed(self, capsys, monkeypatch, argv, computation):
@@ -222,6 +235,24 @@ class TestValidation:
         monkeypatch.setattr(f"kostka_forge.cli.{computation}", reached)
         with pytest.raises(Reached):
             main(list(argv))
+
+    @pytest.mark.parametrize("smoke", [False, True])
+    def test_benchmark_verify_runs_are_accepted(self, monkeypatch, smoke):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "run_suite", reached)
+        argvs = [i.argv for w in workloads.WORKLOADS for i in workloads.invocations(w, 3, smoke) if i.argv[0] == "verify"]
+        assert len(argvs) == 4
+        for argv in argvs:
+            with pytest.raises(Reached):
+                main(list(argv))
 
     @pytest.mark.parametrize("basis", ["tmon", "tmon-partial", "tmon-aug"])
     def test_latex_needs_the_monomial_basis(self, capsys, basis):
@@ -266,6 +297,19 @@ class TestKostka:
             (
                 ("table", "--n", "4", "--maxdeg", "7"),
                 "a4193c08a20ffb1a13e647c5c22a1e2e807cf244678ecdbf198490374e39efac",
+            ),
+            # passing reports of the suites the benchmark does not run
+            (
+                ("verify", "--suite", "degeneration", "--n", "3", "--maxdeg", "4"),
+                "b6ef6d61a94905582146369719e6187806478a2bb7a02312aed3e157fe819777",
+            ),
+            (
+                ("verify", "--suite", "hall-littlewood", "--n", "3", "--maxdeg", "4"),
+                "ad5bf7211f428a9d4e0e46e22eb53796ec26f9f6896827aea9222a9c3be1d4f2",
+            ),
+            (
+                ("verify", "--suite", "t-schur", "--n", "4", "--maxdeg", "4"),
+                "ac42efcbe30081c8ccec2a9afb377c0f64047a502d33e23938c1458f08d30f44",
             ),
         ],
     )
@@ -432,6 +476,116 @@ class TestVerify:
             "form": bad.to_json_dict(),
             "expansion": macdonald.expand_in_partial_t_monomials(bad, 1).to_json_dict(),
         }
+
+    def test_hecke_relations_failure_carries_a_counterexample(self, capsys, monkeypatch):
+        from kostka_forge import verify as verify_mod
+
+        real = verify_mod.apply_hecke
+        monkeypatch.setattr(
+            verify_mod, "apply_hecke",
+            lambda f, i, kind: real(f, i, kind).scalar_mul(ExactScalar.from_int(2))
+            if kind == "H_inv" else real(f, i, kind),
+        )
+        argv = ("--suite", "hecke-relations", "--n", "2", "--trials", "3", "--seed", "5")
+        failed = self.failing_checks(capsys, *argv)
+        assert sorted(failed) == ["inverse_H1"]
+        # the k-th check draws the inputs 3k, 3k + 1 and 3k + 2 from the seeded stream
+        k = [name for name, _ in verify_mod._hecke_relation_checks(2)].index("inverse_H1")
+        rng = random.Random(5)
+        inputs = [random_zpoly(rng, 2, 4) for _ in range(3 * k + 1)]
+        assert failed["inverse_H1"] == {"trial": 0, "f": inputs[-1].to_json_dict()}
+
+    def test_degeneration_failure_carries_a_counterexample(self, capsys, monkeypatch):
+        from kostka_forge import verify as verify_mod
+
+        real = verify_mod.nonsym_calE
+        bad = real((1, 0)).scalar_mul(ExactScalar.from_int(2))
+        monkeypatch.setattr(verify_mod, "nonsym_calE", lambda lam: bad if lam == (1, 0) else real(lam))
+        failed = self.failing_checks(capsys, "--suite", "degeneration", "--n", "2", "--maxdeg", "2")
+        assert failed == {
+            "calE_q0_is_tmonomial": {
+                "lambda": [1, 0],
+                "lhs": bad.specialize(qv=0).to_json_dict(),
+                "rhs": macdonald.t_monomial((1, 0)).to_json_dict(),
+            }
+        }
+
+    def test_hall_littlewood_failure_carries_a_counterexample(self, capsys, monkeypatch):
+        from kostka_forge import verify as verify_mod
+
+        two = ExactScalar.from_int(2)
+        real = verify_mod.schur_bialternant
+        monkeypatch.setattr(
+            verify_mod, "schur_bialternant",
+            lambda mu, n: real(mu, n).scalar_mul(two) if tuple(mu) == (1, 1) else real(mu, n),
+        )
+        failed = self.failing_checks(capsys, "--suite", "hall-littlewood", "--n", "2", "--maxdeg", "2")
+        assert failed == {
+            "hl_t0_is_schur": {
+                "lambda": [1, 1],
+                "lhs": macdonald.hall_littlewood((1, 1), "P", 2).specialize(tv=0).to_json_dict(),
+                "rhs": real((1, 1), 2).scalar_mul(two).to_json_dict(),
+            }
+        }
+
+    def test_hall_littlewood_triangularity_names_the_wrong_coordinate(self, capsys, monkeypatch):
+        from kostka_forge import verify as verify_mod
+
+        five = ExactScalar.from_int(5)
+        real = verify_mod.msym_coords
+        # P_(1,1) = m_(1,1), and m_(2,0) lies above m_(1,1) in dominance
+        monkeypatch.setattr(
+            verify_mod, "msym_coords",
+            lambda f, n: {**real(f, n), (2, 0): five} if set(real(f, n)) == {(1, 1)} else real(f, n),
+        )
+        failed = self.failing_checks(capsys, "--suite", "hall-littlewood", "--n", "2", "--maxdeg", "2")
+        assert failed == {"hl_unitriangular": {"lambda": [1, 1], "rho": [2, 0], "coefficient": five.to_json()}}
+
+    def test_t_schur_failure_carries_a_counterexample(self, capsys, monkeypatch):
+        from kostka_forge import verify as verify_mod
+
+        seven = ExactScalar.from_int(7)
+        real = verify_mod._solve_scalar_system
+
+        def solve(basis, targets):
+            rows = [list(row) for row in real(basis, targets)]
+            if len(rows) == 2:  # degree 2, rows and columns (2,0), (1,1)
+                rows[0][1] = seven
+            return rows
+
+        monkeypatch.setattr(verify_mod, "_solve_scalar_system", solve)
+        failed = self.failing_checks(capsys, "--suite", "t-schur", "--n", "2", "--maxdeg", "2")
+        assert failed == {
+            "t_schur_unitriangular_d2": {"degree": 2, "mu": [2, 0], "lambda": [1, 1], "entry": seven.to_json()}
+        }
+
+    def test_jack_failure_carries_a_counterexample(self, capsys, monkeypatch):
+        from kostka_forge import verify as verify_mod
+
+        real = verify_mod.jack_sym
+        monkeypatch.setattr(verify_mod, "jack_sym", lambda lam: -real(lam) if lam == (2, 0) else real(lam))
+        failed = self.failing_checks(capsys, "--suite", "jack", "--n", "2", "--maxdeg", "2")
+        # -J_(2,0) = -(m_(1,1) + (a + 1) m_(2,0)): its first coefficient is already negative
+        assert failed == {"jack_sym_positive": {"lambda": [2, 0], "label": [1, 1], "coefficient": "-1"}}
+
+    def test_jack_limit_failure_names_the_worst_gap(self, capsys, monkeypatch):
+        from kostka_forge import verify as verify_mod
+
+        real = verify_mod.numeric_limit_check
+        monkeypatch.setattr(
+            verify_mod, "numeric_limit_check",
+            lambda lam, a, t0: 0.25 if (lam, a) == ((0, 1), 2) else real(lam, a, t0),
+        )
+        failed = self.failing_checks(capsys, "--suite", "jack", "--n", "2", "--maxdeg", "2")
+        assert failed == {"jack_numeric_limit": {"lambda": [0, 1], "alpha": 2, "gap": 0.25}}
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_every_check_has_the_report_keys(self, suite):
+        checks = run_suite(suite, n=2, maxdeg=2, trials=2)["checks"]
+        assert checks
+        for check in checks:
+            extra = set() if check["passed"] else {"counterexample"}
+            assert set(check) == {"name", "passed", "detail"} | extra
 
 
 class TestDeterminism:
