@@ -41,7 +41,8 @@ _MAX_VALUE_DIGITS = 10_000  # for each --specialize value
 # Size caps: an input above them would not finish in about a minute, so it
 # is refused before anything is computed.  Each cap is the largest size
 # whose slowest case took under a minute in single runs on a 2-vCPU x86
-# host: `kostka --degree 7 --n 8` took 44 s, and expand's slowest case,
+# host: `kostka --degree 7` took 31 s at n = 7 and at n = 8 (n > degree
+# reuses the degree-variable matrix), and expand's slowest case,
 # `--form J --basis tmon` at lambda = (|lambda|, 0, ..., 0), took 30 to
 # 48 s at the caps for n = 2, 3, 5 and 8 (one more unit of weight took
 # 60 s at n = 4 and over 75 s at n = 6).  `table` took 10 to 57 s at its

@@ -9,7 +9,7 @@ algebraic notation (s_i swaps z_i and z_{i+1}).
 
 from __future__ import annotations
 
-from .errors import IndexOutOfRange, ZeroComposition
+from .errors import DimensionMismatch, IndexOutOfRange, PreconditionViolated, ZeroComposition
 from .qt import ExactScalar, Kronecker, QTPolynomial
 from .weights import length, spectral_vector
 from .zpoly import ZPolynomial
@@ -173,109 +173,82 @@ def apply_xi(f, i, direction="forward"):
     xi_i = t^{1-n} Hbar_{i-1} ... Hbar_1 Delta^{-1} H_{n-1} ... H_i.
 
     Both words are Q(q,t)-linear, so each runs once on Kronecker-packed
-    ints (_pack) on L f, with L the lcm of the coefficient denominators of
-    f, and the result is divided by L.  Delta puts q^{-e_1} on the term
-    z^e and Delta^{-1} puts q^{e_n}; with lo and hi the least and the
-    largest z-exponent of f, these run as the left shifts by q^{hi - e_1}
-    and q^{e_n - lo}, and q^{-hi} (Delta) or q^{lo} t^{1-n} (Delta^{-1})
-    is applied while unpacking.
+    ints (_run_packed).  Delta puts q^{-e_1} on the term z^e and
+    Delta^{-1} puts q^{e_n}; with lo and hi the least and the largest
+    z-exponent of f, these run as the left shifts by q^{hi - e_1} and
+    q^{e_n - lo}, and q^{-hi} (Delta) or q^{lo} t^{1-n} (Delta^{-1}) is
+    applied while unpacking.
     """
     n = f.n
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"xi index {i} out of range for n={n}")
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
-    den = _denominator_lcm(f)
-    cofactors = {QTPolynomial.one(): den}  # L / c.den for each c.den
-    nums = {}
-    for e, c in f.terms.items():
-        k = cofactors.get(c.den)
-        if k is None:
-            k = cofactors[c.den] = den.exact_divide(c.den)
-        nums[e] = c.num if k.is_one() else c.num * k
-    lo, hi = _z_range(nums)
+    lo, hi = _z_range(f.terms)
     if direction == "forward":
-        codec, g, one_minus_t = _pack(nums, n - 1, hi - lo, lo, 1 - n)
-        for j in range(i, n):
-            g = _hecke_terms(g, j, False, one_minus_t)
-        B = codec.B
-        g = {e[-1:] + e[:-1]: v << B * (e[-1] - lo) for e, v in g.items()}
-        for j in range(1, i):
-            g = _hecke_terms(g, j, True, one_minus_t)
+        hs, hbars, offset = range(i, n), range(1, i), (lo, 1 - n)
+
+        def rotate(e, v, B):  # Delta^{-1}, times q^{-lo}
+            return e[-1:] + e[:-1], v << B * (e[-1] - lo)
+
+    elif direction == "inverse":
+        hs, hbars, offset = range(i - 1, 0, -1), range(n - 1, i - 1, -1), (-hi, 0)
+
+        def rotate(e, v, B):  # Delta, times q^{hi}
+            return e[1:] + e[:1], v << B * (hi - e[0])
+
     else:
-        codec, g, one_minus_t = _pack(nums, n - 1, hi - lo, -hi)
-        for j in range(i - 1, 0, -1):
+        raise ValueError(f"unknown direction {direction!r}")
+
+    def word(g, codec, one_minus_t):
+        for j in hs:
             g = _hecke_terms(g, j, False, one_minus_t)
-        B = codec.B
-        g = {e[1:] + e[:1]: v << B * (hi - e[0]) for e, v in g.items()}
-        for j in range(n - 1, i - 1, -1):
+        g = dict(rotate(e, v, codec.B) for e, v in g.items())
+        for j in hbars:
             g = _hecke_terms(g, j, True, one_minus_t)
-    out = _unpack(codec, n, g)
-    return out if den.is_one() else out.scalar_mul(ExactScalar.from_poly(den).inverse())
+        return g
+
+    return _run_packed(f, word, n - 1, hi - lo, *offset)
 
 
 def apply_X_lambda(f, lam):
     """The normalized creation step q^{lam_m - 1} (Abar_m - lambda-bar_m t^m A_m).
 
-    The step is Q(q,t)-linear, so denominators are cleared once, at entry:
-    with L the lcm of the coefficient denominators of f (1 on every
-    calE_mu) and D the largest z_1-exponent in f, the chains run on
-    q^D Phi(L f), computed as Phi(L q^D f).  Delta puts q^{-a} on the term
-    with z_1-exponent a, so each rotated coefficient carries q^{D-a} and
-    is integral as soon as it is formed.  Since lambda-bar_m t^m is a
-    monomial q^{lam_m} t^j with j >= 1, the Hecke chains and the multiple
-    by it stay in Z[q,t] and run on Kronecker-packed ints
-    (_packed_creation).  The closing factor becomes q^{lam_m - 1 - D},
-    and the result is divided by L.  On calE_mu the result is calE_lam,
-    integral by Knop's theorem, so where that power is negative it divides
-    each coefficient exactly; for any other f it is the same product in
-    Q(q,t).
+    The step is Q(q,t)-linear.  With D the largest z_1-exponent in f, the
+    chains run on q^D Phi f, computed as Phi(q^D f): Delta puts q^{-a} on
+    the term with z_1-exponent a, so each rotated coefficient carries
+    q^{D-a} and has no q-power denominator.  _run_packed clears the
+    remaining denominators (none on any calE_mu) and runs the Hecke
+    chains, and the multiple by lambda-bar_m t^m = q^{lam_m} t^j with
+    j >= 1 as one shift, on Kronecker-packed ints; the closing factor
+    becomes q^{lam_m - 1 - D}.  On calE_mu the result is calE_lam,
+    integral by Knop's theorem, so where that power is negative it
+    divides each coefficient exactly; for any other f it is the same
+    product in Q(q,t).
     """
     lam = tuple(lam)
+    n = f.n
+    if len(lam) != n:
+        raise DimensionMismatch(f"composition {lam} has {len(lam)} parts for n={n}")
+    if any(x < 0 for x in lam):
+        raise PreconditionViolated(f"composition {lam} has a negative part")
     m = length(lam)
     if m == 0:
         raise ZeroComposition("X_lambda needs a nonzero composition")
     d = max((e[0] for e in f.terms), default=0)
-    den = _denominator_lcm(f)
-    scale = ExactScalar.q(d) if den.is_one() else ExactScalar.from_poly(den) * ExactScalar.q(d)
-    # A_m = H_m...H_{n-1} Phi and Abar_m = Hbar_m...Hbar_{n-1} Phi share Phi f
-    out = _packed_creation(apply_phi(f.scalar_mul(scale)), lam, d)
-    return out if den.is_one() else out.scalar_mul(ExactScalar.from_poly(den).inverse())
-
-
-def _packed_creation(g, lam, d):
-    """apply_X_lambda's chains on g = q^D Phi(L f) over Z[q,t], packed by
-    _pack: H_i and Hbar_i by _hecke_terms, the multiple by
-    lambda-bar_m t^m = q^{lam_m} t^j one shift, and q^{lam_m - 1 - D}
-    applied while unpacking."""
-    n = g.n
-    m = length(lam)
     qa, tb = spectral_vector(lam).exponents[m - 1]
     tb += m
-    nums = {e: c.num for e, c in g.terms.items()}
-    codec, a, one_minus_t = _pack(nums, n - m, qa, lam[m - 1] - 1 - d, runs=2)
-    abar = a
-    for i in range(n - 1, m - 1, -1):
-        a = _hecke_terms(a, i, False, one_minus_t)
-        abar = _hecke_terms(abar, i, True, one_minus_t)
-    ev_shift = codec.B * (qa + codec.Q * tb)
-    out = dict(abar)
-    for e, v in a.items():
-        s = out[e] - (v << ev_shift) if e in out else -(v << ev_shift)
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-    return _unpack(codec, n, out)
 
+    # A_m = H_m...H_{n-1} Phi and Abar_m = Hbar_m...Hbar_{n-1} Phi share Phi f
+    def word(a, codec, one_minus_t):
+        abar = a
+        for i in range(n - 1, m - 1, -1):
+            a = _hecke_terms(a, i, False, one_minus_t)
+            abar = _hecke_terms(abar, i, True, one_minus_t)
+        ev_shift = codec.B * (qa + codec.Q * tb)
+        a = {e: v << ev_shift for e, v in a.items()}
+        return (ZPolynomial(n, abar) - ZPolynomial(n, a)).terms
 
-def _denominator_lcm(f):
-    """The lcm of the coefficient denominators of f, 1 if f is integral."""
-    den = QTPolynomial.one()
-    for c in f.terms.values():
-        if not c.den.is_one():
-            den = den * c.den.exact_divide(QTPolynomial.gcd(den, c.den))
-    return den
+    g = apply_phi(f.scalar_mul(ExactScalar.q(d)))
+    return _run_packed(g, word, n - m, qa, lam[m - 1] - 1 - d, runs=2)
 
 
 def _z_range(terms):
@@ -283,18 +256,22 @@ def _z_range(terms):
     return min(map(min, terms), default=0), max(map(max, terms), default=0)
 
 
-def _pack(nums, hecke_steps, q_growth, qshift, tshift=0, runs=1):
-    """Kronecker-pack nums, a dict from exponent vectors to polynomials in
-    Z[q,t], for a run of hecke_steps steps H_i or Hbar_i (_hecke_terms),
-    any number of rotations of the exponent vectors and of products by
-    monomials q^a t^b with a, b >= 0 whose q-exponents on any one term add
-    up to at most q_growth, and a sum or difference of `runs` such runs.
-    Returns the codec (qt.Kronecker; its unpack multiplies by
-    q^qshift t^tshift), the dict of packed ints and (1-t) on a packed int,
-    c - (c << B*Q).
+def _run_packed(f, word, hecke_steps, q_growth, qshift, tshift=0, runs=1):
+    """word(f) for a Q(q,t)-linear word on Kronecker-packed ints.
+
+    With L the lcm of the coefficient denominators of f (1 if f is
+    integral), L f has coefficients in Z[q,t]; it is packed by a
+    qt.Kronecker codec, word(packed, codec, one_minus_t) maps the dict of
+    packed ints to the dict of the result's packed ints, with
+    one_minus_t(c) = c - (c << B*Q) the product by (1-t), and the result
+    is unpacked, times q^qshift t^tshift, and divided by L.  The word may
+    run hecke_steps steps H_i or Hbar_i (_hecke_terms), any number of
+    rotations of the exponent vectors and of products by monomials
+    q^a t^b with a, b >= 0 whose q-exponents on any one term add up to
+    at most q_growth, and a sum or difference of `runs` such runs.
 
     The digits must fit.  Let G = hi - lo + 1, with lo and hi the least
-    and the largest z-exponent in nums (_z_range).  H_i keeps every
+    and the largest z-exponent in L f (_z_range).  H_i keeps every
     z-exponent within [lo, hi]: s_i permutes them, and the geometric sum
     stays between the two exponents it starts from; a rotation permutes
     them too.  A term c z^e gives at most G terms of size |c| in
@@ -303,12 +280,23 @@ def _pack(nums, hecke_steps, q_growth, qshift, tshift=0, runs=1):
     L1(H_i g) <= (1 + 2G) L1(g), and the same for Hbar_i.  A rotation maps
     distinct exponent vectors to distinct ones and a monomial multiple
     keeps each coefficient's L1, so every output digit is at most
-    runs (1 + 2G)^hecke_steps L1(nums) in absolute value, and B is chosen
+    runs (1 + 2G)^hecke_steps L1(L f) in absolute value, and B is chosen
     with that below 2^(B-1); it is widened past 64 bits when needed.  Only
     the monomial multiples raise the q-degree, so
-    Q = deg_q(nums) + q_growth + 1.  Packing is a ring homomorphism, so
+    Q = deg_q(L f) + q_growth + 1.  Packing is a ring homomorphism, so
     intermediate ints need no bound.
     """
+    den = QTPolynomial.one()
+    for c in f.terms.values():
+        if not c.den.is_one():
+            den = den * c.den.exact_divide(QTPolynomial.gcd(den, c.den))
+    cofactors = {QTPolynomial.one(): den}  # L / c.den for each c.den
+    nums = {}
+    for e, c in f.terms.items():
+        k = cofactors.get(c.den)
+        if k is None:
+            k = cofactors[c.den] = den.exact_divide(c.den)
+        nums[e] = c.num if k.is_one() else c.num * k
     lo, hi = _z_range(nums)
     polys = nums.values()
     bound = runs * (3 + 2 * (hi - lo)) ** hecke_steps * sum(p.norm1() for p in polys)
@@ -319,12 +307,9 @@ def _pack(nums, hecke_steps, q_growth, qshift, tshift=0, runs=1):
     def one_minus_t(c):
         return c - (c << t_shift)
 
-    return codec, {e: codec.pack(p) for e, p in nums.items()}, one_minus_t
-
-
-def _unpack(codec, n, packed):
-    """The ZPolynomial of the packed ints, each unpacked by codec."""
-    return ZPolynomial(n, {e: codec.unpack(v) for e, v in packed.items()})
+    packed = word({e: codec.pack(p) for e, p in nums.items()}, codec, one_minus_t)
+    out = ZPolynomial(f.n, {e: codec.unpack(v) for e, v in packed.items()})
+    return out if den.is_one() else out.scalar_mul(ExactScalar.from_poly(den).inverse())
 
 
 def hecke_symmetrize(f, t_symmetric_in=0):

@@ -103,6 +103,8 @@ def nonsym_calE(lam):
     cached = _CALE_CACHE.get(key)
     if cached is not None:
         return cached
+    if any(x < 0 for x in lam):
+        raise PreconditionViolated(f"composition {lam} has a negative part")
     if weight(lam) == 0:
         out = ZPolynomial.one(len(lam))
     else:
@@ -432,9 +434,17 @@ class KostkaMatrix:
 def kostka_matrix(degree, n):
     """Two-variable Kostka matrix for all partitions of `degree` in n variables:
     row lam holds the coordinates of calJ_lam in the t-Schur basis, solved
-    for every row at once in monomial-symmetric coordinates."""
+    for every row at once in monomial-symmetric coordinates.
+
+    calJ_lam and S_mu are stable under z_{n+1} = 0, and for n >= degree
+    the S_mu are linearly independent (Macdonald, SFHP VI (8.11)), so the
+    matrix in n > degree variables is the one in degree variables with its
+    labels padded."""
     if n < degree:
         raise TooFewVariables("Kostka computation needs n >= degree")
+    if n > degree:
+        km = kostka_matrix(degree, degree)
+        return KostkaMatrix(degree, n, [pad(lam, n) for lam in km.labels], km.entries)
     labels = sorted((pad(p, n) for p in partitions(degree, n)), reverse=True)
     basis = [msym_vector(t_schur(mu, n), labels) for mu in labels]
     targets = [msym_vector(sym_calJ(lam), labels) for lam in labels]

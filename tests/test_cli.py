@@ -311,6 +311,11 @@ class TestKostka:
                 ("verify", "--suite", "t-schur", "--n", "4", "--maxdeg", "4"),
                 "ac42efcbe30081c8ccec2a9afb377c0f64047a502d33e23938c1458f08d30f44",
             ),
+            # a benchmark pin whose output goes through apply_xi
+            (
+                ("verify", "--suite", "oracle", "--n", "3", "--maxdeg", "5"),
+                "5441e69fddccf2d70a87fe16d740010e49573914eb86986fbc91fd7d318fac46",
+            ),
         ],
     )
     def test_pinned_output(self, capsys, argv, sha256):

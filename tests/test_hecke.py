@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kostka_forge import hecke, macdonald
-from kostka_forge.errors import IndexOutOfRange, ZeroComposition
+from kostka_forge.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    PreconditionViolated,
+    ZeroComposition,
+)
 from kostka_forge.hecke import (
     apply_delta,
     apply_divided_difference,
@@ -312,6 +317,18 @@ class TestXLambda:
         with pytest.raises(ZeroComposition):
             apply_X_lambda(ZPolynomial.one(2), (0, 0))
 
+    @pytest.mark.parametrize(
+        "lam, error",
+        [
+            ((1, 0), DimensionMismatch),
+            ((0, 0, 0, 1), DimensionMismatch),
+            ((2, -1, 0), PreconditionViolated),
+        ],
+    )
+    def test_malformed_composition_rejected(self, lam, error):
+        with pytest.raises(error):
+            apply_X_lambda(ZPolynomial.one(3), lam)
+
     def test_phi_applied_once(self, monkeypatch):
         # A_m and Abar_m share Phi f, so one Delta substitution per box
         calls = []
@@ -385,18 +402,25 @@ class TestXLambda:
         # every nonzero-weight creation step runs its Hecke chains on
         # packed ints, entered with an integral q^D Phi f; the ExactScalar
         # chain (apply_hecke) is never reached
-        packed_creation = hecke._packed_creation
+        creation_step = macdonald.apply_X_lambda
+        run_packed = hecke._run_packed
+        step = []
         entered = []
 
-        def integral_packed(g, lam, d):
-            entered.append(lam)
+        def tagged_step(f, lam):
+            step[:] = [lam]
+            return creation_step(f, lam)
+
+        def integral_packed(g, *args, **kwargs):
+            entered.append(step[0])
             assert all(c.is_integral() for c in g.terms.values())
-            return packed_creation(g, lam, d)
+            return run_packed(g, *args, **kwargs)
 
         def no_fallback(f, i, variant="H"):
             raise AssertionError(f"ExactScalar Hecke chain reached: H_{i} {variant}")
 
-        monkeypatch.setattr(hecke, "_packed_creation", integral_packed)
+        monkeypatch.setattr(macdonald, "apply_X_lambda", tagged_step)
+        monkeypatch.setattr(hecke, "_run_packed", integral_packed)
         monkeypatch.setattr(hecke, "apply_hecke", no_fallback)
         monkeypatch.setattr(macdonald, "_CALE_CACHE", {})
         steps = []

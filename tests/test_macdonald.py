@@ -34,7 +34,7 @@ from kostka_forge.macdonald import (
     t_schur,
 )
 from kostka_forge.qt import ExactScalar, QTPolynomial
-from kostka_forge.symfunc import msym_coords, schur_bialternant
+from kostka_forge.symfunc import _solve_scalar_system, msym_coords, msym_vector, schur_bialternant
 from kostka_forge.weights import (
     b_factor,
     compositions,
@@ -79,6 +79,12 @@ class TestNonsymE:
         assert nonsym_calE((0, 1)) == mono(2, (0, 1), poly(ONE - Q * QTPolynomial.t(2)))
         expected = mono(2, (1, 0), poly(ONE - Q * T)) + mono(2, (0, 1), poly(ONE - T))
         assert nonsym_calE((1, 0)) == expected
+
+    @pytest.mark.parametrize("lam", [(1, -1), (2, -1, 0)])
+    def test_calE_rejects_a_negative_part(self, monkeypatch, lam):
+        monkeypatch.setattr(macdonald, "_CALE_CACHE", {})
+        with pytest.raises(PreconditionViolated):
+            nonsym_calE(lam)
 
     def test_calE_is_scaled_E(self):
         for lam in [(2, 1), (0, 2, 1), (1, 1, 0)]:
@@ -408,6 +414,16 @@ class TestKostka:
             for j, mu in enumerate(km.labels):
                 if km.entries[i][j] and lam != mu:
                     assert dominance_cmp(mu, lam) == "greater"
+
+    @pytest.mark.parametrize("d, n", [(d, n) for d in range(1, 5) for n in range(d + 1, 7)])
+    def test_more_variables_than_the_degree(self, d, n):
+        # the n-variable route: S_mu and calJ_lam in n variables, one solve
+        labels = sorted((pad(p, n) for p in partitions(d, n)), reverse=True)
+        basis = [msym_vector(t_schur(mu, n), labels) for mu in labels]
+        targets = [msym_vector(sym_calJ(lam), labels) for lam in labels]
+        km = kostka_matrix(d, n)
+        assert (km.degree, km.n, km.labels) == (d, n, labels)
+        assert km.entries == _solve_scalar_system(basis, targets)
 
     def test_too_few_variables(self):
         with pytest.raises(TooFewVariables):
