@@ -198,7 +198,7 @@ def apply_xi(f, i, direction="forward"):
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
-    def word(g, codec, one_minus_t):
+    def word(g, codec, one_minus_t, bound):
         for j in hs:
             g = _hecke_terms(g, j, False, one_minus_t)
         g = dict(rotate(e, v, codec.B) for e, v in g.items())
@@ -238,7 +238,7 @@ def apply_X_lambda(f, lam):
     tb += m
 
     # A_m = H_m...H_{n-1} Phi and Abar_m = Hbar_m...Hbar_{n-1} Phi share Phi f
-    def word(a, codec, one_minus_t):
+    def word(a, codec, one_minus_t, bound):
         abar = a
         for i in range(n - 1, m - 1, -1):
             a = _hecke_terms(a, i, False, one_minus_t)
@@ -256,19 +256,25 @@ def _z_range(terms):
     return min(map(min, terms), default=0), max(map(max, terms), default=0)
 
 
+class _Widen(Exception):
+    """_Widen(S): a packed word's running digit bound S reached 2^(B-1);
+    _run_packed re-packs under a codec for S and runs the word again."""
+
+
 def _run_packed(f, word, hecke_steps, q_growth, qshift, tshift=0, runs=1):
     """word(f) for a Q(q,t)-linear word on Kronecker-packed ints.
 
     With L the lcm of the coefficient denominators of f (1 if f is
     integral), L f has coefficients in Z[q,t]; it is packed by a
-    qt.Kronecker codec, word(packed, codec, one_minus_t) maps the dict of
-    packed ints to the dict of the result's packed ints, with
-    one_minus_t(c) = c - (c << B*Q) the product by (1-t), and the result
-    is unpacked, times q^qshift t^tshift, and divided by L.  The word may
-    run hecke_steps steps H_i or Hbar_i (_hecke_terms), any number of
-    rotations of the exponent vectors and of products by monomials
-    q^a t^b with a, b >= 0 whose q-exponents on any one term add up to
-    at most q_growth, and a sum or difference of `runs` such runs.
+    qt.Kronecker codec, word(packed, codec, one_minus_t, bound) maps the
+    dict of packed ints to the dict of the result's packed ints, with
+    one_minus_t(c) = c - (c << B*Q) the product by (1-t) and bound the
+    digit bound below, and the result is unpacked, times
+    q^qshift t^tshift, and divided by L.  The word may run hecke_steps
+    steps H_i or Hbar_i (_hecke_terms), any number of rotations of the
+    exponent vectors and of products by monomials q^a t^b with a, b >= 0
+    whose q-exponents on any one term add up to at most q_growth, and a
+    sum or difference of `runs` such runs.
 
     The digits must fit.  Let G = hi - lo + 1, with lo and hi the least
     and the largest z-exponent in L f (_z_range).  H_i keeps every
@@ -280,16 +286,22 @@ def _run_packed(f, word, hecke_steps, q_growth, qshift, tshift=0, runs=1):
     L1(H_i g) <= (1 + 2G) L1(g), and the same for Hbar_i.  A rotation maps
     distinct exponent vectors to distinct ones and a monomial multiple
     keeps each coefficient's L1, so every output digit is at most
-    runs (1 + 2G)^hecke_steps L1(L f) in absolute value, and B is chosen
-    with that below 2^(B-1); it is widened past 64 bits when needed.  Only
-    the monomial multiples raise the q-degree, so
+    bound = runs (1 + 2G)^hecke_steps L1(L f) in absolute value, and B is
+    chosen with that below 2^(B-1); it is widened past 64 bits when
+    needed.  Only the monomial multiples raise the q-degree, so
     Q = deg_q(L f) + q_growth + 1.  Packing is a ring homomorphism, so
     intermediate ints need no bound.
+
+    A word whose growth is not known in advance may instead keep its own
+    running bound S on the digits, from bound up, and raise _Widen(S)
+    once S reaches 2^(B-1); the runner then re-packs L f under a codec for
+    S and runs the word again with the same bound.
     """
+    dens = {c.den for c in f.terms.values()}
     den = QTPolynomial.one()
-    for c in f.terms.values():
-        if not c.den.is_one():
-            den = den * c.den.exact_divide(QTPolynomial.gcd(den, c.den))
+    for d in dens:
+        if not d.is_one():
+            den = den * d.exact_divide(QTPolynomial.gcd(den, d))
     cofactors = {QTPolynomial.one(): den}  # L / c.den for each c.den
     nums = {}
     for e, c in f.terms.items():
@@ -301,13 +313,20 @@ def _run_packed(f, word, hecke_steps, q_growth, qshift, tshift=0, runs=1):
     polys = nums.values()
     bound = runs * (3 + 2 * (hi - lo)) ** hecke_steps * sum(p.norm1() for p in polys)
     Q = max((p.deg_q() for p in polys), default=0) + q_growth + 1
-    codec = Kronecker(bound, Q, qshift, tshift)
-    t_shift = codec.B * Q
+    width = bound
+    while True:
+        codec = Kronecker(width, Q, qshift, tshift)
+        t_shift = codec.B * Q
 
-    def one_minus_t(c):
-        return c - (c << t_shift)
+        def one_minus_t(c):
+            return c - (c << t_shift)
 
-    packed = word({e: codec.pack(p) for e, p in nums.items()}, codec, one_minus_t)
+        try:
+            packed = word({e: codec.pack(p) for e, p in nums.items()}, codec, one_minus_t, bound)
+        except _Widen as widen:
+            (width,) = widen.args
+        else:
+            break
     out = ZPolynomial(f.n, {e: codec.unpack(v) for e, v in packed.items()})
     return out if den.is_one() else out.scalar_mul(ExactScalar.from_poly(den).inverse())
 

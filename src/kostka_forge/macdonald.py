@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .errors import (
     IndexOutOfRange,
     NotAPartition,
+    NotDivisible,
     NotInSpan,
     PreconditionViolated,
     SingularSystem,
@@ -21,6 +22,8 @@ from .errors import (
 )
 from .hecke import (
     _ONE_MINUS_T,
+    _run_packed,
+    _Widen,
     apply_hecke,
     apply_X_lambda,
     apply_xi,
@@ -281,28 +284,71 @@ def t_monomial_partial(lam, m, augmented=False):
 
 def _peel(f, element):
     """Coefficients {mu: c} of f in a basis whose element(mu) is z^mu plus
-    monomials below mu: peel off c * element(mu) for a maximal monomial mu
-    of the remainder.  Every leading coefficient is 1, so nothing divides."""
-    coeffs = {}
-    rem = f
-    while rem:
-        support = iter(rem.terms)
-        mu = next(support)
-        for nu in support:
-            if order_leq(mu, nu) == "less":
-                mu = nu
-        if any(x < 0 for x in mu):
-            raise NotInSpan("Laurent support cannot be expanded in t-monomials")
-        c = rem.terms[mu]
-        coeffs[mu] = c
-        rem = rem - element(mu).scalar_mul(c)
-    return coeffs
+    monomials below mu, with coefficients in Z[t]: peel off c * element(mu)
+    for a maximal monomial mu of the remainder.  Every leading coefficient
+    is 1, so nothing divides.
+
+    The peel is Q(q,t)-linear in f, so it runs as one word of
+    hecke._run_packed: on L f over Z[q,t], with each coefficient one
+    Kronecker-packed int, c * element(mu) is one int product per term, and
+    the runner divides the coefficients by L.
+
+    The digits must fit, and the word's running bound S sees to it.  It
+    starts from the runner's bound, L1(L f) here (no Hecke step), with L1
+    the sum of the absolute values of all integer coefficients, and each
+    step adds L1(c) L1(element(mu)).  The digits of a product c e are
+    bounded by L1(c) L1(e), so every digit of the remainder, and of each
+    coefficient c read off it, is at most S.  The word raises _Widen(S)
+    before a step that would take S to 2^(B-1), so every zero test and
+    every digit it reads is exact; the elements lie in Z[t], so the
+    q-degree never passes deg_q(L f).  The rerun repeats the same steps
+    with the same S, under B larger by at least 64 bits, so it passes the
+    step that raised.
+    """
+
+    def word(rem, codec, one_minus_t, bound):
+        top = 1 << (codec.B - 1)
+        coeffs = {}
+        while rem:
+            support = iter(rem)
+            mu = next(support)
+            for nu in support:
+                if order_leq(mu, nu) == "less":
+                    mu = nu
+            if any(x < 0 for x in mu):
+                raise NotInSpan("Laurent support cannot be expanded in t-monomials")
+            terms = element(mu).terms
+            c = coeffs[mu] = rem[mu]
+            bound += codec.unpack(c).num.norm1() * sum(e.num.norm1() for e in terms.values())
+            if bound >= top:
+                raise _Widen(bound)
+            for nu, e in terms.items():
+                s = rem.get(nu, 0) - c * codec.pack(e.num)
+                if s:
+                    rem[nu] = s
+                else:
+                    del rem[nu]
+        return coeffs
+
+    return _run_packed(f, word, 0, 0, 0).terms
 
 
 def expand_in_t_monomials(f):
     """Exact expansion {mu: coefficient} of f in the full t-monomial basis,
     peeled greedily: t_monomial(mu) is z^mu plus monomials below mu."""
     return _peel(f, t_monomial)
+
+
+def _divide_by_b(c, tail):
+    """c / b_tail(t): one exact division in Z[q,t] where it divides (the
+    quotient is then the reduced fraction), otherwise a division in Q(q,t)."""
+    b = b_factor(tail)
+    if c.is_integral():
+        try:
+            return ExactScalar.from_poly(c.num.exact_divide(b.num))
+        except NotDivisible:
+            pass
+    return c / b
 
 
 def expand_in_partial_t_monomials(f, m, augmented=True):
@@ -323,7 +369,7 @@ def expand_in_partial_t_monomials(f, m, augmented=True):
 
     coeffs = _peel(f, element)
     labels = sorted(coeffs)
-    values = [coeffs[mu] / b_factor(mu[m:]) if augmented else coeffs[mu] for mu in labels]
+    values = [_divide_by_b(coeffs[mu], mu[m:]) if augmented else coeffs[mu] for mu in labels]
     basis_tag = f"t_monomial_{'augmented' if augmented else 'partial'}"
     return BasisExpansion(basis_tag, labels, values, m=m)
 

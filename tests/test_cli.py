@@ -316,6 +316,25 @@ class TestKostka:
                 ("verify", "--suite", "oracle", "--n", "3", "--maxdeg", "5"),
                 "5441e69fddccf2d70a87fe16d740010e49573914eb86986fbc91fd7d318fac46",
             ),
+            # the t-monomial peel: the benchmark's integrality pin, then one
+            # expansion per basis, the first two with fractional coefficients
+            (
+                ("verify", "--suite", "integrality", "--n", "4", "--maxdeg", "5"),
+                "9514faa63f911fdbfa492cd1386a79331d788cfb7a95063d113b3ba0ad9a20bd",
+            ),
+            (
+                ("expand", "--n", "3", "--lambda", "4,1,0", "--form", "J", "--basis", "tmon"),
+                "e162c12434ae8784a021373ff2549e7a512c0d9104b8cce2345220b38d112bb8",
+            ),
+            (
+                ("expand", "--n", "3", "--lambda", "2,0,1", "--form", "E", "--basis", "tmon-aug"),
+                "4174867c431f1c6871fede837c904923170d09e36b01a6c7fd110f320cfd0e97",
+            ),
+            (
+                ("expand", "--n", "4", "--lambda", "2,1,1,0", "--form", "calJ",
+                 "--basis", "tmon-partial", "--m", "0"),
+                "d261c4978d674149d013d00170866133b034d8afe15e5204c06a74a3fd0778fa",
+            ),
         ],
     )
     def test_pinned_output(self, capsys, argv, sha256):

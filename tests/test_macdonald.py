@@ -13,7 +13,7 @@ from kostka_forge.errors import (
     TailNotPartition,
     TooFewVariables,
 )
-from kostka_forge import macdonald
+from kostka_forge import hecke, macdonald
 from kostka_forge.hecke import apply_hecke, apply_phi
 from kostka_forge.macdonald import (
     _calJ_seed,
@@ -276,6 +276,116 @@ class TestExpansions:
         for mu, c in coeffs.items():
             recon = recon + t_monomial(mu).scalar_mul(c)
         assert recon == nonsym_calE((1, 0))
+
+
+def _reference_peel(f, element):
+    """The peel on exact scalars: the reference for the packed one."""
+    coeffs = {}
+    rem = f
+    while rem:
+        support = iter(rem.terms)
+        mu = next(support)
+        for nu in support:
+            if order_leq(mu, nu) == "less":
+                mu = nu
+        if any(x < 0 for x in mu):
+            raise NotInSpan("Laurent support cannot be expanded in t-monomials")
+        c = rem.terms[mu]
+        coeffs[mu] = c
+        rem = rem - element(mu).scalar_mul(c)
+    return coeffs
+
+
+def _partial(f, m, augmented):
+    exp = expand_in_partial_t_monomials(f, m, augmented)
+    return exp.labels, exp.coeffs
+
+
+def _reference_t_monomials(f):
+    return _reference_peel(f, t_monomial)
+
+
+def _reference_partial(f, m, augmented):
+    def element(mu):
+        if not is_partition(mu[m:]):
+            raise NotInSpan("nonzero residual outside the partial t-monomial span")
+        return t_monomial_partial(mu, m)
+
+    coeffs = _reference_peel(f, element)
+    labels = sorted(coeffs)
+    return labels, [coeffs[mu] / b_factor(mu[m:]) if augmented else coeffs[mu] for mu in labels]
+
+
+def _outcome(run):
+    """run()'s result, or the message of the NotInSpan it raised."""
+    try:
+        return run()
+    except NotInSpan as err:
+        return NotInSpan, str(err)
+
+
+def _peeled(expand, f):
+    """expand(f)'s (label, coefficient) pairs in peel order, or the message
+    of the NotInSpan it raised."""
+    return _outcome(lambda: list(expand(f).items()))
+
+
+class TestPackedPeel:
+    @pytest.mark.parametrize("form", [nonsym_E, nonsym_calE])
+    def test_matches_the_exact_scalar_peel(self, form):
+        # every m, so inputs outside the partial span are covered too
+        outside = fractional = 0
+        for n in range(1, 4):
+            for d in range(5):
+                for lam in compositions(d, n):
+                    f = form(lam)
+                    fractional += not all(c.is_integral() for c in f.terms.values())
+                    got = _peeled(expand_in_t_monomials, f)
+                    assert got == _peeled(_reference_t_monomials, f), lam
+                    for m in range(n + 1):
+                        for augmented in (False, True):
+                            got = _outcome(lambda: _partial(f, m, augmented))
+                            expected = _outcome(lambda: _reference_partial(f, m, augmented))
+                            assert got == expected, (lam, m, augmented)
+                            outside += got[0] is NotInSpan
+        assert outside > 0
+        assert fractional > 0 if form is nonsym_E else fractional == 0
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            mono(2, (-1, 2)),
+            mono(2, (1, 0)) + mono(2, (2, -1)),
+            mono(2, (1, 0)) + mono(2, (0, -1)),
+            mono(3, (1, 2, -1), poly(ONE - T)) + nonsym_calE((0, 1, 1)),
+        ],
+    )
+    def test_laurent_support_is_refused_as_before(self, f):
+        expected = _peeled(_reference_t_monomials, f)
+        assert expected == (NotInSpan, "Laurent support cannot be expanded in t-monomials")
+        assert _peeled(expand_in_t_monomials, f) == expected
+
+    def test_laurent_coefficients(self):
+        # q^-2 t^-1 on every coefficient: the runner clears it as L = q^2 t
+        f = nonsym_calE((1, 0, 2)).scalar_mul(ExactScalar.qt_monomial(-2, -1))
+        got = _peeled(expand_in_t_monomials, f)
+        assert got == _peeled(_reference_t_monomials, f)
+        assert not all(c.is_integral() for _, c in got)
+
+    def test_digits_past_64_bits_are_repacked(self, monkeypatch):
+        widths = []
+
+        class Spy(hecke.Kronecker):
+            def __init__(self, *args):
+                super().__init__(*args)
+                widths.append(self.B)
+
+        monkeypatch.setattr(hecke, "Kronecker", Spy)
+        # L1 = 2^62 fits 64-bit digits, but the peel's digits reach 2^64
+        f = mono(3, (2, 1, 0), ExactScalar.from_int(2**62))
+        got = _peeled(expand_in_t_monomials, f)
+        assert got == _peeled(_reference_t_monomials, f)
+        assert widths == [64, 128]
 
 
 class TestSymmetric:
