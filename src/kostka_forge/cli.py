@@ -211,8 +211,11 @@ def cmd_expand(args):
         raise ValidationError(f"{form} requires a partition, got {lam}")
     if args.format == "latex" and args.basis != "monomial":
         raise ValidationError(f"--format latex needs --basis monomial, got --basis {args.basis}")
+    partial = args.basis in ("tmon-partial", "tmon-aug")
+    if args.m is not None and not partial:
+        raise ValidationError(f"--m needs --basis tmon-partial or tmon-aug, got --basis {args.basis}")
     m = args.m if args.m is not None else length(lam)
-    if args.basis in ("tmon-partial", "tmon-aug") and not 0 <= m <= args.n:
+    if partial and not 0 <= m <= args.n:
         raise ValidationError(f"m={m} out of range for n={args.n}")
     builders = {"E": nonsym_E, "calE": nonsym_calE, "J": sym_J, "calJ": sym_calJ}
     with _output(args.output) as fh:

@@ -29,7 +29,7 @@ from .hecke import (
     apply_xi,
     hecke_symmetrize,
 )
-from .qt import ExactScalar
+from .qt import ExactScalar, QTPolynomial
 from .symfunc import _solve_scalar_system, msym_vector, t_schur_polynomial as t_schur
 from .weights import (
     b_factor,
@@ -269,12 +269,26 @@ def t_monomial_partial(lam, m, augmented=False):
     head, tail = lam[:m], lam[m:]
     if not is_partition(tail):
         raise TailNotPartition(f"tail {tail} is not a partition")
-    out = ZPolynomial.zero(n)
-    for mu in distinct_permutations(tail):
-        out = out + t_monomial(head + mu).scalar_mul(ExactScalar.t(length_stat(mu)))
+    # the coefficients lie in Z[t]: sum the numerators t^L(nu) c as dicts
+    # of ints, deleting a monomial whose sum is zero as ZPolynomial.__add__
+    # does (so the terms come in the same order), and wrap them once
+    sums = {}
+    for nu in distinct_permutations(tail):
+        shift = length_stat(nu)
+        for e, c in t_monomial(head + nu).terms.items():
+            acc = sums.setdefault(e, {})
+            for (a, b), v in c.num.terms():
+                s = acc.get((a, b + shift), 0) + v
+                if s:
+                    acc[a, b + shift] = s
+                else:
+                    del acc[a, b + shift]
+            if not acc:
+                del sums[e]
     if augmented:
-        out = out.scalar_mul(b_factor(tail))
-    return out
+        factor = b_factor(tail).num
+        return ZPolynomial(n, {e: ExactScalar.from_poly(QTPolynomial(acc) * factor) for e, acc in sums.items()})
+    return ZPolynomial(n, {e: ExactScalar.from_poly(QTPolynomial(acc)) for e, acc in sums.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -771,10 +771,21 @@ class Kronecker:
 
     def pack(self, p):
         """The image of a nonzero p with q-degree below Q and coefficients
-        inside the digit bound."""
+        inside the digit bound.
+
+        A sparse p is packed as the sum of its shifted terms, which touches
+        about terms * ndigits / 2 words; a dense one through the array of
+        digits, which touches ndigits words after a fixed cost of about 256
+        (timed).  So the sum is taken while (terms - 2) * ndigits < 512,
+        always for at most two terms."""
         terms = p._terms
-        Q, half, nbytes = self.Q, self._half, self._nbytes
-        ndigits = Q * (max(j for _, j in terms) + 1)
+        B, Q, half, nbytes = self.B, self.Q, self._half, self._nbytes
+        ndigits = Q * (max(j for _, j in terms) + 1) if len(terms) > 2 else 0
+        if (len(terms) - 2) * ndigits < 512:
+            v = 0
+            for (i, j), a in terms.items():
+                v += a << B * (i + Q * j)
+            return v
         offset = self._offset_of(ndigits)
         if nbytes == 8 and _WORDS_ARE_LITTLE:
             words = array("Q", [half]) * ndigits

@@ -8,6 +8,7 @@ so acting on a composition gives (w(mu))[w[i]] = mu[i].
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NotAPartition, ZeroComposition
@@ -119,15 +120,6 @@ def dominance_cmp(lam, mu):
     return "incomparable"
 
 
-def _prefixes_below(mu, lam):
-    """Each prefix of mu, sorted decreasingly, is componentwise <= lam's."""
-    return all(
-        x <= y
-        for i in range(1, len(mu))
-        for x, y in zip(sorted(mu[:i], reverse=True), sorted(lam[:i], reverse=True))
-    )
-
-
 def order_leq(mu, lam):
     """Extended order comparison; 'less' means mu < lam.
 
@@ -148,11 +140,22 @@ def order_leq(mu, lam):
     lp = tuple(sorted(lam, reverse=True))
     if mp != lp:
         return dominance_cmp(mp, lp)
-    if _prefixes_below(mu, lam):
-        return "less"
-    if _prefixes_below(lam, mu):
-        return "greater"
-    return "incomparable"
+    # both prefixes, sorted increasingly (which pairs the same parts as
+    # sorting decreasingly) and grown by one part per step: mu <= lam holds
+    # while no part of mu's prefix exceeds lam's, and lam <= mu likewise
+    below = above = True
+    ms, ls = [], []
+    for x, y in zip(mu[:-1], lam[:-1]):
+        insort(ms, x)
+        insort(ls, y)
+        for a, b in zip(ms, ls):
+            if a > b:
+                below = False
+            elif a < b:
+                above = False
+        if not (below or above):
+            return "incomparable"
+    return "less" if below else "greater"
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,11 @@ class TestValidation:
         [
             ("kostka", "--degree", "abc"),
             ("expand", "--n", "2", "--lambda", "1,0", "--basis", "foo"),
+            # --m only means something for the partial bases; refused before
+            # --output (a missing directory) is opened
+            ("expand", "--n", "3", "--lambda", "0,0,2", "--form", "E", "--basis", "tmon", "--m", "1"),
+            ("expand", "--n", "3", "--lambda", "0,0,2", "--form", "E", "--basis", "tmon", "--m", "99"),
+            ("expand", "--n", "2", "--lambda", "1,0", "--m", "0", "--output", "no-such-dir/out.json"),
             ("table", "--n", "2"),
             ("no-such-command",),
             (),
@@ -334,6 +339,11 @@ class TestKostka:
                 ("expand", "--n", "4", "--lambda", "2,1,1,0", "--form", "calJ",
                  "--basis", "tmon-partial", "--m", "0"),
                 "d261c4978d674149d013d00170866133b034d8afe15e5204c06a74a3fd0778fa",
+            ),
+            # the benchmark's jack pin, the other expand workload invocation
+            (
+                ("verify", "--suite", "jack", "--n", "4", "--maxdeg", "5"),
+                "9a4674bd2250069ddbeb4187796a3b802d2738ba8855ed4ed0e77d6556b800a3",
             ),
         ],
     )

@@ -38,8 +38,10 @@ from kostka_forge.symfunc import _solve_scalar_system, msym_coords, msym_vector,
 from kostka_forge.weights import (
     b_factor,
     compositions,
+    distinct_permutations,
     is_partition,
     length,
+    length_stat,
     norm_factor,
     order_leq,
     pad,
@@ -179,6 +181,29 @@ class TestPartialTMonomials:
     def test_tail_must_be_partition(self):
         with pytest.raises(TailNotPartition):
             t_monomial_partial((0, 1), 0)
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_matches_the_exact_scalar_sum(self, augmented):
+        """Values and term order equal a ZPolynomial sum of t^L(nu) times
+        t_monomial(head + nu), times b_tail(t) when augmented."""
+
+        def reference(lam, m):
+            head, tail = lam[:m], lam[m:]
+            out = ZPolynomial.zero(len(lam))
+            for nu in distinct_permutations(tail):
+                out = out + t_monomial(head + nu).scalar_mul(ExactScalar.t(length_stat(nu)))
+            return out.scalar_mul(b_factor(tail)) if augmented else out
+
+        checked = 0
+        for n in range(1, 5):
+            for d in range(6):
+                for lam in compositions(d, n):
+                    for m in range(n + 1):
+                        if is_partition(lam[m:]):
+                            got, want = t_monomial_partial(lam, m, augmented), reference(lam, m)
+                            assert got == want and list(got.terms) == list(want.terms), (lam, m)
+                            checked += 1
+        assert checked > 500
 
 
 def _two_phase_expansion(f, m, augmented):

@@ -249,11 +249,44 @@ def test_kronecker_sums_and_shifts_decode(a, b, qshift, tshift, qa, tb):
     # B is the least multiple of 64 that holds the bound
     assert codec.B % 64 == 0 and bound < 2 ** (codec.B - 1)
     assert codec.B == 64 or bound >= 2 ** (codec.B - 65)
-    v = codec.pack(a) + (codec.pack(b) << codec.B * (qa + codec.Q * tb))
+    packed = codec.pack(a)
+    assert packed == _image(a, codec.B, codec.Q)
+    v = packed + (codec.pack(b) << codec.B * (qa + codec.Q * tb))
     if expected:
         assert codec.unpack(v) == ExactScalar(expected) * ExactScalar.qt_monomial(qshift, tshift)
     else:
         assert v == 0
+
+
+def _image(p, B, Q):
+    """sum a 2^(B(i + Qj)) over the terms a q^i t^j of p."""
+    return sum(a * 2 ** (B * (i + Q * j)) for (i, j), a in p._terms.items())
+
+
+@pytest.mark.parametrize("bound", [2**62, 2**100], ids=["B64", "B128"])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_kronecker_pack_is_the_image_sparse_or_dense(monkeypatch, bound, dense):
+    """A sparse input (three terms over 155 digit slots) is packed as the
+    sum of its shifted terms, a dense one (every slot filled) through the
+    array of digits; both give the image and decode back, negative
+    coefficients and the extreme digits included."""
+    Q, top = 5, 30
+    if dense:
+        terms = {(i, j): (-1) ** (i + j) * (i + 7 * j + 1) for i in range(Q) for j in range(top + 1)}
+        terms[0, 0], terms[Q - 1, top] = bound, -bound
+    else:
+        terms = {(0, 0): -bound, (2, 11): 3, (Q - 1, top): bound}
+    p = P(terms)
+    codec = qt.Kronecker(bound, Q)
+    assert codec.B == (64 if bound < 2**63 else 128)
+    arrays = []
+    offset_of = qt.Kronecker._offset_of
+    monkeypatch.setattr(qt.Kronecker, "_offset_of", lambda self, n: arrays.append(n) or offset_of(self, n))
+    v = codec.pack(p)
+    assert (len(arrays) == 1) == dense
+    assert v == _image(p, codec.B, Q)
+    assert codec.unpack(v) == ExactScalar.from_poly(p)
+    assert codec.unpack(-v) == ExactScalar.from_poly(-p)
 
 
 # ---------------------------------------------------------------------------
