@@ -131,6 +131,18 @@ def _xi_on_monomial(n, i, mu):
     return out
 
 
+def _exact_quotient(c, d):
+    """c / d as the exact quotient of the numerators in Z[q,t], times d's
+    denominator, over c's denominator, where d's numerator divides c's;
+    otherwise a division in Q(q,t).  Where both denominators are
+    monomials, the quotient is reduced by gcds against a monomial only."""
+    try:
+        quot = c.num.exact_divide(d.num)
+    except NotDivisible:
+        return c / d
+    return ExactScalar(quot if d.den.is_one() else quot * d.den, c.den)
+
+
 def _span_below(lam):
     """Compositions mu <= lam of the same weight, in a linear extension of
     the order (decreasing: every element precedes everything below it).
@@ -157,12 +169,20 @@ def eigen_oracle_E(lam):
 
     Solves xi_i(E) = lambda-bar_i E coefficient by coefficient in a linear
     extension of the support order, using triangularity of the xi_i.
+
+    The solve is seeded with d_lam (the norm factor) at lam, so it solves
+    for calE_lam = d_lam E_lam, whose coefficients lie in Z[q,t] by Knop's
+    integrality theorem.  The sums it divides have monomial denominators
+    (from the xi_i), so each division by an eigenvalue gap is one exact
+    division of the numerators (_exact_quotient), which falls back to
+    Q(q,t) where it does not divide.  It divides by d_lam once, at the end.
     """
     lam = tuple(lam)
     n = len(lam)
     span = _span_below(lam)
     lam_spec = spectral_vector(lam).exponents
-    coeffs = {lam: ExactScalar.one()}
+    d = norm_factor(lam, "nonsymmetric")
+    coeffs = {lam: d}
     for mu in span:
         if mu == lam:
             continue
@@ -178,15 +198,15 @@ def eigen_oracle_E(lam):
             entry = _xi_on_monomial(n, i, nu).coeff(mu)
             if entry is not None and nu != mu:
                 acc = acc + entry * c
-        denom = ExactScalar.qt_monomial(*mu_spec[i - 1]) - ExactScalar.qt_monomial(
-            *lam_spec[i - 1]
+        gap = ExactScalar.qt_monomial(*lam_spec[i - 1]) - ExactScalar.qt_monomial(
+            *mu_spec[i - 1]
         )
-        if not denom:  # pragma: no cover
+        if not gap:  # pragma: no cover
             raise SingularSystem("vanishing eigenvalue gap")
-        c_mu = -(acc / denom)
+        c_mu = _exact_quotient(acc, gap)
         if c_mu:
             coeffs[mu] = c_mu
-    return ZPolynomial(n, coeffs)
+    return ZPolynomial(n, coeffs).scalar_mul(d.inverse())
 
 
 def haction_step(e_swapped, lam, i):
@@ -277,7 +297,7 @@ def t_monomial_partial(lam, m, augmented=False):
         shift = length_stat(nu)
         for e, c in t_monomial(head + nu).terms.items():
             acc = sums.setdefault(e, {})
-            for (a, b), v in c.num.terms():
+            for (a, b), v in c.num.items():
                 s = acc.get((a, b + shift), 0) + v
                 if s:
                     acc[a, b + shift] = s
@@ -353,18 +373,6 @@ def expand_in_t_monomials(f):
     return _peel(f, t_monomial)
 
 
-def _divide_by_b(c, tail):
-    """c / b_tail(t): one exact division in Z[q,t] where it divides (the
-    quotient is then the reduced fraction), otherwise a division in Q(q,t)."""
-    b = b_factor(tail)
-    if c.is_integral():
-        try:
-            return ExactScalar.from_poly(c.num.exact_divide(b.num))
-        except NotDivisible:
-            pass
-    return c / b
-
-
 def expand_in_partial_t_monomials(f, m, augmented=True):
     """Expansion in (augmented) partially symmetric t-monomials.
 
@@ -383,7 +391,7 @@ def expand_in_partial_t_monomials(f, m, augmented=True):
 
     coeffs = _peel(f, element)
     labels = sorted(coeffs)
-    values = [_divide_by_b(coeffs[mu], mu[m:]) if augmented else coeffs[mu] for mu in labels]
+    values = [_exact_quotient(coeffs[mu], b_factor(mu[m:])) if augmented else coeffs[mu] for mu in labels]
     basis_tag = f"t_monomial_{'augmented' if augmented else 'partial'}"
     return BasisExpansion(basis_tag, labels, values, m=m)
 

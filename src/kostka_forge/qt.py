@@ -254,6 +254,10 @@ class QTPolynomial:
         """Terms as ((a, b), coeff) in increasing lexicographic order."""
         return sorted(self._terms.items())
 
+    def items(self):
+        """Terms as ((a, b), coeff) in storage order: a view, not sorted."""
+        return self._terms.items()
+
     def __bool__(self):
         return bool(self._terms)
 

@@ -345,6 +345,11 @@ class TestKostka:
                 ("verify", "--suite", "jack", "--n", "4", "--maxdeg", "5"),
                 "9a4674bd2250069ddbeb4187796a3b802d2738ba8855ed4ed0e77d6556b800a3",
             ),
+            # interchange zero runs longer than one
+            (
+                ("verify", "--suite", "oracle", "--n", "4", "--maxdeg", "4"),
+                "7200bcc43dea9ddd4a5d4e1478f0e5ce29bdcbcdf106fc970e7ce8204b7ab189",
+            ),
         ],
     )
     def test_pinned_output(self, capsys, argv, sha256):
@@ -493,6 +498,50 @@ class TestVerify:
         t_inv = one.scalar_mul(ExactScalar.t(-1))
         assert failed["oracle_eigen"] == {
             "lambda": [0, 0], "i": 2, "lhs": t_inv.scalar_mul(two).to_json_dict(), "rhs": t_inv.to_json_dict()
+        }
+
+    @pytest.mark.parametrize("broken_on_E", [True, False])
+    def test_oracle_fixpoint_is_decided_on_calE(self, capsys, monkeypatch, broken_on_E):
+        # H_1 doubled on calE_(1,1,0) and, when broken_on_E, on E_(1,1,0):
+        # the check fails either way, and shows both sides on E
+        from kostka_forge import verify as verify_mod
+
+        lam = (1, 1, 0)
+        cal, e = macdonald.nonsym_calE(lam), nonsym_E(lam)
+        broken = [cal, e] if broken_on_E else [cal]
+        real = verify_mod.apply_hecke
+        monkeypatch.setattr(
+            verify_mod, "apply_hecke",
+            lambda f, i, kind: real(f, i, kind).scalar_mul(ExactScalar.from_int(2))
+            if i == 1 and kind == "H" and f in broken else real(f, i, kind),
+        )
+        failed = self.failing_checks(capsys, "--suite", "oracle", "--n", "3", "--maxdeg", "2")
+        lhs = real(e, 1, "H")
+        assert failed == {
+            "oracle_fixpoint": {
+                "lambda": list(lam),
+                "i": 1,
+                "lhs": (lhs.scalar_mul(ExactScalar.from_int(2)) if broken_on_E else lhs).to_json_dict(),
+                "rhs": e.scalar_mul(ExactScalar.t()).to_json_dict(),
+            }
+        }
+
+    def test_oracle_support_is_decided_on_calE(self, capsys, monkeypatch):
+        # calE_(1,1) doubled: its coefficient at (1,1) is 2 d_(1,1), and the
+        # counterexample shows E = 2 z_1 z_2 against the shape z_1 z_2
+        from kostka_forge import verify as verify_mod
+
+        real = verify_mod.nonsym_calE
+        bad = real((1, 1)).scalar_mul(ExactScalar.from_int(2))
+        monkeypatch.setattr(verify_mod, "nonsym_calE", lambda lam: bad if lam == (1, 1) else real(lam))
+        failed = self.failing_checks(capsys, "--suite", "oracle", "--n", "2", "--maxdeg", "2")
+        # E_(1,1) built from the broken form fails the oracle and Phi checks too
+        assert sorted(failed) == ["oracle_oracle", "oracle_phi", "oracle_support"]
+        z1z2 = ZPolynomial.monomial(2, (1, 1))
+        assert failed["oracle_support"] == {
+            "lambda": [1, 1],
+            "lhs": z1z2.scalar_mul(ExactScalar.from_int(2)).to_json_dict(),
+            "rhs": z1z2.to_json_dict(),
         }
 
     def test_integrality_failure_carries_a_counterexample(self, capsys, monkeypatch):

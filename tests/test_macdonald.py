@@ -98,6 +98,21 @@ class TestNonsymE:
         assert eigen_oracle_E((0, 1)) == z(2, 2)
         assert eigen_oracle_E((1, 0)) == nonsym_E((1, 0))
 
+    @pytest.mark.parametrize(
+        "acc",
+        [
+            # (1 + q) / t^2: the gap's numerator 1 - q t^2 does not divide 1 + q
+            ExactScalar(ONE + Q, T * T),
+            # a multiple of the gap, over a monomial
+            ExactScalar((ONE - Q * T * T) * (ONE + Q), Q * T),
+            # a numerator the gap divides, over a denominator that is no monomial
+            ExactScalar((ONE - Q * T * T) * T, ONE + Q),
+        ],
+    )
+    def test_exact_quotient_is_the_field_quotient(self, acc):
+        gap = ExactScalar.qt_monomial(1, 0) - ExactScalar.qt_monomial(0, -2)
+        assert macdonald._exact_quotient(acc, gap) == acc / gap
+
     def test_span_below_is_a_linear_extension(self):
         for n in range(1, 5):
             for d in range(6):

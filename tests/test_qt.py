@@ -41,6 +41,11 @@ class TestPolynomialArithmetic:
         assert lhs == rhs
         assert lhs.evaluate(2, 3) == (1 - 2 * 3) * (1 - 3)
 
+    def test_items_are_the_terms_unsorted(self):
+        p = P({(1, 2): 3, (0, 0): -1, (2, 0): 5})
+        assert list(p.items()) == [((1, 2), 3), ((0, 0), -1), ((2, 0), 5)]
+        assert sorted(p.items()) == p.terms()
+
     def test_exact_divide_geometric(self):
         assert (ONE - QTPolynomial.t(2)).exact_divide(ONE - T) == ONE + T
 
