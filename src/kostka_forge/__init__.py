@@ -30,6 +30,7 @@ from .weights import (
     b_factor,
     box_stats,
     compositions,
+    conjugate,
     is_partition,
     length,
     length_stat,
@@ -98,9 +99,14 @@ def clear_caches():
         "macdonald._XI_MONO_CACHE": macdonald._XI_MONO_CACHE,
         "jack._JACK_CACHE": jack._JACK_CACHE,
     }
+    memos = {
+        "symfunc._power_sum_basis": symfunc._power_sum_basis,
+        "symfunc._integer_power_sum_product": symfunc._integer_power_sum_product,
+    }
     sizes = {name: len(table) for name, table in tables.items()}
-    sizes["symfunc._power_sum_basis"] = symfunc._power_sum_basis.cache_info().currsize
+    sizes.update((name, memo.cache_info().currsize) for name, memo in memos.items())
     for table in tables.values():
         table.clear()
-    symfunc._power_sum_basis.cache_clear()
+    for memo in memos.values():
+        memo.cache_clear()
     return sizes

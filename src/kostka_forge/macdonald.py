@@ -34,6 +34,7 @@ from .symfunc import _solve_scalar_system, msym_vector, t_schur_polynomial as t_
 from .weights import (
     b_factor,
     compositions,
+    conjugate,
     is_partition,
     length,
     length_stat,
@@ -501,8 +502,15 @@ class KostkaMatrix:
 
 def kostka_matrix(degree, n):
     """Two-variable Kostka matrix for all partitions of `degree` in n variables:
-    row lam holds the coordinates of calJ_lam in the t-Schur basis, solved
-    for every row at once in monomial-symmetric coordinates.
+    row lam holds the coordinates of calJ_lam in the t-Schur basis, in
+    monomial-symmetric coordinates.
+
+    Only half the rows are solved for.  K_lam,mu(q,t) = K_lam',mu'(t,q)
+    (Macdonald, SFHP VI (8.15)), so calJ_lam is built, and its row solved
+    (all in one solve), only for the lam that come no earlier than lam' in
+    the reverse-sorted labels; those lie lower in dominance, where calJ is
+    cheap.  Each other row is its partner's row with q and t swapped and
+    the columns read at mu'.
 
     calJ_lam and S_mu are stable under z_{n+1} = 0, and for n >= degree
     the S_mu are linearly independent (Macdonald, SFHP VI (8.11)), so the
@@ -514,6 +522,14 @@ def kostka_matrix(degree, n):
         km = kostka_matrix(degree, degree)
         return KostkaMatrix(degree, n, [pad(lam, n) for lam in km.labels], km.entries)
     labels = sorted((pad(p, n) for p in partitions(degree, n)), reverse=True)
+    idx = {lam: i for i, lam in enumerate(labels)}
+    conj = [idx[pad(conjugate(lam), n)] for lam in labels]
+    solved = [i for i in range(len(labels)) if i >= conj[i]]
     basis = [msym_vector(t_schur(mu, n), labels) for mu in labels]
-    targets = [msym_vector(sym_calJ(lam), labels) for lam in labels]
-    return KostkaMatrix(degree, n, labels, _solve_scalar_system(basis, targets))
+    targets = [msym_vector(sym_calJ(labels[i]), labels) for i in solved]
+    rows = dict(zip(solved, _solve_scalar_system(basis, targets)))
+    entries = [
+        rows[i] if i in rows else [rows[conj[i]][j].swap_qt() for j in conj]
+        for i in range(len(labels))
+    ]
+    return KostkaMatrix(degree, n, labels, entries)

@@ -685,6 +685,16 @@ class ExactScalar:
             e >>= 1
         return out
 
+    def swap_qt(self):
+        """The image under q <-> t: (a, b) -> (b, a) in the numerator and
+        the denominator.  The swap keeps gcd(num, den) = 1 but moves the
+        lex-leading term, so only the sign is normalized again."""
+        num = QTPolynomial._of({(b, a): c for (a, b), c in self.num._terms.items()})
+        den = QTPolynomial._of({(b, a): c for (a, b), c in self.den._terms.items()})
+        if den.leading()[1] < 0:
+            num, den = -num, -den
+        return ExactScalar(num, den, _reduced=True)
+
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, qv, tv):

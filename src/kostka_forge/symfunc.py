@@ -48,8 +48,10 @@ def power_sum(r, n):
     return power_sum_product((r,), n)
 
 
+@functools.lru_cache(maxsize=None)
 def _integer_power_sum_product(rho, n):
-    """p_rho in n variables, with int coefficients."""
+    """p_rho in n variables, with int coefficients (rho a tuple); memoized,
+    so the result is shared and must not be changed."""
     f = ZPolynomial(n, {(0,) * n: 1})
     for r in rho:
         f = f * ZPolynomial(n, {tuple(r if j == i else 0 for j in range(n)): 1 for i in range(n)})
@@ -57,7 +59,7 @@ def _integer_power_sum_product(rho, n):
 
 
 def power_sum_product(rho, n):
-    f = _integer_power_sum_product(rho, n)
+    f = _integer_power_sum_product(tuple(rho), n)
     return ZPolynomial(n, {e: ExactScalar.from_int(c) for e, c in f.terms.items()})
 
 
@@ -139,8 +141,10 @@ def schur_power_sum_expansion(mu, n):
 def t_schur_polynomial(mu, n):
     """S_mu(z;t): the Schur function with p_r rescaled to (1-t^r) p_r.
 
-    The sum over rho runs in Z[t], scaled by the common denominator D of
-    the power-sum expansion; each coefficient is divided by D once.
+    The sum over rho runs in Z[t] on ints, scaled by the common denominator
+    D of the power-sum expansion: each coefficient is a dict {b: int} of
+    t-powers.  Each is then reduced against D by one integer gcd, which is
+    its gcd with D in Z[q,t], so no polynomial gcd runs.
     """
     mu = tuple(x for x in mu if x)
     if n < sum(mu):
@@ -149,10 +153,22 @@ def t_schur_polynomial(mu, n):
     den = math.lcm(*(c.denominator for c in expansion.values()))
     num = {}
     for rho, c in expansion.items():
-        factor = QTPolynomial.const(c.numerator * (den // c.denominator))
+        factor = {0: c.numerator * (den // c.denominator)}
         for r in rho:
-            factor = factor * (QTPolynomial.one() - QTPolynomial.t(r))
+            # times (1 - t^r)
+            shifted = dict(factor)
+            for b, k in factor.items():
+                shifted[b + r] = shifted.get(b + r, 0) - k
+            factor = shifted
         for e, k in _integer_power_sum_product(rho, n).terms.items():
-            num[e] = num[e] + factor.scale(k) if e in num else factor.scale(k)
-    den = QTPolynomial.const(den)
-    return ZPolynomial(n, {e: ExactScalar(p, den) for e, p in num.items()})
+            acc = num.setdefault(e, {})
+            for b, v in factor.items():
+                acc[b] = acc.get(b, 0) + k * v
+    out = {}
+    for e, acc in num.items():
+        terms = {(0, b): v for b, v in acc.items() if v}
+        if terms:
+            g = math.gcd(den, *terms.values())
+            p = QTPolynomial._of({k: v // g for k, v in terms.items()})
+            out[e] = ExactScalar(p, QTPolynomial.const(den // g), _reduced=True)
+    return ZPolynomial(n, out)

@@ -64,6 +64,13 @@ def pad(lam, n):
     return tuple(lam) + (0,) * (n - len(lam))
 
 
+def conjugate(lam):
+    """The conjugate partition lam' (unpadded): its j-th part counts the
+    parts of lam larger than j - 1.  Zero parts of lam are ignored."""
+    lam = tuple(lam)
+    return tuple(sum(1 for x in lam if x > j) for j in range(max(lam, default=0)))
+
+
 # ---------------------------------------------------------------------------
 # orbit data
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from kostka_forge.symfunc import _solve_scalar_system, msym_coords, msym_vector,
 from kostka_forge.weights import (
     b_factor,
     compositions,
+    conjugate,
     distinct_permutations,
     is_partition,
     length,
@@ -565,15 +566,32 @@ class TestKostka:
                 if km.entries[i][j] and lam != mu:
                     assert dominance_cmp(mu, lam) == "greater"
 
-    @pytest.mark.parametrize("d, n", [(d, n) for d in range(1, 5) for n in range(d + 1, 7)])
-    def test_more_variables_than_the_degree(self, d, n):
-        # the n-variable route: S_mu and calJ_lam in n variables, one solve
+    @staticmethod
+    def direct_rows(d, n):
+        """Labels and every row solved from its own calJ_lam in n variables."""
         labels = sorted((pad(p, n) for p in partitions(d, n)), reverse=True)
         basis = [msym_vector(t_schur(mu, n), labels) for mu in labels]
         targets = [msym_vector(sym_calJ(lam), labels) for lam in labels]
+        return labels, _solve_scalar_system(basis, targets)
+
+    @pytest.mark.parametrize("d, n", [(d, n) for d in range(1, 5) for n in range(d + 1, 7)])
+    def test_more_variables_than_the_degree(self, d, n):
+        # the n-variable route: S_mu and calJ_lam in n variables, one solve
+        labels, direct = self.direct_rows(d, n)
         km = kostka_matrix(d, n)
         assert (km.degree, km.n, km.labels) == (d, n, labels)
-        assert km.entries == _solve_scalar_system(basis, targets)
+        assert km.entries == direct
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_rows_filled_by_duality_match_the_direct_solve(self, d):
+        # every row solved from its own calJ_lam, none filled from a partner
+        labels, direct = self.direct_rows(d, d)
+        assert kostka_matrix(d, d).entries == direct
+        # Macdonald VI (8.15), K_lam,mu(q,t) = K_lam',mu'(t,q), on those rows
+        conj = [labels.index(pad(conjugate(lam), d)) for lam in labels]
+        for i, row in enumerate(direct):
+            for j, entry in enumerate(row):
+                assert entry == direct[conj[i]][conj[j]].swap_qt()
 
     def test_too_few_variables(self):
         with pytest.raises(TooFewVariables):
@@ -605,9 +623,14 @@ def test_clear_caches_empties_every_table(monkeypatch):
     eigen_oracle_E((1, 0))
     kostka_matrix(2, 2)
     sizes = {name: len(getattr(module, attr)) for name, (module, attr) in tables.items()}
-    sizes["symfunc._power_sum_basis"] = symfunc._power_sum_basis.cache_info().currsize
+    memos = {
+        "symfunc._power_sum_basis": symfunc._power_sum_basis,
+        "symfunc._integer_power_sum_product": symfunc._integer_power_sum_product,
+    }
+    for name, memo in memos.items():
+        sizes[name] = memo.cache_info().currsize
     assert all(sizes.values())
     assert kostka_forge.clear_caches() == sizes
     assert all(not getattr(module, attr) for module, attr in tables.values())
-    assert symfunc._power_sum_basis.cache_info().currsize == 0
+    assert all(memo.cache_info().currsize == 0 for memo in memos.values())
     assert values() == before

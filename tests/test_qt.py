@@ -224,6 +224,32 @@ def test_integral_product_is_the_reduced_product(a, b):
     assert is_canonical(product)
 
 
+def swapped(p):
+    return QTPolynomial({(b, a): c for (a, b), c in p.terms()})
+
+
+@settings(deadline=None, max_examples=150)
+@given(scalars)
+def test_swap_qt_is_the_reduced_swap_and_an_involution(x):
+    y = x.swap_qt()
+    assert y.swap_qt() == x
+    assert y == ExactScalar(swapped(x.num), swapped(x.den))
+    assert is_canonical(y)
+    for qv, tv in [(Fraction(2, 3), Fraction(5, 7)), (Fraction(-3), Fraction(1, 2)), (Fraction(4, 5), Fraction(-7, 3))]:
+        if x.den.evaluate(tv, qv):
+            assert y.evaluate(qv, tv) == x.evaluate(tv, qv)
+
+
+def test_swap_qt_renormalizes_the_sign():
+    # 1/(t - q) is stored as -1/(q - t); swapped, the denominator t - q
+    # leads with -q again, so the signs flip back: 1/(q - t)
+    x = ExactScalar(ONE, T - Q)
+    assert (x.num, x.den) == (-ONE, Q - T)
+    y = x.swap_qt()
+    assert (y.num, y.den) == (ONE, Q - T)
+    assert y == -x
+
+
 def test_one_term_divisor_refuses_a_remainder():
     with pytest.raises(NotDivisible):
         (Q + T).exact_divide(Q)  # t has no factor q

@@ -19,6 +19,7 @@ from kostka_forge.symfunc import (
     power_sum_product,
     schur_bialternant,
     schur_power_sum_expansion,
+    t_schur_polynomial,
 )
 from kostka_forge.zpoly import ZPolynomial
 
@@ -65,6 +66,26 @@ def test_expansion_reconstructs_schur():
             for rho, c in schur_power_sum_expansion(mu, n).items():
                 recon = recon + power_sum_product(rho, n).scalar_mul(ExactScalar.from_fraction(c))
             assert recon == schur_bialternant(mu, n), mu
+
+
+def _t_schur_reference(mu, n):
+    """sum_rho c_rho prod_i (1 - t^rho_i) p_rho, on ExactScalars throughout."""
+    out = ZPolynomial.zero(n)
+    for rho, c in schur_power_sum_expansion(mu, n).items():
+        coeff = ExactScalar.from_fraction(c)
+        for r in rho:
+            coeff = coeff * ExactScalar.from_poly(QTPolynomial.one() - QTPolynomial.t(r))
+        out = out + power_sum_product(rho, n).scalar_mul(coeff)
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_t_schur_sum_in_zt_matches_the_scalar_sum(d):
+    for mu in _partitions(d):
+        for n in (d, d + 1):
+            s = t_schur_polynomial(mu, n)
+            assert s == _t_schur_reference(mu, n), (mu, n)
+            assert all(c == ExactScalar(c.num, c.den) for c in s.terms.values())
 
 
 def test_power_sum_expansion_needs_a_partition():
@@ -237,5 +258,6 @@ def test_kostka_matrix_solves_once(monkeypatch):
 
     monkeypatch.setattr(macdonald, "_solve_scalar_system", counting)
     km = macdonald.kostka_matrix(3, 3)
-    assert calls == [3]
+    # rows (2,1) and (1,1,1) are solved; (3) is the swap of (1,1,1)'s row
+    assert calls == [2]
     assert len(km.entries) == 3

@@ -10,6 +10,7 @@ from kostka_forge.weights import (
     b_factor,
     box_stats,
     compositions,
+    conjugate,
     distinct_permutations,
     dominance_cmp,
     length_stat,
@@ -287,3 +288,17 @@ def test_dominance_cmp_basic():
 def test_distinct_permutations_match_the_set_of_all_permutations():
     for tail in [(), (0,), (1, 1), (2, 1, 1, 0), (3, 3, 1, 1, 0, 0), (0, 0, 0, 0), (2, 2, 2, 1)]:
         assert distinct_permutations(tail) == sorted(set(itertools.permutations(tail)))
+
+
+def test_conjugate():
+    assert conjugate((4, 2)) == (2, 2, 1, 1)
+    assert conjugate((3, 1, 1)) == (3, 1, 1)
+    assert conjugate((4, 2, 0, 0)) == (2, 2, 1, 1)
+    assert conjugate(()) == ()
+    assert conjugate((0, 0)) == ()
+    for d in range(9):
+        for lam in partitions(d, d):
+            lam_c = conjugate(lam)
+            assert weight(lam_c) == d
+            assert conjugate(lam_c) == lam
+            assert conjugate(lam + (0,) * 3) == lam_c
