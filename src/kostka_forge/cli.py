@@ -41,16 +41,10 @@ _MAX_VALUE_DIGITS = 10_000  # for each --specialize value
 # Size caps: an input above them would not finish in about a minute, so it
 # is refused before anything is computed.  Each cap is the largest size
 # whose slowest case took under a minute in single runs on a 2-vCPU x86
-# host: `kostka --degree 7` took 31 s at n = 7 and at n = 8 (n > degree
-# reuses the degree-variable matrix), and expand's slowest case,
-# `--form J --basis tmon` at lambda = (|lambda|, 0, ..., 0), took 30 to
-# 48 s at the caps for n = 2, 3, 5 and 8 (one more unit of weight took
-# 60 s at n = 4 and over 75 s at n = 6).  `table` took 10 to 57 s at its
-# caps, within a 3 GB address space; one more degree took 65 s at n = 1
-# and ran out of that space after 40 to 53 s at n = 3 to 8.  Each verify
-# suite took under a minute at its caps, in a 2 GB address space, and one
-# more --maxdeg took longer unless t-schur's n bound came first (README
-# has each time).
+# host, in a fresh interpreter (`table` in a 3 GB address space, `verify`
+# in 2 GB).  A suite that stays far under a minute at every size tried
+# has a stated ceiling instead.  README's "Command line" section gives
+# the time of each cap and of the next size up.
 _MAX_KOSTKA_DEGREE = 7
 _MAX_KOSTKA_N = 8
 _MAX_EXPAND_WEIGHT = {1: 24, 2: 24, 3: 16, 4: 10, 5: 8, 6: 6, 7: 5, 8: 5}  # n -> |lambda|
@@ -62,10 +56,10 @@ _MAX_VERIFY_DEGREE = {
     "hecke-relations": dict.fromkeys(range(1, 9), 16),
     "oracle": {1: 44, 2: 17, 3: 9, 4: 6, 5: 5, 6: 4, 7: 3, 8: 3},
     "integrality": {1: 43, 2: 19, 3: 11, 4: 7, 5: 5, 6: 4, 7: 3, 8: 3},
-    "degeneration": {1: 59, 2: 22, 3: 12, 4: 8, 5: 7, 6: 5, 7: 5, 8: 4},
-    "hall-littlewood": {1: 61, 2: 61, 3: 40, 4: 19, 5: 12, 6: 9, 7: 7, 8: 3},
+    "degeneration": {1: 87, 2: 22, 3: 12, 4: 8, 5: 7, 6: 5, 7: 5, 8: 4},
+    "hall-littlewood": {1: 120, 2: 231, 3: 42, 4: 19, 5: 14, 6: 10, 7: 7, 8: 7},
     "t-schur": {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 6},
-    "jack": {1: 61, 2: 53, 3: 20, 4: 12, 5: 8, 6: 6, 7: 2, 8: 1},
+    "jack": {1: 120, 2: 73, 3: 20, 4: 12, 5: 8, 6: 6, 7: 2, 8: 1},
 }
 _MAX_HECKE_TRIALS = {1: 20000, 2: 4000, 3: 1500, 4: 500, 5: 150, 6: 50, 7: 20, 8: 6}
 
@@ -232,7 +226,6 @@ def cmd_expand(args):
             exp = BasisExpansion("t_monomial", labels, [coeffs[l] for l in labels])
         else:
             exp = expand_in_partial_t_monomials(f, m, augmented=(args.basis == "tmon-aug"))
-            exp.sort()
         payload = {"form": form, "lambda": list(lam)}
         payload.update(exp.to_json_dict())
         fh.write(canonical_json(payload))
@@ -304,10 +297,8 @@ def cmd_table(args):
     _require_at_most(args, "n", max(_MAX_TABLE_DEGREE))
     _require_at_least(args, "maxdeg", 0)
     _require_at_most(args, "maxdeg", _MAX_TABLE_DEGREE[args.n], f" for n={args.n}")
-    lams = []
-    for d in range(args.maxdeg + 1):
-        lams.extend(compositions(d, args.n))
-    lams.sort(key=lambda l: (weight(l), l))
+    # by weight, then lexicographically: the order compositions gives
+    lams = [lam for d in range(args.maxdeg + 1) for lam in compositions(d, args.n)]
     with _output(args.output) as fh:
         # every form before any entry: serializing between creation steps
         # mixes short-lived JSON objects into the recursion's heap (~3 % slower)

@@ -381,6 +381,7 @@ def expand_in_partial_t_monomials(f, m, augmented=True):
     rearrangement head + nu of a partition tail lies below head + tail.
     A maximal remainder monomial without a partition tail is outside the
     span.  Augmented coefficients are divided by the tail's b-factor.
+    The labels come in lexicographic order.
     """
     if not 0 <= m <= f.n:
         raise IndexOutOfRange(f"m={m} out of range")
@@ -508,9 +509,10 @@ def kostka_matrix(degree, n):
     Only half the rows are solved for.  K_lam,mu(q,t) = K_lam',mu'(t,q)
     (Macdonald, SFHP VI (8.15)), so calJ_lam is built, and its row solved
     (all in one solve), only for the lam that come no earlier than lam' in
-    the reverse-sorted labels; those lie lower in dominance, where calJ is
-    cheap.  Each other row is its partner's row with q and t swapped and
-    the columns read at mu'.
+    the labels, which `partitions` yields in decreasing lexicographic
+    order; those lie lower in dominance, where calJ is cheap.  Each other
+    row is its partner's row with q and t swapped and the columns read
+    at mu'.
 
     calJ_lam and S_mu are stable under z_{n+1} = 0, and for n >= degree
     the S_mu are linearly independent (Macdonald, SFHP VI (8.11)), so the
@@ -521,7 +523,7 @@ def kostka_matrix(degree, n):
     if n > degree:
         km = kostka_matrix(degree, degree)
         return KostkaMatrix(degree, n, [pad(lam, n) for lam in km.labels], km.entries)
-    labels = sorted((pad(p, n) for p in partitions(degree, n)), reverse=True)
+    labels = [pad(p, n) for p in partitions(degree, n)]
     idx = {lam: i for i, lam in enumerate(labels)}
     conj = [idx[pad(conjugate(lam), n)] for lam in labels]
     solved = [i for i in range(len(labels)) if i >= conj[i]]

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import NotAPartition, SingularSystem, TooFewVariables
 from .qt import ExactScalar, QTPolynomial
-from .weights import is_partition, pad, partitions
+from .weights import distinct_permutations, is_partition, pad, partitions
 from .zpoly import ZPolynomial
 
 
@@ -25,10 +25,19 @@ def schur_bialternant(mu, n):
     a_delta is the product of the z_i - z_j, i < j (Macdonald I (3.1)), so
     a_{mu+delta} is divided by one monic linear factor at a time, with
     integer coefficients that become ExactScalars only at the end.
+
+    For a partition mu in n > d = |mu| variables the alternant is built in
+    d variables only: s_mu = sum_nu K_mu,nu m_nu (Macdonald I §6) and
+    its msym coordinates K_mu,nu do not depend on the number of variables,
+    so each one is written on every distinct rearrangement of nu padded to n.
     """
     mu = pad(tuple(mu), n)
     if len(mu) > n:
         raise TooFewVariables(f"{mu} needs more than {n} variables")
+    d = sum(mu)
+    if n > d and is_partition(mu):
+        coords = msym_coords(schur_bialternant(mu[:d], d), d)
+        return ZPolynomial(n, {e: c for nu, c in coords.items() for e in distinct_permutations(pad(nu, n))})
     exps = [m + n - 1 - i for i, m in enumerate(mu)]
     terms = {}
     for w in itertools.permutations(range(n)):
@@ -108,20 +117,24 @@ def _solve_scalar_system(basis, targets):
 @functools.lru_cache(maxsize=None)
 def _power_sum_basis(d):
     """{mu: {rho: c_rho}}, s_mu = sum_rho c_rho p_rho for every partition mu
-    of d: one solve per degree, in msym coordinates in d variables, with the
-    p_rho as basis and every s_mu as a target."""
-    labels = sorted(partitions(d, d), reverse=True)
+    of d, the nonzero c_rho as Fractions: one solve per degree over integer
+    msym coordinates in d variables, with the p_rho as basis and every s_mu
+    as a target, so every c_rho is constant."""
+    labels = list(partitions(d, d))
     coords = [pad(p, d) for p in labels]
     basis = [msym_vector(power_sum_product(rho, d), coords) for rho in labels]
     targets = [msym_vector(schur_bialternant(mu, d), coords) for mu in labels]
-    return {mu: dict(zip(labels, sol)) for mu, sol in zip(labels, _solve_scalar_system(basis, targets))}
+    return {
+        mu: {rho: Fraction(c.num.const_value(), c.den.const_value()) for rho, c in zip(labels, sol) if c}
+        for mu, sol in zip(labels, _solve_scalar_system(basis, targets))
+    }
 
 
 def schur_power_sum_expansion(mu, n):
     """s_mu = sum_rho c_rho p_rho with exact rational c_rho.
 
     Valid (and unique) for n >= |mu|, where the c_rho do not depend on n;
-    so they are read off the table of degree |mu| (_power_sum_basis).
+    so they are a copy of the table of degree |mu| (_power_sum_basis).
     """
     mu = tuple(x for x in mu if x)
     d = sum(mu)
@@ -129,13 +142,7 @@ def schur_power_sum_expansion(mu, n):
         raise TooFewVariables(f"power-sum basis needs n >= {d}")
     if not is_partition(mu):
         raise NotAPartition(f"{mu} is not a partition")
-    out = {}
-    for rho, c in _power_sum_basis(d)[mu].items():
-        if not (c.num.is_const() and c.den.is_const()):
-            raise SingularSystem("non-constant coefficient in a Q-expansion")
-        if c:
-            out[rho] = Fraction(c.num.const_value(), c.den.const_value())
-    return out
+    return dict(_power_sum_basis(d)[mu])
 
 
 def t_schur_polynomial(mu, n):

@@ -47,17 +47,19 @@ def compositions(total, n):
 
 
 def partitions(total, max_parts):
-    """Partitions of `total` with at most max_parts parts (no padding)."""
-    def rec(rem, largest):
+    """Partitions of `total` with at most max_parts parts (no padding), in
+    decreasing lexicographic order.  No part is below ceil(rem / parts),
+    the least that the parts still allowed can complete, so every
+    partition begun is yielded."""
+    def rec(rem, largest, parts):
         if rem == 0:
             yield ()
             return
-        for first in range(min(rem, largest), 0, -1):
-            for rest in rec(rem - first, first):
+        for first in range(min(rem, largest), (rem - 1) // parts, -1):
+            for rest in rec(rem - first, first, parts - 1):
                 yield (first,) + rest
-    for p in rec(total, total):
-        if len(p) <= max_parts:
-            yield p
+    if total == 0 <= max_parts or min(total, max_parts) > 0:
+        yield from rec(total, total, max_parts)
 
 
 def pad(lam, n):

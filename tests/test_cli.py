@@ -205,6 +205,7 @@ class TestValidation:
             ("verify", "--suite", "hecke-relations", "--n", "8", "--trials", "7"),
             ("verify", "--suite", "hecke-relations", "--n", "2", "--maxdeg", "17", "--trials", "1"),
             ("verify", "--suite", "t-schur", "--n", "3", "--maxdeg", "4"),
+            ("verify", "--suite", "hall-littlewood", "--n", "1", "--maxdeg", "121"),
         ],
     )
     def test_oversize_input_is_refused_at_once(self, capsys, argv):
@@ -225,7 +226,7 @@ class TestValidation:
             (("table", "--n", "4", "--maxdeg", "10"), "nonsym_calE"),
             (("table", "--n", "8", "--maxdeg", "5"), "nonsym_calE"),
             (("verify", "--suite", "oracle", "--n", "8", "--maxdeg", "3"), "run_suite"),
-            (("verify", "--suite", "hall-littlewood", "--n", "2", "--maxdeg", "61"), "run_suite"),
+            (("verify", "--suite", "hall-littlewood", "--n", "2", "--maxdeg", "231"), "run_suite"),
             (("verify", "--suite", "t-schur", "--n", "7", "--maxdeg", "7"), "run_suite"),
             (("verify", "--suite", "hecke-relations", "--n", "8", "--maxdeg", "16", "--trials", "6"), "run_suite"),
         ],

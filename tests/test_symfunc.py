@@ -150,6 +150,50 @@ def test_bialternant_coefficients_are_kostka_numbers(d):
             assert s.coeff(key) == (ExactScalar.from_int(k) if k else None)
 
 
+def _divide_by_difference(f, i, j):
+    """f / (z_i - z_j) for an int polynomial {exponent: coefficient} that
+    it divides: in each block of terms that differ only in how the degree
+    deg of z_i z_j splits, the quotient's coefficient of z_i^k z_j^(deg-1-k)
+    is minus the sum of f's coefficients of z_i^m, m <= k."""
+    blocks = {}
+    for e, c in f.items():
+        rest = e[:i] + e[i + 1:j] + e[j + 1:]
+        blocks.setdefault((rest, e[i] + e[j]), {})[e[i]] = c
+    out = {}
+    for (rest, deg), coeffs in blocks.items():
+        acc = 0
+        for k in range(min(coeffs), max(coeffs)):
+            acc -= coeffs.get(k, 0)
+            if acc:
+                e = list(rest)
+                e.insert(i, k)
+                e.insert(j, deg - 1 - k)
+                out[tuple(e)] = acc
+        assert acc == coeffs[max(coeffs)], "not divisible"
+    return out
+
+
+def _full_alternant_schur(mu, n):
+    """a_{mu+delta} / a_delta in all n variables: the n!-term alternant,
+    divided by each z_i - z_j, i < j."""
+    exps = [m + n - 1 - i for i, m in enumerate(mu + (0,) * (n - len(mu)))]
+    f = {}
+    for w in itertools.permutations(range(n)):
+        inv = sum(1 for a in range(n) for b in range(a + 1, n) if w[a] > w[b])
+        f[tuple(exps[a] for a in w)] = -1 if inv % 2 else 1
+    for i, j in itertools.combinations(range(n), 2):
+        f = _divide_by_difference(f, i, j)
+    return ZPolynomial(n, {e: ExactScalar.from_int(c) for e, c in f.items()})
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_bialternant_in_more_variables_matches_the_full_alternant(d):
+    # for n > |mu| the Schur polynomial is built from the |mu|-variable one
+    for mu in _partitions(d):
+        for n in range(d + 1, 8):
+            assert schur_bialternant(mu, n) == _full_alternant_schur(mu, n), (mu, n)
+
+
 def test_power_sum_basis_is_built_once_per_degree(monkeypatch):
     # one solve, with every s_mu of the degree as a target
     calls = []

@@ -302,3 +302,43 @@ def test_conjugate():
             assert weight(lam_c) == d
             assert conjugate(lam_c) == lam
             assert conjugate(lam + (0,) * 3) == lam_c
+
+
+def _partitions_unbounded(d, largest):
+    """Every partition of d with parts at most largest, as a set."""
+    if d == 0:
+        return {()}
+    return {
+        (first,) + rest
+        for first in range(1, min(d, largest) + 1)
+        for rest in _partitions_unbounded(d - first, first)
+    }
+
+
+def test_partitions_match_generate_and_filter():
+    for d in range(15):
+        every = _partitions_unbounded(d, d)
+        for k in range(17):
+            out = list(partitions(d, k))
+            assert out == sorted((p for p in every if len(p) <= k), reverse=True), (d, k)
+
+
+def test_partitions_at_the_edges():
+    assert list(partitions(0, 0)) == [()]
+    assert list(partitions(3, 0)) == []
+    assert list(partitions(0, 3)) == [()]
+    assert list(partitions(3, 1)) == [(3,)]
+
+
+def test_partitions_build_only_what_they_yield():
+    # p(200) is about 4e12, so this finishes only if the part bound prunes
+    out = list(partitions(200, 2))
+    assert len(out) == 101
+    assert out[0] == (200,) and out[-1] == (100, 100)
+
+
+def test_compositions_come_by_weight_then_lexicographically():
+    for n in range(1, 5):
+        lams = [lam for d in range(7) for lam in compositions(d, n)]
+        every = (c for c in itertools.product(range(7), repeat=n) if sum(c) <= 6)
+        assert lams == sorted(every, key=lambda c: (sum(c), c))
