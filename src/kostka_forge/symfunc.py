@@ -1,15 +1,16 @@
 """Classical symmetric-function helpers used as independent oracles:
-Schur polynomials via the ratio of alternants, power sums, and exact
-power-sum expansions of Schur functions over Q; and the one exact solver
-for a change of basis in monomial-symmetric coordinates.
+Schur polynomials as the ratio of alternants, computed by divided
+differences on a single monomial, power sums, and exact power-sum
+expansions of Schur functions over Q; and the one exact solver for a
+change of basis in monomial-symmetric coordinates.
 
-These deliberately avoid the Hecke machinery so they can cross-check it.
+These deliberately avoid the Hecke machinery so they can cross-check it:
+the divided differences here are exact divisions, not hecke's operators.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -20,16 +21,22 @@ from .zpoly import ZPolynomial
 
 
 def schur_bialternant(mu, n):
-    """Schur polynomial s_mu in n variables as a ratio of alternants.
+    """Schur polynomial s_mu in n variables, as ∂_{w0} z^{mu+delta}.
 
-    a_delta is the product of the z_i - z_j, i < j (Macdonald I (3.1)), so
-    a_{mu+delta} is divided by one monic linear factor at a time, with
-    integer coefficients that become ExactScalars only at the end.
+    ∂_i f = (f - s_i f) / (z_i - z_{i+1}) is the divided difference, and
+    ∂_{w0} = a_delta^{-1} sum_w sgn(w) w (Lascoux, CBMS 99, 2003), so this
+    is the ratio of alternants a_{mu+delta} / a_delta (Macdonald I (3.1)),
+    without the n!-term alternant: z^{mu+delta} goes through one exact
+    division by z_i - z_{i+1} for each letter of the reduced word
+    (s_1)(s_2 s_1)...(s_{n-1}...s_1) of w0, rightmost letter first, with
+    integer coefficients that become ExactScalars only at the end.  For a
+    composition mu the result carries the straightening sign, and it is 0
+    when mu+delta has a repeated entry.
 
-    For a partition mu in n > d = |mu| variables the alternant is built in
-    d variables only: s_mu = sum_nu K_mu,nu m_nu (Macdonald I §6) and
-    its msym coordinates K_mu,nu do not depend on the number of variables,
-    so each one is written on every distinct rearrangement of nu padded to n.
+    For a partition mu in n > d = |mu| variables it is built in d
+    variables only: s_mu = sum_nu K_mu,nu m_nu (Macdonald I §6) and its
+    msym coordinates K_mu,nu do not depend on the number of variables, so
+    each one is written on every distinct rearrangement of nu padded to n.
     """
     mu = pad(tuple(mu), n)
     if len(mu) > n:
@@ -38,17 +45,12 @@ def schur_bialternant(mu, n):
     if n > d and is_partition(mu):
         coords = msym_coords(schur_bialternant(mu[:d], d), d)
         return ZPolynomial(n, {e: c for nu, c in coords.items() for e in distinct_permutations(pad(nu, n))})
-    exps = [m + n - 1 - i for i, m in enumerate(mu)]
-    terms = {}
-    for w in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-        terms[tuple(exps[i] for i in w)] = -1 if inv % 2 else 1
-    f = ZPolynomial(n, terms)
-    for i, j in itertools.combinations(range(n), 2):
-        zi = [0] * n
-        zj = [0] * n
-        zi[i] = zj[j] = 1
-        f = f.exact_divide(ZPolynomial(n, {tuple(zi): 1, tuple(zj): -1}))
+    f = ZPolynomial(n, {tuple(m + n - 1 - i for i, m in enumerate(mu)): 1})
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    for k in range(n - 1, 0, -1):
+        for i in range(k):
+            s_i = [*range(i), i + 1, i, *range(i + 2, n)]
+            f = (f - f.permute(s_i)).exact_divide(ZPolynomial(n, {unit[i]: 1, unit[i + 1]: -1}))
     return ZPolynomial(n, {e: ExactScalar.from_int(c) for e, c in f.terms.items()})
 
 

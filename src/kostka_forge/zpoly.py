@@ -3,9 +3,10 @@
 ZPolynomial keeps a dict from exponent vectors (tuples in Z^n) to
 coefficients.  The coefficient type is ExactScalar throughout the q,t
 theory; the Jack degeneration reuses the same class with AlphaPolynomial
-coefficients, and the Schur bialternant with int coefficients (any ring
-element with +, -, * and truthiness works; exact_divide also needs / by
-a divisor's leading coefficient unless that is 1, or // on ints).
+coefficients, and the Schur polynomials' divided differences with int
+coefficients (any ring element with +, -, * and truthiness works;
+exact_divide also needs / by a divisor's leading coefficient unless that
+is 1, or // on ints).
 """
 
 from __future__ import annotations

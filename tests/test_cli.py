@@ -206,6 +206,7 @@ class TestValidation:
             ("verify", "--suite", "hecke-relations", "--n", "2", "--maxdeg", "17", "--trials", "1"),
             ("verify", "--suite", "t-schur", "--n", "3", "--maxdeg", "4"),
             ("verify", "--suite", "hall-littlewood", "--n", "1", "--maxdeg", "121"),
+            ("kostka", "--degree", "9"),
         ],
     )
     def test_oversize_input_is_refused_at_once(self, capsys, argv):
@@ -219,7 +220,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "argv, computation",
         [
-            (("kostka", "--degree", "7", "--n", "8"), "kostka_matrix"),
+            (("kostka", "--degree", "8", "--n", "8"), "kostka_matrix"),
             (("expand", "--n", "2", "--lambda", "24,0", "--form", "J", "--basis", "tmon"), "sym_J"),
             (("expand", "--n", "3", "--lambda", "16,0,0", "--form", "E"), "nonsym_E"),
             (("expand", "--n", "8", "--lambda", "5,0,0,0,0,0,0,0"), "nonsym_calE"),
@@ -350,6 +351,11 @@ class TestKostka:
             (
                 ("verify", "--suite", "oracle", "--n", "4", "--maxdeg", "4"),
                 "7200bcc43dea9ddd4a5d4e1478f0e5ce29bdcbcdf106fc970e7ce8204b7ab189",
+            ),
+            # a Kostka degree past the benchmark's
+            (
+                ("kostka", "--degree", "6"),
+                "4dd9248ded164e8e6c39584c4bcaf5b23fef39cf8c3c6cc510fd004da6898aee",
             ),
         ],
     )

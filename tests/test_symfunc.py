@@ -194,6 +194,51 @@ def test_bialternant_in_more_variables_matches_the_full_alternant(d):
             assert schur_bialternant(mu, n) == _full_alternant_schur(mu, n), (mu, n)
 
 
+def _compositions_up_to(d, n):
+    return [mu for mu in itertools.product(range(d + 1), repeat=n) if sum(mu) <= d]
+
+
+def _has_distinct_shifted_parts(mu):
+    shifted = [m + len(mu) - 1 - i for i, m in enumerate(mu)]
+    return len(set(shifted)) == len(shifted)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_divided_differences_match_the_full_alternant(n):
+    # every composition, so straightening signs are compared too
+    for mu in filter(_has_distinct_shifted_parts, _compositions_up_to(4, n)):
+        assert schur_bialternant(mu, n) == _full_alternant_schur(mu, n), mu
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_schur_is_zero_when_mu_plus_delta_repeats_an_entry(n):
+    # a_{mu+delta} = 0 there, as for (0, 1) in 2 variables; the alternant
+    # as a dict of terms could not cancel its equal exponent vectors
+    repeated = [mu for mu in _compositions_up_to(4, n) if not _has_distinct_shifted_parts(mu)]
+    assert repeated
+    for mu in repeated:
+        assert not schur_bialternant(mu, n), mu
+
+
+@pytest.mark.parametrize("mu", [(0, 1), (1, 0, 2), (2, 1, 1, 0), (3, 2, 1, 1, 0), (2, 2, 0, 1, 0)])
+def test_schur_makes_one_division_by_an_adjacent_difference_per_letter_of_w0(monkeypatch, mu):
+    n = len(mu)
+    divisors = []
+    exact_divide = ZPolynomial.exact_divide
+
+    def spy(self, other):
+        divisors.append(other)
+        return exact_divide(self, other)
+
+    monkeypatch.setattr(ZPolynomial, "exact_divide", spy)
+    schur_bialternant(mu, n)
+    assert len(divisors) == n * (n - 1) // 2
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    adjacent = [{unit[i]: 1, unit[i + 1]: -1} for i in range(n - 1)]
+    for other in divisors:
+        assert other.terms in adjacent
+
+
 def test_power_sum_basis_is_built_once_per_degree(monkeypatch):
     # one solve, with every s_mu of the degree as a target
     calls = []
