@@ -87,26 +87,29 @@ from . import jack, macdonald, symfunc
 __version__ = "1.0.0"
 
 
+# Every memo table, keyed "module.function".  These are the private cached
+# functions behind the public ones, so rebinding a public name leaves them
+# in place.
+_MEMOS = {
+    f"{memo.__module__.removeprefix('kostka_forge.')}.{memo.__name__}": memo
+    for memo in (
+        macdonald._nonsym_calE,
+        macdonald._t_monomial,
+        macdonald._xi_on_monomial,
+        jack._jack_nonsym,
+        symfunc._power_sum_basis,
+        symfunc._integer_power_sum_product,
+    )
+}
+
+
 def clear_caches():
     """Empty the memo tables and return how many entries each held.
 
     The tables only grow; a long-running process that has built what it
     needs can call this to release them.  Later calls rebuild equal values.
     """
-    tables = {
-        "macdonald._CALE_CACHE": macdonald._CALE_CACHE,
-        "macdonald._TMONO_CACHE": macdonald._TMONO_CACHE,
-        "macdonald._XI_MONO_CACHE": macdonald._XI_MONO_CACHE,
-        "jack._JACK_CACHE": jack._JACK_CACHE,
-    }
-    memos = {
-        "symfunc._power_sum_basis": symfunc._power_sum_basis,
-        "symfunc._integer_power_sum_product": symfunc._integer_power_sum_product,
-    }
-    sizes = {name: len(table) for name, table in tables.items()}
-    sizes.update((name, memo.cache_info().currsize) for name, memo in memos.items())
-    for table in tables.values():
-        table.clear()
-    for memo in memos.values():
+    sizes = {name: memo.cache_info().currsize for name, memo in _MEMOS.items()}
+    for memo in _MEMOS.values():
         memo.cache_clear()
     return sizes

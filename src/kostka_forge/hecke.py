@@ -54,11 +54,7 @@ def apply_divided_difference(f, i):
         for k in range(a - b):
             base[ii], base[ii + 1] = a - 1 - k, b + k
             key = tuple(base)
-            s = out[key] + c if key in out else c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            out[key] = out[key] + c if key in out else c
     return ZPolynomial(f.n, out)
 
 

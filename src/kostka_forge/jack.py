@@ -9,6 +9,7 @@ survives the limit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -24,8 +25,6 @@ from .weights import (
     weight,
 )
 from .zpoly import AlphaPolynomial, ZPolynomial
-
-_JACK_CACHE = {}
 
 
 def _alpha_one(n):
@@ -55,16 +54,14 @@ def _creation_step(f, lam):
 
 def jack_nonsym(lam):
     """Nonsymmetric Jack polynomial calE_lam(z; alpha) (integral form)."""
-    lam = tuple(lam)
-    cached = _JACK_CACHE.get(lam)
-    if cached is not None:
-        return cached
+    return _jack_nonsym(tuple(lam))
+
+
+@functools.cache
+def _jack_nonsym(lam):
     if weight(lam) == 0:
-        out = _alpha_one(len(lam))
-    else:
-        out = _creation_step(jack_nonsym(star_step(lam)), lam)
-    _JACK_CACHE.setdefault(lam, out)
-    return out
+        return _alpha_one(len(lam))
+    return _creation_step(jack_nonsym(star_step(lam)), lam)
 
 
 def _jack_seed(lam):

@@ -8,6 +8,7 @@ polynomials, t-Schur functions, Kostka matrices) hangs off it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -84,37 +85,24 @@ class BasisExpansion:
             d["m"] = self.m
         return d
 
-    def sort(self):
-        order = sorted(range(len(self.labels)), key=lambda i: self.labels[i])
-        self.labels = [self.labels[i] for i in order]
-        self.coeffs = [self.coeffs[i] for i in order]
-        return self
-
 
 # ---------------------------------------------------------------------------
 # the creation recursion
 # ---------------------------------------------------------------------------
 
-_CALE_CACHE = {}
-_TMONO_CACHE = {}
-_XI_MONO_CACHE = {}
-
 
 def nonsym_calE(lam):
     """Integral form calE_lam, built division-free along the star chain."""
-    lam = tuple(lam)
-    key = lam
-    cached = _CALE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _nonsym_calE(tuple(lam))
+
+
+@functools.cache
+def _nonsym_calE(lam):
     if any(x < 0 for x in lam):
         raise PreconditionViolated(f"composition {lam} has a negative part")
     if weight(lam) == 0:
-        out = ZPolynomial.one(len(lam))
-    else:
-        out = apply_X_lambda(nonsym_calE(star_step(lam)), lam)
-    _CALE_CACHE.setdefault(key, out)
-    return out
+        return ZPolynomial.one(len(lam))
+    return apply_X_lambda(nonsym_calE(star_step(lam)), lam)
 
 
 def nonsym_E(lam):
@@ -123,13 +111,9 @@ def nonsym_E(lam):
     return nonsym_calE(lam).scalar_mul(norm_factor(lam, "nonsymmetric").inverse())
 
 
+@functools.cache
 def _xi_on_monomial(n, i, mu):
-    key = (n, i, mu)
-    out = _XI_MONO_CACHE.get(key)
-    if out is None:
-        out = apply_xi(ZPolynomial.monomial(n, mu), i, "forward")
-        _XI_MONO_CACHE.setdefault(key, out)
-    return out
+    return apply_xi(ZPolynomial.monomial(n, mu), i, "forward")
 
 
 def _exact_quotient(c, d):
@@ -234,20 +218,18 @@ def haction_step(e_swapped, lam, i):
 def t_monomial(lam):
     """The Hecke-twisted monomial: the Hbar-word of the shortest sorting
     permutation applied to the antidominant monomial."""
-    lam = tuple(lam)
-    cached = _TMONO_CACHE.get(lam)
-    if cached is not None:
-        return cached
+    return _t_monomial(tuple(lam))
+
+
+@functools.cache
+def _t_monomial(lam):
     n = len(lam)
     desc = next((i for i in range(n - 1) if lam[i] > lam[i + 1]), None)
     if desc is None:
-        out = ZPolynomial.monomial(n, lam)
-    else:
-        swapped = list(lam)
-        swapped[desc], swapped[desc + 1] = swapped[desc + 1], swapped[desc]
-        out = apply_hecke(t_monomial(tuple(swapped)), desc + 1, "Hbar")
-    _TMONO_CACHE.setdefault(lam, out)
-    return out
+        return ZPolynomial.monomial(n, lam)
+    swapped = list(lam)
+    swapped[desc], swapped[desc + 1] = swapped[desc + 1], swapped[desc]
+    return apply_hecke(t_monomial(tuple(swapped)), desc + 1, "Hbar")
 
 
 def t_monomial_hecke_action(lam, i, variant="H"):

@@ -264,9 +264,6 @@ class QTPolynomial:
     def is_one(self):
         return self._terms == {(0, 0): 1}
 
-    def is_const(self):
-        return not self._terms or (len(self._terms) == 1 and (0, 0) in self._terms)
-
     def const_value(self):
         return self._terms.get((0, 0), 0)
 

@@ -59,7 +59,7 @@ def power_sum(r, n):
     return power_sum_product((r,), n)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _integer_power_sum_product(rho, n):
     """p_rho in n variables, with int coefficients (rho a tuple); memoized,
     so the result is shared and must not be changed."""
@@ -116,7 +116,7 @@ def _solve_scalar_system(basis, targets):
     return [[m[r][size + k] for r in range(size)] for k in range(len(targets))]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _power_sum_basis(d):
     """{mu: {rho: c_rho}}, s_mu = sum_rho c_rho p_rho for every partition mu
     of d, the nonzero c_rho as Fractions: one solve per degree over integer

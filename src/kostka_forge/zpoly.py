@@ -20,18 +20,17 @@ from .qt import ExactScalar, QTPolynomial
 
 
 class ZPolynomial:
-    """Laurent polynomial in n variables with exact coefficients."""
+    """Laurent polynomial in n variables with exact coefficients.
+
+    The constructor drops zero coefficients, so no stored coefficient is
+    zero; the ring operations sum into a plain dict and rely on it.
+    """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
         self.n = n
-        t = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    t[k] = c
-        self.terms = t
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     # -- constructors -------------------------------------------------------
 
@@ -85,11 +84,7 @@ class ZPolynomial:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out[k] + c if k in out else c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            out[k] = out[k] + c if k in out else c
         return ZPolynomial(self.n, out)
 
     def __neg__(self):
@@ -99,11 +94,7 @@ class ZPolynomial:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out[k] - c if k in out else -c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            out[k] = out[k] - c if k in out else -c
         return ZPolynomial(self.n, out)
 
     def __mul__(self, other):
@@ -112,11 +103,7 @@ class ZPolynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 k = tuple(a + b for a, b in zip(e1, e2))
-                s = out[k] + c1 * c2 if k in out else c1 * c2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
         return ZPolynomial(self.n, out)
 
     def scalar_mul(self, c):
@@ -172,11 +159,7 @@ class ZPolynomial:
                         p = powers[(i, power)] = coeff**power
                     v = v * p
             k = tuple(k)
-            s = out[k] + v if k in out else v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            out[k] = out[k] + v if k in out else v
         return ZPolynomial(self.n, out)
 
     def permute(self, w):
@@ -257,12 +240,7 @@ class ZPolynomial:
     # -- specialization -----------------------------------------------------
 
     def specialize(self, qv=None, tv=None):
-        out = {}
-        for e, c in self.terms.items():
-            s = c.specialize(qv, tv)
-            if s:
-                out[e] = s
-        return ZPolynomial(self.n, out)
+        return ZPolynomial(self.n, {e: c.specialize(qv, tv) for e, c in self.terms.items()})
 
     # -- serialization (canonical JSON interchange form) --------------------
 

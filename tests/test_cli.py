@@ -764,9 +764,8 @@ class TestCollectorPause:
             ("verify", "--suite", "oracle", "--n", "2", "--maxdeg", "2"),
         ],
     )
-    def test_runs_leave_no_cyclic_garbage(self, capsys, monkeypatch, argv):
-        for cache in ("_CALE_CACHE", "_TMONO_CACHE", "_XI_MONO_CACHE"):
-            monkeypatch.setattr(macdonald, cache, {})  # cold, so everything is built
+    def test_runs_leave_no_cyclic_garbage(self, capsys, cold_caches, argv):
+        # cold caches, so everything is built
         flags = gc.get_debug()
         gc.collect()
         gc.garbage.clear()

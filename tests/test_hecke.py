@@ -398,7 +398,7 @@ class TestXLambda:
         d = max(e[0] for e in f.terms)
         assert apply_X_lambda(f, lam) == self.scaled_after_phi(f, lam, d)
 
-    def test_creation_chains_stay_integral(self, monkeypatch):
+    def test_creation_chains_stay_integral(self, monkeypatch, cold_caches):
         # every nonzero-weight creation step runs its Hecke chains on
         # packed ints, entered with an integral q^D Phi f; the ExactScalar
         # chain (apply_hecke) is never reached
@@ -422,7 +422,6 @@ class TestXLambda:
         monkeypatch.setattr(macdonald, "apply_X_lambda", tagged_step)
         monkeypatch.setattr(hecke, "_run_packed", integral_packed)
         monkeypatch.setattr(hecke, "apply_hecke", no_fallback)
-        monkeypatch.setattr(macdonald, "_CALE_CACHE", {})
         steps = []
         for n in (1, 2, 3):
             for d in range(5):

@@ -84,8 +84,7 @@ class TestNonsymE:
         assert nonsym_calE((1, 0)) == expected
 
     @pytest.mark.parametrize("lam", [(1, -1), (2, -1, 0)])
-    def test_calE_rejects_a_negative_part(self, monkeypatch, lam):
-        monkeypatch.setattr(macdonald, "_CALE_CACHE", {})
+    def test_calE_rejects_a_negative_part(self, cold_caches, lam):
         with pytest.raises(PreconditionViolated):
             nonsym_calE(lam)
 
@@ -602,18 +601,10 @@ class TestKostka:
         assert km.entry((2, 0), (1, 1)) == ExactScalar.from_fraction(Fraction(1, 2))
 
 
-def test_clear_caches_empties_every_table(monkeypatch):
+def test_clear_caches_empties_every_table(cold_caches):
     import kostka_forge
-    from kostka_forge import jack, symfunc
+    from kostka_forge import jack
 
-    tables = {
-        "macdonald._CALE_CACHE": (macdonald, "_CALE_CACHE"),
-        "macdonald._TMONO_CACHE": (macdonald, "_TMONO_CACHE"),
-        "macdonald._XI_MONO_CACHE": (macdonald, "_XI_MONO_CACHE"),
-        "jack._JACK_CACHE": (jack, "_JACK_CACHE"),
-    }
-    for module, attr in tables.values():
-        monkeypatch.setattr(module, attr, {})
     lam = (0, 1, 1)
 
     def values():
@@ -622,15 +613,41 @@ def test_clear_caches_empties_every_table(monkeypatch):
     before = values()
     eigen_oracle_E((1, 0))
     kostka_matrix(2, 2)
-    sizes = {name: len(getattr(module, attr)) for name, (module, attr) in tables.items()}
-    memos = {
-        "symfunc._power_sum_basis": symfunc._power_sum_basis,
-        "symfunc._integer_power_sum_product": symfunc._integer_power_sum_product,
-    }
-    for name, memo in memos.items():
-        sizes[name] = memo.cache_info().currsize
+    memos = kostka_forge._MEMOS
+    sizes = {name: memo.cache_info().currsize for name, memo in memos.items()}
+    assert sorted(sizes) == [
+        "jack._jack_nonsym",
+        "macdonald._nonsym_calE",
+        "macdonald._t_monomial",
+        "macdonald._xi_on_monomial",
+        "symfunc._integer_power_sum_product",
+        "symfunc._power_sum_basis",
+    ]
     assert all(sizes.values())
     assert kostka_forge.clear_caches() == sizes
-    assert all(not getattr(module, attr) for module, attr in tables.values())
     assert all(memo.cache_info().currsize == 0 for memo in memos.values())
     assert values() == before
+
+
+def test_every_memo_is_registered(cold_caches):
+    # a module-level cached function left out of the registry would escape
+    # clear_caches(); each registry key names the attribute its memo is
+    import importlib
+    import pkgutil
+
+    import kostka_forge
+
+    registry = kostka_forge._MEMOS
+    for name, memo in registry.items():
+        module, attr = name.split(".")
+        assert getattr(importlib.import_module(f"kostka_forge.{module}"), attr) is memo
+    modules = [kostka_forge] + [
+        importlib.import_module(f"kostka_forge.{info.name}") for info in pkgutil.iter_modules(kostka_forge.__path__)
+    ]
+    memos = [v for m in modules for v in vars(m).values() if hasattr(v, "cache_clear")]
+    assert all(any(v is memo for memo in registry.values()) for v in memos)
+    nonsym_calE((1, 0))
+    kostka_matrix(2, 2)
+    assert any(v.cache_info().currsize for v in memos)
+    kostka_forge.clear_caches()
+    assert all(v.cache_info().currsize == 0 for v in memos)

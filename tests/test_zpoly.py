@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kostka_forge.errors import DimensionMismatch, NotDivisible
+from kostka_forge.hecke import apply_divided_difference
 from kostka_forge.qt import ExactScalar
 from kostka_forge.zpoly import AlphaPolynomial, ZPolynomial
 
@@ -193,6 +194,49 @@ def substitute_per_term(f, images):
 def test_substitute_matches_per_term_powers(terms, images):
     f = ZPolynomial(3, terms)
     assert f.substitute(images) == substitute_per_term(f, images)
+
+
+def no_zero_coefficient(f):
+    return all(f.terms.values())
+
+
+class TestNoZeroCoefficients:
+    """The ring operations leave zero-coefficient removal to the
+    constructor; where terms cancel, none may be left behind."""
+
+    def test_difference_with_itself(self):
+        f = ZPolynomial(2, {(1, 0): Q, (0, 1): ONE - T})
+        assert (f - f).terms == {}
+        assert (f + (-f)).terms == {}
+
+    def test_product_cancels_the_cross_terms(self):
+        # (z1 - z2)(z1 + z2) = z1^2 - z2^2
+        prod = (z(2, 1) - z(2, 2)) * (z(2, 1) + z(2, 2))
+        assert prod.terms == {(2, 0): ONE, (0, 2): -ONE}
+
+    def test_substitution_merges_two_terms(self):
+        # z1 - z2 under z1, z2 -> z1: the two images cancel
+        f = z(2, 1) - z(2, 2)
+        assert f.substitute([(None, (1, 0)), (None, (1, 0))]).terms == {}
+        g = z(2, 1) + z(2, 2).scalar_mul(Q)
+        assert g.substitute([(Q, (0, 1)), (None, (0, 1))]).terms == {(0, 1): Q + Q}
+
+    def test_divided_difference_of_a_symmetric_polynomial(self):
+        # N_1 kills what s_1 fixes, though its geometric sums overlap
+        f = z(3, 1) ** 2 * z(3, 2) + z(3, 1) * z(3, 2) ** 2 + z(3, 1) * z(3, 3)
+        f = f + z(3, 2) * z(3, 3)
+        assert apply_divided_difference(f, 1).terms == {}
+        g = f + z(3, 1) ** 3
+        assert apply_divided_difference(g, 1) == apply_divided_difference(z(3, 1) ** 3, 1)
+
+    @settings(deadline=None, max_examples=60)
+    @given(laurent, laurent, images3, st.sampled_from([1, 2]))
+    def test_results_hold_no_zero_coefficient(self, a, b, images, i):
+        f, g = ZPolynomial(3, a), ZPolynomial(3, b)
+        for h in (f + g, f - g, f - f, f * g, (f - g) * (f + g), f.substitute(images)):
+            assert no_zero_coefficient(h)
+        assert no_zero_coefficient(apply_divided_difference(f, i))
+        assert no_zero_coefficient(apply_divided_difference(f + f.permute([1, 0, 2]), 1))
 
 
 @contextlib.contextmanager
