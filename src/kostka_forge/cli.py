@@ -42,9 +42,9 @@ _MAX_VALUE_DIGITS = 10_000  # for each --specialize value
 # is refused before anything is computed.  Each cap is the largest size
 # whose slowest case took under a minute on a 2-vCPU x86 host, in a fresh
 # interpreter (`table` in a 3 GB address space, `verify` in 2 GB): in
-# single runs, but for `kostka` in the median of three.  A suite that
-# stays far under a minute at every size tried has a stated ceiling
-# instead.  README's "Command line" section gives the time of each cap
+# single runs, but in the median of three for `kostka`, and for
+# `hall-littlewood` and `t-schur` at n >= 6.  A suite that stays far
+# under a minute at every size tried has a stated ceiling instead.  README's "Command line" section gives the time of each cap
 # and of the next size up.
 _MAX_KOSTKA_DEGREE = 8
 _MAX_KOSTKA_N = 8
@@ -58,8 +58,8 @@ _MAX_VERIFY_DEGREE = {
     "oracle": {1: 44, 2: 17, 3: 9, 4: 6, 5: 5, 6: 4, 7: 3, 8: 3},
     "integrality": {1: 43, 2: 19, 3: 11, 4: 7, 5: 5, 6: 4, 7: 3, 8: 3},
     "degeneration": {1: 87, 2: 22, 3: 12, 4: 8, 5: 7, 6: 5, 7: 5, 8: 4},
-    "hall-littlewood": {1: 120, 2: 231, 3: 42, 4: 19, 5: 14, 6: 10, 7: 8, 8: 7},
-    "t-schur": {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 7},
+    "hall-littlewood": {1: 120, 2: 231, 3: 42, 4: 19, 5: 14, 6: 12, 7: 9, 8: 8},
+    "t-schur": {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 8},
     "jack": {1: 120, 2: 73, 3: 20, 4: 12, 5: 8, 6: 6, 7: 2, 8: 1},
 }
 _MAX_HECKE_TRIALS = {1: 20000, 2: 4000, 3: 1500, 4: 500, 5: 150, 6: 50, 7: 20, 8: 6}

@@ -346,16 +346,17 @@ def hecke_symmetrize(f, t_symmetric_in=0):
     return _coset_chain_sum(f, apply_hecke, t_symmetric_in)
 
 
-def _coset_chain_sum(f, step, skip):
-    """C_n ... C_{skip+1} f, where C_k = 1 + T_{k-1} + T_{k-2} T_{k-1} + ...
-    + T_1 ... T_{k-1} for the generator step(h, i) = T_i h.
+def _coset_chain_sum(f, step, skip, first=0):
+    """C_{n-j} ... C_{skip+1} f with j = first, where C_k = 1 + T_{j+k-1}
+    + T_{j+k-2} T_{j+k-1} + ... + T_{j+1} ... T_{j+k-1} for the generator
+    step(h, i) = T_i h: a sum over the S_{n-j} of positions j+1, ..., n.
 
     With T_i = H_i this is the Hecke symmetrizer; with T_i = s_i it is the
-    plain sum over S_n.  The factors C_2 ... C_skip are left out.
+    plain sum.  The factors C_2 ... C_skip are left out.
     """
-    for k in range(max(2, skip + 1), f.n + 1):
+    for k in range(max(2, skip + 1), f.n - first + 1):
         h = total = f
-        for i in range(k - 1, 0, -1):
+        for i in range(first + k - 1, first, -1):
             h = step(h, i)
             total = total + h
         f = total

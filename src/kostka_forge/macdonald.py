@@ -9,6 +9,7 @@ polynomials, t-Schur functions, Kostka matrices) hangs off it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -23,6 +24,7 @@ from .errors import (
 )
 from .hecke import (
     _ONE_MINUS_T,
+    _coset_chain_sum,
     _run_packed,
     _Widen,
     apply_hecke,
@@ -30,7 +32,7 @@ from .hecke import (
     apply_xi,
     hecke_symmetrize,
 )
-from .qt import ExactScalar, QTPolynomial
+from .qt import ExactScalar
 from .symfunc import _solve_scalar_system, msym_vector, t_schur_polynomial as t_schur
 from .weights import (
     b_factor,
@@ -39,13 +41,13 @@ from .weights import (
     is_partition,
     length,
     length_stat,
-    distinct_permutations,
     norm_factor,
     order_leq,
     pad,
     partitions,
     spectral_vector,
     star_step,
+    t_factorial,
     weight,
 )
 from .zpoly import ZPolynomial
@@ -259,11 +261,15 @@ def t_monomial_hecke_action(lam, i, variant="H"):
 
 
 def t_monomial_partial(lam, m, augmented=False):
-    """Partially symmetric t-monomial over the tail beyond position m.
-
-    The tail must be a partition; the sum runs over its distinct
-    rearrangements weighted by t^L; the augmented version multiplies by
-    the b-factor of the tail.
+    """Partially symmetric t-monomial over the tail beyond position m: the
+    sum of t^L(nu) t_monomial(head + nu) over the distinct rearrangements
+    nu of the tail, which must be a partition.  It is one Hecke symmetrizer
+    on positions m+1, ..., n, (sum_{w in S_{n-m}} H_w) t_monomial(head +
+    rev(tail)) / prod_{i>=0} [m_i(tail)]_t!, which at m = 0 is P_lam
+    (Macdonald, SFHP III (2.2)).  The coset chain skips the zeros, which
+    rev(tail) puts first, so only repeated nonzero parts divide.  The
+    augmented form is b_tail = (1-t)^l(tail) prod_{i>=1} [m_i(tail)]_t!
+    times it: (1-t)^l(tail) times the chain sum (III (2.11)).
     """
     lam = tuple(lam)
     n = len(lam)
@@ -272,26 +278,14 @@ def t_monomial_partial(lam, m, augmented=False):
     head, tail = lam[:m], lam[m:]
     if not is_partition(tail):
         raise TailNotPartition(f"tail {tail} is not a partition")
-    # the coefficients lie in Z[t]: sum the numerators t^L(nu) c as dicts
-    # of ints, deleting a monomial whose sum is zero as ZPolynomial.__add__
-    # does (so the terms come in the same order), and wrap them once
-    sums = {}
-    for nu in distinct_permutations(tail):
-        shift = length_stat(nu)
-        for e, c in t_monomial(head + nu).terms.items():
-            acc = sums.setdefault(e, {})
-            for (a, b), v in c.num.items():
-                s = acc.get((a, b + shift), 0) + v
-                if s:
-                    acc[a, b + shift] = s
-                else:
-                    del acc[a, b + shift]
-            if not acc:
-                del sums[e]
+    total = _coset_chain_sum(t_monomial(head + tail[::-1]), apply_hecke, tail.count(0), m)
     if augmented:
-        factor = b_factor(tail).num
-        return ZPolynomial(n, {e: ExactScalar.from_poly(QTPolynomial(acc) * factor) for e, acc in sums.items()})
-    return ZPolynomial(n, {e: ExactScalar.from_poly(QTPolynomial(acc)) for e, acc in sums.items()})
+        return total.scalar_mul(_ONE_MINUS_T ** length(tail))
+    parts = set(tail) - {0}
+    if len(parts) == length(tail):
+        return total
+    divisor = math.prod((t_factorial(tail.count(x)) for x in parts), start=ExactScalar.one()).num
+    return ZPolynomial(n, {e: ExactScalar.from_poly(c.num.exact_divide(divisor)) for e, c in total.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +421,10 @@ def sym_J(lam):
 
 
 def hall_littlewood(lam, kind="P", n=None):
-    """Hall-Littlewood P (plain) or Q (augmented) as full t-symmetrizations
-    in n variables (default len(lam)); zero parts beyond n are dropped."""
+    """Hall-Littlewood P (plain) or Q = b_lam P (augmented) in n variables
+    (default len(lam)), zero parts beyond n dropped: the level-0 partial
+    t-monomials, sum_w H_w z^rev(lam) / prod_{i>=0} [m_i(lam)]_t! for P
+    (Macdonald, SFHP III (2.2), (2.11))."""
     lam = tuple(lam)
     if n is None:
         n = len(lam)

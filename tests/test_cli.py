@@ -207,6 +207,8 @@ class TestValidation:
             ("verify", "--suite", "t-schur", "--n", "3", "--maxdeg", "4"),
             ("verify", "--suite", "hall-littlewood", "--n", "1", "--maxdeg", "121"),
             ("kostka", "--degree", "9"),
+            ("verify", "--suite", "hall-littlewood", "--n", "6", "--maxdeg", "13"),
+            ("verify", "--suite", "t-schur", "--n", "8", "--maxdeg", "9"),
         ],
     )
     def test_oversize_input_is_refused_at_once(self, capsys, argv):
@@ -228,8 +230,9 @@ class TestValidation:
             (("table", "--n", "8", "--maxdeg", "5"), "nonsym_calE"),
             (("verify", "--suite", "oracle", "--n", "8", "--maxdeg", "3"), "run_suite"),
             (("verify", "--suite", "hall-littlewood", "--n", "2", "--maxdeg", "231"), "run_suite"),
-            (("verify", "--suite", "t-schur", "--n", "7", "--maxdeg", "7"), "run_suite"),
+            (("verify", "--suite", "t-schur", "--n", "8", "--maxdeg", "8"), "run_suite"),
             (("verify", "--suite", "hecke-relations", "--n", "8", "--maxdeg", "16", "--trials", "6"), "run_suite"),
+            (("verify", "--suite", "hall-littlewood", "--n", "6", "--maxdeg", "12"), "run_suite"),
         ],
     )
     def test_largest_accepted_sizes_are_computed(self, capsys, monkeypatch, argv, computation):
