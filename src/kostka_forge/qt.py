@@ -447,17 +447,19 @@ class QTPolynomial:
 
         The result is num_poly / denominator with num_poly in Z[q,t] (a
         surviving variable keeps its exponents) and denominator a positive int.
+        Integer values (ints, or Fractions with denominator 1) keep the
+        arithmetic in ints, and the denominator is 1.
         """
+        qv, tv = _exact_value(qv), _exact_value(tv)
         acc = {}
         for (a, b), c in self._terms.items():
-            v = Fraction(c)
             if qv is not None:
-                v *= Fraction(qv) ** a
+                c *= _power(qv, a)
                 a = 0
             if tv is not None:
-                v *= Fraction(tv) ** b
+                c *= _power(tv, b)
                 b = 0
-            acc[(a, b)] = acc.get((a, b), Fraction(0)) + v
+            acc[(a, b)] = acc.get((a, b), 0) + c
         den = 1
         for v in acc.values():
             den = den * v.denominator // _igcd(den, v.denominator)
@@ -498,6 +500,19 @@ class QTPolynomial:
 
 _QT_ZERO = QTPolynomial()
 _QT_ONE = QTPolynomial({(0, 0): 1})
+
+
+def _exact_value(v):
+    """A value to substitute: an int if it is an integer, else a Fraction."""
+    if v is None:
+        return None
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _power(v, e):
+    """v**e exactly; a negative power of an int is a Fraction."""
+    return Fraction(v) ** e if e < 0 else v**e
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ coefficients, and the Schur polynomials' divided differences with int
 coefficients (any ring element with +, -, * and truthiness works;
 exact_divide also needs / by a divisor's leading coefficient unless that
 is 1, or // on ints).
+
+ZPolynomial.exact_divide runs one of two algorithms, chosen by the number
+of terms of the divisor.  A two-term divisor c1 z^a + c2 z^b, such as the
+z_i - z_{i+1} of a divided difference, splits the dividend into chains
+m + j(a - b) and solves each chain once, from its top level down.  Any
+other divisor runs lex leading-term elimination over a heap of the
+remainder's exponents (Monagan and Pearce, J. Symbolic Comput. 46, 2011).
 """
 
 from __future__ import annotations
@@ -173,7 +180,11 @@ class ZPolynomial:
         return ZPolynomial(self.n, out)
 
     def exact_divide(self, other):
-        """Exact division by another ZPolynomial: lex leading-term
+        """Exact division by another ZPolynomial; NotDivisible if other
+        does not divide self.
+
+        A divisor with exactly two terms is divided in one pass per chain
+        (_divide_by_binomial).  Any other divisor runs lex leading-term
         elimination, with the remainder's exponents kept in a max-heap
         (Monagan and Pearce, J. Symbolic Comput. 46, 2011), so each step
         finds the leading term without rescanning the remainder."""
@@ -182,8 +193,11 @@ class ZPolynomial:
             raise NotDivisible("division by zero")
         if not self:
             return ZPolynomial(self.n)
+        if len(other.terms) == 2:
+            return self._divide_by_binomial(*sorted(other.terms.items(), reverse=True))
         lead = max(other.terms)
         lc = other.terms[lead]
+        monic = _is_one(lc)
         rest = [(e, c) for e, c in other.terms.items() if e != lead]
         # degrees in each variable add, so every quotient exponent k has
         # min_j(self) - min_j(other) <= k_j <= max_j(self) - max_j(other)
@@ -204,10 +218,8 @@ class ZPolynomial:
             if not (all(map(le, lo, k)) and all(map(le, k, hi))):
                 raise NotDivisible("remainder is nonzero")
             qc = rem.pop(m)
-            if lc != 1:  # a monic divisor divides nothing
-                qc, r = divmod(qc, lc) if isinstance(qc, int) else (qc / lc, 0)
-                if r:
-                    raise NotDivisible("remainder is nonzero")
+            if not monic:
+                qc = _coefficient_quotient(qc, lc)
             quot[k] = qc
             # every k + e2 is lex-below m, since e2 is lex-below lead
             for e2, c2 in rest:
@@ -221,6 +233,40 @@ class ZPolynomial:
                 else:
                     rem[kk] = -(qc * c2)
                     heapq.heappush(heap, tuple(map(neg, kk)))
+        return ZPolynomial(self.n, quot)
+
+    def _divide_by_binomial(self, lead, tail):
+        """self / (c1 z^a + c2 z^b), for lead = (a, c1), tail = (b, c2), a >lex b.
+
+        With delta = a - b, the dividend's terms at m + j*delta (one chain,
+        m fixed) come only from the quotient's terms g_j at m - a + j*delta,
+        and level by level f_j = c1 g_j + c2 g_{j+1}.  So each chain is
+        solved once from its top level down, where f_top = c1 g_top, and
+        its bottom level must leave no residual.  A level missing inside a
+        chain has f_j = 0.
+        """
+        (a, c1), (b, c2) = lead, tail
+        delta = tuple(map(sub, a, b))
+        p = next(i for i, d in enumerate(delta) if d)  # delta[p] > 0 as a >lex b
+        level = [e[p] // delta[p] for e in self.terms]  # e = m + level*delta
+        steps = {j: tuple(j * d for d in delta) for j in range(min(level), max(level) + 1)}
+        shift = {j: tuple(map(sub, s, a)) for j, s in steps.items()}  # g_j at m + shift[j]
+        chains = {}
+        for (e, c), j in zip(self.terms.items(), level):
+            chains.setdefault(tuple(map(sub, e, steps[j])), {})[j] = c
+        monic = _is_one(c1)
+        quot = {}
+        for m, levels in chains.items():
+            top, bottom = max(levels), min(levels)
+            g = None
+            for j in range(top, bottom, -1):
+                f = levels.get(j)
+                if g is not None:
+                    f = -(c2 * g) if f is None else f - c2 * g
+                g = f if monic else _coefficient_quotient(f, c1)
+                quot[tuple(map(add, m, shift[j]))] = g
+            if top == bottom or levels[bottom] - c2 * g:
+                raise NotDivisible("remainder is nonzero")
         return ZPolynomial(self.n, quot)
 
     # -- evaluation ---------------------------------------------------------
@@ -283,6 +329,21 @@ class ZPolynomial:
 
     def __repr__(self):
         return f"ZPolynomial({self})"
+
+
+def _is_one(c):
+    """Whether c is its ring's 1: is_one() where the ring has it, else == 1."""
+    return c.is_one() if hasattr(c, "is_one") else c == 1
+
+
+def _coefficient_quotient(c, lc):
+    """c / lc exactly: divmod on ints (NotDivisible on a remainder), else /."""
+    if isinstance(c, int):
+        c, r = divmod(c, lc)
+        if r:
+            raise NotDivisible("remainder is nonzero")
+        return c
+    return c / lc
 
 
 class AlphaPolynomial:

@@ -360,6 +360,10 @@ class TestKostka:
                 ("kostka", "--degree", "6"),
                 "4dd9248ded164e8e6c39584c4bcaf5b23fef39cf8c3c6cc510fd004da6898aee",
             ),
+            (
+                ("kostka", "--degree", "7"),
+                "4b403ad9e5b0665e9201dd536a5d8cc8c3a5d71756cb50584d6a74f6ef9748a3",
+            ),
         ],
     )
     def test_pinned_output(self, capsys, argv, sha256):

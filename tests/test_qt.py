@@ -224,6 +224,46 @@ def test_integral_product_is_the_reduced_product(a, b):
     assert is_canonical(product)
 
 
+def substitute_in_fractions(p, qv, tv):
+    """The substitution with every coefficient and power as a Fraction."""
+    acc = {}
+    for (a, b), c in p.terms():
+        v = Fraction(c)
+        if qv is not None:
+            v *= Fraction(qv) ** a
+            a = 0
+        if tv is not None:
+            v *= Fraction(tv) ** b
+            b = 0
+        acc[(a, b)] = acc.get((a, b), Fraction(0)) + v
+    den = math.lcm(1, *(v.denominator for v in acc.values()))
+    return QTPolynomial({k: int(v * den) for k, v in acc.items()}), den
+
+
+values = st.one_of(
+    st.none(),
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(polys, values, values)
+def test_substitute_matches_fraction_arithmetic(p, qv, tv):
+    poly, den = p.substitute(qv, tv)
+    assert (poly, den) == substitute_in_fractions(p, qv, tv)
+    assert type(den) is int and all(type(c) is int for _, c in poly.terms())
+    if all(v is None or Fraction(v).denominator == 1 for v in (qv, tv)):
+        assert den == 1
+
+
+def test_substitute_a_negative_power_of_an_integer():
+    # 3 q^-1 t^2 at q = 2, t = -1
+    poly, den = P({(-1, 2): 3}).substitute(qv=2, tv=-1)
+    assert (poly, den) == (P({(0, 0): 3}), 2)
+
+
 def swapped(p):
     return QTPolynomial({(b, a): c for (a, b), c in p.terms()})
 

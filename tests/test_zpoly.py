@@ -267,6 +267,128 @@ def test_exact_divide_refuses_an_extra_term(a, b, e, c):
         (p + ZPolynomial.monomial(3, e, c)).exact_divide(b)
 
 
+# divisors that take the heap loop
+three_or_more_terms = st.dictionaries(
+    laurent_exps, st.one_of(st.just(ONE), non_units), min_size=3, max_size=4
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(laurent, three_or_more_terms)
+def test_exact_divide_inverts_product_by_three_or_more_terms(a, b):
+    a, b = ZPolynomial(3, a), ZPolynomial(3, b)
+    assert (a * b).exact_divide(b) == a
+
+
+@settings(deadline=None, max_examples=60)
+@given(laurent, three_or_more_terms, laurent_exps, non_units)
+def test_exact_divide_refuses_an_extra_term_by_three_or_more_terms(a, b, e, c):
+    a, b = ZPolynomial(3, a), ZPolynomial(3, b)
+    p = a * b
+    assume(e not in p.terms)
+    with time_limit(2), pytest.raises(NotDivisible):
+        (p + ZPolynomial.monomial(3, e, c)).exact_divide(b)
+
+
+class TestDivisionByTwoTerms:
+    """A two-term divisor c1 z^a + c2 z^b is divided chain by chain along
+    a - b, one pass from each chain's top level down."""
+
+    # exactly two terms, Laurent exponents, any leading coefficient
+    binomials = st.lists(laurent_exps, min_size=2, max_size=2, unique=True).flatmap(
+        lambda es: st.tuples(st.one_of(st.just(ONE), non_units), non_units).map(
+            lambda cs: ZPolynomial(3, dict(zip(es, cs)))
+        )
+    )
+    int_laurent = st.dictionaries(laurent_exps, st.integers(-4, 4).filter(bool), max_size=4)
+    int_binomials = st.lists(laurent_exps, min_size=2, max_size=2, unique=True).flatmap(
+        lambda es: st.lists(st.integers(-3, 3).filter(bool), min_size=2, max_size=2).map(
+            lambda cs: ZPolynomial(3, dict(zip(es, cs)))
+        )
+    )
+
+    @settings(deadline=None, max_examples=80)
+    @given(laurent, binomials)
+    def test_inverts_product(self, a, b):
+        a = ZPolynomial(3, a)
+        assert (a * b).exact_divide(b) == a
+
+    @settings(deadline=None, max_examples=80)
+    @given(int_laurent, int_binomials)
+    def test_inverts_an_integer_product(self, a, b):
+        a = ZPolynomial(3, a)
+        quot = (a * b).exact_divide(b)
+        assert quot == a
+        assert all(type(c) is int for c in quot.terms.values())
+
+    @settings(deadline=None, max_examples=60)
+    @given(laurent, binomials, laurent_exps, non_units)
+    def test_refuses_an_extra_term(self, a, b, e, c):
+        p = ZPolynomial(3, a) * b
+        assume(e not in p.terms)
+        with pytest.raises(NotDivisible):
+            (p + ZPolynomial.monomial(3, e, c)).exact_divide(b)
+
+    def test_gaps_inside_a_chain(self):
+        # every term of the product lies on the one chain z1^(4-j) z2^j,
+        # and level j = 2 is missing from it
+        g = ZPolynomial(2, {(1, 0): 1, (0, 1): -1})
+        f = ZPolynomial(2, {(3, 0): 1, (0, 3): 1})
+        prod = g * f
+        assert prod.terms == {(4, 0): 1, (3, 1): -1, (1, 3): 1, (0, 4): -1}
+        assert prod.exact_divide(g) == f
+
+    def test_a_step_with_entries_other_than_one(self):
+        # z1^2 z3 - 5 z2^3 steps by (2, -3, 1) along each chain
+        g = ZPolynomial(3, {(2, 0, 1): 1, (0, 3, 0): -5})
+        f = ZPolynomial(3, {(1, 0, 0): 2, (0, 1, -1): 3, (0, 0, 0): -1, (4, 0, 2): 1})
+        assert (g * f).exact_divide(g) == f
+
+    def test_laurent_exponents(self):
+        g = ZPolynomial(2, {(-1, 2): ONE, (-2, 0): -T})
+        f = ZPolynomial(2, {(3, -1): Q, (0, 0): ONE, (-3, -3): ONE - T})
+        assert (g * f).exact_divide(g) == f
+
+    def test_non_monic_integer_leading_coefficient(self):
+        g = ZPolynomial(2, {(1, 0): 3, (0, 1): -2})
+        f = ZPolynomial(2, {(2, 0): 5, (1, 1): -1, (0, 2): 4})
+        quot = (g * f).exact_divide(g)
+        assert quot == f
+        assert all(type(c) is int for c in quot.terms.values())
+
+    def test_non_monic_exact_scalar_leading_coefficient(self):
+        g = ZPolynomial(2, {(1, 0): ONE - Q * T, (0, 1): Q})
+        f = ZPolynomial(2, {(2, 0): T, (0, 1): ExactScalar.from_int(-2), (0, 0): ONE})
+        assert (g * f).exact_divide(g) == f
+
+    def test_alpha_polynomial_coefficients(self):
+        # AlphaPolynomial has no /, so the divisor is monic: z1 - alpha z2
+        alpha, one = AlphaPolynomial.alpha(), AlphaPolynomial.one()
+        g = ZPolynomial(2, {(1, 0): one, (0, 1): -alpha})
+        f = ZPolynomial(2, {(2, 0): alpha + one, (1, 1): AlphaPolynomial.const(3), (0, 0): alpha})
+        assert (g * f).exact_divide(g) == f
+        with pytest.raises(NotDivisible):
+            ZPolynomial(2, {(1, 0): one, (0, 1): alpha}).exact_divide(g)
+
+    def test_a_one_level_chain_is_refused(self):
+        with pytest.raises(NotDivisible):
+            ZPolynomial(2, {(0, 0): 1}).exact_divide(ZPolynomial(2, {(1, 0): 1, (0, 1): -1}))
+
+    def test_a_bottom_residual_is_refused(self):
+        # z1^2 - 2 z2^2 solves down to a quotient z1 + z2 with -z2^2 left over
+        with pytest.raises(NotDivisible):
+            ZPolynomial(2, {(2, 0): 1, (0, 2): -2}).exact_divide(
+                ZPolynomial(2, {(1, 0): 1, (0, 1): -1})
+            )
+
+    def test_a_fractional_integer_quotient_is_refused(self):
+        # (2 z1^2 - 2 z2^2) / (4 z1 - 4 z2) = (z1 + z2) / 2 is not over Z
+        with pytest.raises(NotDivisible):
+            ZPolynomial(2, {(2, 0): 2, (0, 2): -2}).exact_divide(
+                ZPolynomial(2, {(1, 0): 4, (0, 1): -4})
+            )
+
+
 def test_exact_divide_by_a_monic_divisor_keeps_integers():
     f = ZPolynomial(2, {(2, 0): 3, (0, 2): -3})
     g = ZPolynomial(2, {(1, 0): 1, (0, 1): -1})
