@@ -25,12 +25,9 @@ def _check_reflection_index(f, i):
 def apply_reflection(f, i):
     """s_i: swap z_i and z_{i+1}."""
     _check_reflection_index(f, i)
-    out = {}
-    for e, c in f.terms.items():
-        k = list(e)
-        k[i - 1], k[i] = k[i], k[i - 1]
-        out[tuple(k)] = c
-    return ZPolynomial(f.n, out)
+    w = list(range(f.n))
+    w[i - 1], w[i] = i, i - 1
+    return f.permute(w)
 
 
 def apply_divided_difference(f, i):

@@ -8,19 +8,18 @@ coefficients (any ring element with +, -, * and truthiness works;
 exact_divide also needs / by a divisor's leading coefficient unless that
 is 1, or // on ints).
 
-ZPolynomial.exact_divide runs one of two algorithms, chosen by the number
-of terms of the divisor.  A two-term divisor c1 z^a + c2 z^b, such as the
-z_i - z_{i+1} of a divided difference, splits the dividend into chains
-m + j(a - b) and solves each chain once, from its top level down.  Any
-other divisor runs lex leading-term elimination over a heap of the
-remainder's exponents (Monagan and Pearce, J. Symbolic Comput. 46, 2011).
+ZPolynomial.exact_divide is classical division in the recursive
+representation (Knuth, TAOCP vol. 2, 4.6.1): the dividend and the divisor
+are cut into slices by the exponent of one variable, and the remainder's
+top slice is divided by the divisor's top slice one variable further in.
+A quotient that would need a level below the dividend's lowest is refused,
+and the remainder's top level falls at every step, so the division ends.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
-from operator import add, le, neg, sub
+from operator import add, itemgetter, sub
 
 from .errors import DimensionMismatch, NotDivisible
 from .qt import ExactScalar, QTPolynomial
@@ -171,103 +170,32 @@ class ZPolynomial:
 
     def permute(self, w):
         """Apply the permutation w (0-based images: position i -> w[i])."""
-        out = {}
-        for e, c in self.terms.items():
-            k = [0] * self.n
-            for i, power in enumerate(e):
-                k[w[i]] = power
-            out[tuple(k)] = c
-        return ZPolynomial(self.n, out)
+        if self.n < 2:  # itemgetter of one index returns no tuple
+            return ZPolynomial(self.n, self.terms)
+        # the exponent at position j comes from position w^{-1}(j)
+        inverse = itemgetter(*sorted(range(self.n), key=w.__getitem__))
+        return ZPolynomial(self.n, {inverse(e): c for e, c in self.terms.items()})
 
     def exact_divide(self, other):
         """Exact division by another ZPolynomial; NotDivisible if other
         does not divide self.
 
-        A divisor with exactly two terms is divided in one pass per chain
-        (_divide_by_binomial).  Any other divisor runs lex leading-term
-        elimination, with the remainder's exponents kept in a max-heap
-        (Monagan and Pearce, J. Symbolic Comput. 46, 2011), so each step
-        finds the leading term without rescanning the remainder."""
+        A one-term divisor divides each term on its own.  Otherwise, with
+        p the first variable in which other's exponents differ, the
+        remainder's top z_p-slice (level j) is divided by other's top slice
+        (level top) recursively, and the quotient slice times each lower
+        slice of other is subtracted.  No quotient level is below
+        lo - bottom (lo the dividend's lowest level, bottom other's), so a
+        step with j - top + bottom < lo is refused, as is a refused slice
+        division.  Each step empties level j and adds only lower levels, so
+        the top level falls and the loop ends.  The recursion ends at
+        other's lex-leading term, the only coefficient divided by."""
         self._check(other)
         if not other:
             raise NotDivisible("division by zero")
         if not self:
             return ZPolynomial(self.n)
-        if len(other.terms) == 2:
-            return self._divide_by_binomial(*sorted(other.terms.items(), reverse=True))
-        lead = max(other.terms)
-        lc = other.terms[lead]
-        monic = _is_one(lc)
-        rest = [(e, c) for e, c in other.terms.items() if e != lead]
-        # degrees in each variable add, so every quotient exponent k has
-        # min_j(self) - min_j(other) <= k_j <= max_j(self) - max_j(other)
-        cols = list(zip(zip(*self.terms), zip(*other.terms)))
-        lo = [min(a) - min(b) for a, b in cols]
-        hi = [max(a) - max(b) for a, b in cols]
-        rem = dict(self.terms)
-        # heapq is a min-heap: negated exponents pop in decreasing lex order.
-        # A key cancelled from rem stays behind and is skipped when popped.
-        heap = [tuple(map(neg, e)) for e in rem]
-        heapq.heapify(heap)
-        quot = {}
-        while heap:
-            m = tuple(map(neg, heapq.heappop(heap)))
-            if m not in rem:
-                continue
-            k = tuple(map(sub, m, lead))
-            if not (all(map(le, lo, k)) and all(map(le, k, hi))):
-                raise NotDivisible("remainder is nonzero")
-            qc = rem.pop(m)
-            if not monic:
-                qc = _coefficient_quotient(qc, lc)
-            quot[k] = qc
-            # every k + e2 is lex-below m, since e2 is lex-below lead
-            for e2, c2 in rest:
-                kk = tuple(map(add, k, e2))
-                if kk in rem:
-                    s = rem[kk] - qc * c2
-                    if s:
-                        rem[kk] = s
-                    else:
-                        del rem[kk]
-                else:
-                    rem[kk] = -(qc * c2)
-                    heapq.heappush(heap, tuple(map(neg, kk)))
-        return ZPolynomial(self.n, quot)
-
-    def _divide_by_binomial(self, lead, tail):
-        """self / (c1 z^a + c2 z^b), for lead = (a, c1), tail = (b, c2), a >lex b.
-
-        With delta = a - b, the dividend's terms at m + j*delta (one chain,
-        m fixed) come only from the quotient's terms g_j at m - a + j*delta,
-        and level by level f_j = c1 g_j + c2 g_{j+1}.  So each chain is
-        solved once from its top level down, where f_top = c1 g_top, and
-        its bottom level must leave no residual.  A level missing inside a
-        chain has f_j = 0.
-        """
-        (a, c1), (b, c2) = lead, tail
-        delta = tuple(map(sub, a, b))
-        p = next(i for i, d in enumerate(delta) if d)  # delta[p] > 0 as a >lex b
-        level = [e[p] // delta[p] for e in self.terms]  # e = m + level*delta
-        steps = {j: tuple(j * d for d in delta) for j in range(min(level), max(level) + 1)}
-        shift = {j: tuple(map(sub, s, a)) for j, s in steps.items()}  # g_j at m + shift[j]
-        chains = {}
-        for (e, c), j in zip(self.terms.items(), level):
-            chains.setdefault(tuple(map(sub, e, steps[j])), {})[j] = c
-        monic = _is_one(c1)
-        quot = {}
-        for m, levels in chains.items():
-            top, bottom = max(levels), min(levels)
-            g = None
-            for j in range(top, bottom, -1):
-                f = levels.get(j)
-                if g is not None:
-                    f = -(c2 * g) if f is None else f - c2 * g
-                g = f if monic else _coefficient_quotient(f, c1)
-                quot[tuple(map(add, m, shift[j]))] = g
-            if top == bottom or levels[bottom] - c2 * g:
-                raise NotDivisible("remainder is nonzero")
-        return ZPolynomial(self.n, quot)
+        return ZPolynomial(self.n, _divide(self.terms, other.terms))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -329,6 +257,52 @@ class ZPolynomial:
 
     def __repr__(self):
         return f"ZPolynomial({self})"
+
+
+def _divide(f, g):
+    """ZPolynomial.exact_divide on the term dicts f and g, g not empty."""
+    if len(g) == 1:
+        ((b, lc),) = g.items()
+        monic = _is_one(lc)
+        return {tuple(map(sub, e, b)): c if monic else _coefficient_quotient(c, lc) for e, c in f.items()}
+    p = next(i for i, col in enumerate(zip(*g)) if min(col) != max(col))
+    g_slices = _slices(g, p)
+    top, bottom = max(g_slices), min(g_slices)
+    lead = g_slices.pop(top)
+    rem = _slices(f, p)
+    lo = min(rem)
+    quot = {}
+    while rem:
+        j = max(rem)
+        if j - top + bottom < lo:
+            raise NotDivisible("remainder is nonzero")
+        q = _divide(rem.pop(j), lead)
+        quot.update(q)
+        for k, g_slice in g_slices.items():
+            level = j - top + k
+            r = rem.setdefault(level, {})
+            for e1, c1 in q.items():
+                for e2, c2 in g_slice.items():
+                    m = tuple(map(add, e1, e2))
+                    if m in r:
+                        s = r[m] - c1 * c2
+                        if s:
+                            r[m] = s
+                        else:
+                            del r[m]
+                    else:
+                        r[m] = -(c1 * c2)
+            if not r:
+                del rem[level]
+    return quot
+
+
+def _slices(terms, p):
+    """terms grouped by the exponent of variable p: level -> term dict."""
+    out = {}
+    for e, c in terms.items():
+        out.setdefault(e[p], {})[e] = c
+    return out
 
 
 def _is_one(c):

@@ -483,6 +483,24 @@ class TestPackedCreation:
         assert {c.den for c in out.terms.values()} >= {QTPolynomial.q(4)}
 
 
+def test_run_packed_widens_and_runs_the_word_again():
+    # the word asks for 2^200, past the 64-bit digits of the first codec;
+    # f is dense, so the 256-bit re-pack takes Kronecker.pack's byte path
+    dense = ExactScalar.from_poly(QTPolynomial({(i, j): i - 2 * j for i in range(8) for j in range(8)}))
+    f = ZPolynomial(2, {(1, 0): dense, (0, 2): ExactScalar.q(3) - dense})
+    codecs = []
+
+    def word(packed, codec, one_minus_t, bound):
+        codecs.append(codec)
+        if 2**200 >= 2 ** (codec.B - 1):
+            raise hecke._Widen(2**200)
+        return packed
+
+    assert hecke._run_packed(f, word, 0, 0, 0) == f
+    assert len(codecs) == 2
+    assert 2**200 < 2 ** (codecs[1].B - 1)
+
+
 def test_hecke_symmetrize_is_invariant():
     rng = random.Random(13)
     t = ExactScalar.t()

@@ -67,20 +67,30 @@ class TestSubstitution:
 
 
 class TestDivision:
+    # z1 - z2; a divisor whose terms share their z1-exponent, so the division
+    # starts at z2; a divisor whose top z1-slice has two terms
+    divisors = [
+        z(2, 1) - z(2, 2),
+        z(3, 1) ** 2 * (z(3, 2) - z(3, 3).scalar_mul(ExactScalar.from_int(3)) + z(3, 3) ** 2),
+        z(3, 1) * z(3, 2) + z(3, 1) * z(3, 3) - ZPolynomial.one(3),
+    ]
+
     def test_laurent_quotient(self):
-        g = z(2, 1) - z(2, 2)
-        f = (z(2, 1) + z(2, 2) ** 2).monomial_mul((-1, 2))
-        assert (f * g).exact_divide(g) == f
+        for g in self.divisors:
+            n = g.n
+            f = (z(n, 1) + z(n, 2) ** 2).monomial_mul((-1, 2) + (0,) * (n - 2))
+            assert (f * g).exact_divide(g) == f
 
     def test_missing_quotient_is_refused(self):
         # every lead-term step would emit a smaller Laurent term, forever
-        with pytest.raises(NotDivisible):
-            ZPolynomial.one(2).exact_divide(z(2, 1) - z(2, 2))
+        for g in self.divisors:
+            with pytest.raises(NotDivisible):
+                ZPolynomial.one(g.n).exact_divide(g)
 
     def test_remainder_is_refused(self):
-        g = z(2, 1) - z(2, 2)
-        with pytest.raises(NotDivisible):
-            (g * g + z(2, 1)).exact_divide(g)
+        for g in self.divisors:
+            with pytest.raises(NotDivisible):
+                (g * g + z(g.n, 1)).exact_divide(g)
 
 
 class TestEvaluation:
@@ -267,7 +277,7 @@ def test_exact_divide_refuses_an_extra_term(a, b, e, c):
         (p + ZPolynomial.monomial(3, e, c)).exact_divide(b)
 
 
-# divisors that take the heap loop
+# divisors of three or more terms
 three_or_more_terms = st.dictionaries(
     laurent_exps, st.one_of(st.just(ONE), non_units), min_size=3, max_size=4
 )
@@ -291,8 +301,8 @@ def test_exact_divide_refuses_an_extra_term_by_three_or_more_terms(a, b, e, c):
 
 
 class TestDivisionByTwoTerms:
-    """A two-term divisor c1 z^a + c2 z^b is divided chain by chain along
-    a - b, one pass from each chain's top level down."""
+    """Divisors of exactly two terms, c1 z^a + c2 z^b, like the z_i - z_{i+1}
+    of a divided difference: the product's terms lie on chains m + j(a - b)."""
 
     # exactly two terms, Laurent exponents, any leading coefficient
     binomials = st.lists(laurent_exps, min_size=2, max_size=2, unique=True).flatmap(
@@ -337,6 +347,15 @@ class TestDivisionByTwoTerms:
         prod = g * f
         assert prod.terms == {(4, 0): 1, (3, 1): -1, (1, 3): 1, (0, 4): -1}
         assert prod.exact_divide(g) == f
+
+    def test_a_wide_gap_inside_a_chain(self):
+        # the product's z1-exponents are N + 1, N, 1 and 0, with N = 10^6;
+        # the work must not grow with the empty levels between
+        g = ZPolynomial(2, {(1, 0): 1, (0, 1): -1})
+        f = ZPolynomial(2, {(10**6, 0): 1, (0, 10**6): 1})
+        prod = g * f
+        with time_limit(1):
+            assert prod.exact_divide(g) == f
 
     def test_a_step_with_entries_other_than_one(self):
         # z1^2 z3 - 5 z2^3 steps by (2, -3, 1) along each chain
