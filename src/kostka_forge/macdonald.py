@@ -33,7 +33,7 @@ from .hecke import (
     hecke_symmetrize,
 )
 from .qt import ExactScalar
-from .symfunc import _solve_scalar_system, msym_vector, t_schur_polynomial as t_schur
+from .symfunc import _from_msym_coords, _solve_scalar_system, msym_coords, msym_vector, t_schur_polynomial as t_schur
 from .weights import (
     b_factor,
     compositions,
@@ -405,13 +405,21 @@ def sym_calJ(lam):
     the seed's S_{n-m} stabilizer only (hecke_symmetrize with
     t_symmetric_in = n - m), so the [n-m]_t! is never multiplied in and
     never divided out.
+
+    The seed is integral: calE_lam0 is, and it is homogeneous of degree
+    |lam| - m, so no power of q in _calJ_seed is negative.  So the
+    symmetrizer's sums and products run no gcd.  calJ_lam is symmetric, a
+    combination of the monomial symmetric m_mu (Macdonald I §2), so the
+    closing (1-t)^m multiplies its msym coordinates only, and each product
+    is written on every distinct rearrangement of its exponent.
     """
     lam = tuple(lam)
     if not is_partition(lam):
         raise NotAPartition(f"{lam} is not a partition")
-    m = length(lam)
-    total = hecke_symmetrize(_calJ_seed(lam), len(lam) - m)
-    return total.scalar_mul(_ONE_MINUS_T**m)
+    n, m = len(lam), length(lam)
+    factor = _ONE_MINUS_T**m
+    coords = msym_coords(hecke_symmetrize(_calJ_seed(lam), n - m), n)
+    return _from_msym_coords({nu: c * factor for nu, c in coords.items()}, n)
 
 
 def sym_J(lam):

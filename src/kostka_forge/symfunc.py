@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import NotAPartition, SingularSystem, TooFewVariables
 from .qt import ExactScalar, QTPolynomial
-from .weights import distinct_permutations, is_partition, pad, partitions
+from .weights import conjugate, distinct_permutations, is_partition, pad, partitions
 from .zpoly import ZPolynomial
 
 
@@ -43,8 +43,7 @@ def schur_bialternant(mu, n):
         raise TooFewVariables(f"{mu} needs more than {n} variables")
     d = sum(mu)
     if n > d and is_partition(mu):
-        coords = msym_coords(schur_bialternant(mu[:d], d), d)
-        return ZPolynomial(n, {e: c for nu, c in coords.items() for e in distinct_permutations(pad(nu, n))})
+        return _from_msym_coords(msym_coords(schur_bialternant(mu[:d], d), d), n)
     f = ZPolynomial(n, {tuple(m + n - 1 - i for i, m in enumerate(mu)): 1})
     unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     for k in range(n - 1, 0, -1):
@@ -88,6 +87,13 @@ def msym_coords(f, n):
     return out
 
 
+def _from_msym_coords(coords, n):
+    """The symmetric polynomial in n variables with the given
+    monomial-symmetric coordinates: each one written on every distinct
+    rearrangement of its partition, padded to n."""
+    return ZPolynomial(n, {e: c for nu, c in coords.items() for e in distinct_permutations(pad(nu, n))})
+
+
 def msym_vector(f, labels):
     """Monomial-symmetric coordinates of a symmetric polynomial at the
     given padded partitions, as a list (zero where f has no term)."""
@@ -120,15 +126,30 @@ def _solve_scalar_system(basis, targets):
 def _power_sum_basis(d):
     """{mu: {rho: c_rho}}, s_mu = sum_rho c_rho p_rho for every partition mu
     of d, the nonzero c_rho as Fractions: one solve per degree over integer
-    msym coordinates in d variables, with the p_rho as basis and every s_mu
-    as a target, so every c_rho is constant."""
+    msym coordinates in d variables, with the p_rho as basis, so every c_rho
+    is constant.
+
+    Only half the s_mu are built and solved for.  The involution omega
+    takes s_mu to s_mu' and p_rho to eps_rho p_rho, with
+    eps_rho = (-1)^{|rho| - l(rho)} (Macdonald I (2.13), (3.8)), so
+    c_rho(mu') = eps_rho c_rho(mu).  The targets are the mu that come no
+    earlier than mu' in the labels, which `partitions` yields in decreasing
+    lexicographic order; those lie lower in dominance, where s_mu is
+    small.  Each other row is its partner's row with the signs eps_rho."""
     labels = list(partitions(d, d))
+    idx = {mu: i for i, mu in enumerate(labels)}
+    conj = [idx[conjugate(mu)] for mu in labels]
+    solved = [i for i in range(len(labels)) if i >= conj[i]]
     coords = [pad(p, d) for p in labels]
     basis = [msym_vector(power_sum_product(rho, d), coords) for rho in labels]
-    targets = [msym_vector(schur_bialternant(mu, d), coords) for mu in labels]
+    targets = [msym_vector(schur_bialternant(labels[i], d), coords) for i in solved]
+    rows = {
+        i: {rho: Fraction(c.num.const_value(), c.den.const_value()) for rho, c in zip(labels, sol) if c}
+        for i, sol in zip(solved, _solve_scalar_system(basis, targets))
+    }
     return {
-        mu: {rho: Fraction(c.num.const_value(), c.den.const_value()) for rho, c in zip(labels, sol) if c}
-        for mu, sol in zip(labels, _solve_scalar_system(basis, targets))
+        mu: rows[i] if i in rows else {rho: (-1) ** (d - len(rho)) * c for rho, c in rows[conj[i]].items()}
+        for i, mu in enumerate(labels)
     }
 
 
@@ -154,6 +175,13 @@ def t_schur_polynomial(mu, n):
     D of the power-sum expansion: each coefficient is a dict {b: int} of
     t-powers.  Each is then reduced against D by one integer gcd, which is
     its gcd with D in Z[q,t], so no polynomial gcd runs.
+
+    Each p_rho is symmetric, and so is S_mu, so the sum runs over the
+    dominant (non-increasing) exponents only, and each reduced coefficient
+    is written on every distinct rearrangement of its exponent, as in
+    schur_bialternant for n > |mu|.  The c_rho come from _power_sum_basis,
+    which reads half of them off the other half by omega
+    (Macdonald I (2.13), (3.8)).
     """
     mu = tuple(x for x in mu if x)
     if n < sum(mu):
@@ -169,15 +197,15 @@ def t_schur_polynomial(mu, n):
             for b, k in factor.items():
                 shifted[b + r] = shifted.get(b + r, 0) - k
             factor = shifted
-        for e, k in _integer_power_sum_product(rho, n).terms.items():
+        for e, k in msym_coords(_integer_power_sum_product(rho, n), n).items():
             acc = num.setdefault(e, {})
             for b, v in factor.items():
                 acc[b] = acc.get(b, 0) + k * v
-    out = {}
+    coords = {}
     for e, acc in num.items():
         terms = {(0, b): v for b, v in acc.items() if v}
         if terms:
             g = math.gcd(den, *terms.values())
             p = QTPolynomial._of({k: v // g for k, v in terms.items()})
-            out[e] = ExactScalar(p, QTPolynomial.const(den // g), _reduced=True)
-    return ZPolynomial(n, out)
+            coords[e] = ExactScalar(p, QTPolynomial.const(den // g), _reduced=True)
+    return _from_msym_coords(coords, n)

@@ -473,6 +473,23 @@ class TestSymmetric:
                         seed = apply_phi(seed, "Phi")
                     assert _calJ_seed(lam) == seed.scalar_mul(ExactScalar.q(d - m)), lam
 
+    def test_seed_is_integral(self):
+        # every denominator is q^0: sym_calJ relies on this to symmetrize
+        # integral data, on which ExactScalar runs no gcd
+        for n in range(1, 6):
+            for d in range(6):
+                for part in partitions(d, n):
+                    assert all(c.is_integral() for c in _calJ_seed(pad(part, n)).terms.values()), part
+
+    def test_matches_the_symmetrizer_times_one_minus_t_to_the_m(self):
+        for n in range(1, 6):
+            for d in range(6):
+                for part in partitions(d, n):
+                    lam = pad(part, n)
+                    m = length(lam)
+                    total = hecke.hecke_symmetrize(_calJ_seed(lam), n - m)
+                    assert sym_calJ(lam) == total.scalar_mul(ExactScalar.from_poly(ONE - T) ** m), lam
+
     def test_seed_is_t_symmetric_in_its_zero_parts(self):
         # sym_calJ relies on this to skip the S_{n-m} stabilizer
         t = ExactScalar.t()

@@ -2,6 +2,7 @@
 power-sum expansion machinery behind the t-Schur construction."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.symfunc import (
     _solve_scalar_system,
     msym_coords,
+    msym_vector,
     power_sum,
     power_sum_product,
     schur_bialternant,
@@ -240,7 +242,8 @@ def test_schur_makes_one_division_by_an_adjacent_difference_per_letter_of_w0(mon
 
 
 def test_power_sum_basis_is_built_once_per_degree(monkeypatch):
-    # one solve, with every s_mu of the degree as a target
+    # one solve, with the s_mu that omega does not give as targets: (2, 1)
+    # and (1, 1, 1), whose omega image is s_(3)
     calls = []
 
     def counting(basis, targets):
@@ -252,7 +255,61 @@ def test_power_sum_basis_is_built_once_per_degree(monkeypatch):
     for mu in [(3,), (2, 1), (1, 1, 1)]:
         schur_power_sum_expansion(mu, 4)
     assert symfunc._power_sum_basis.cache_info().misses == 1
-    assert calls == [3]
+    assert calls == [2]
+
+
+def _power_sum_basis_by_full_solve(d):
+    """The table with every s_mu of degree d as a target of one solve."""
+    labels = list(_partitions(d))
+    coords = [tuple(p) + (0,) * (d - len(p)) for p in labels]
+    basis = [msym_vector(power_sum_product(rho, d), coords) for rho in labels]
+    targets = [msym_vector(schur_bialternant(mu, d), coords) for mu in labels]
+    return {
+        mu: {rho: Fraction(c.num.const_value(), c.den.const_value()) for rho, c in zip(labels, sol) if c}
+        for mu, sol in zip(labels, _solve_scalar_system(basis, targets))
+    }
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_power_sum_basis_by_omega_matches_the_full_solve(d):
+    got = symfunc._power_sum_basis(d)
+    want = _power_sum_basis_by_full_solve(d)
+    assert got == want
+    assert list(got) == list(want)
+    for mu in want:
+        assert list(got[mu]) == list(want[mu]), mu
+
+
+def _t_schur_by_full_rho_sum(mu, n):
+    """S_mu from the sum over every exponent of every p_rho, in Z[t] on ints."""
+    expansion = schur_power_sum_expansion(mu, n)
+    den = math.lcm(*(c.denominator for c in expansion.values()))
+    num = {}
+    for rho, c in expansion.items():
+        factor = {0: c.numerator * (den // c.denominator)}
+        for r in rho:
+            shifted = dict(factor)
+            for b, k in factor.items():
+                shifted[b + r] = shifted.get(b + r, 0) - k
+            factor = shifted
+        for e, k in power_sum_product(rho, n).terms.items():
+            acc = num.setdefault(e, {})
+            for b, v in factor.items():
+                acc[b] = acc.get(b, 0) + k.num.const_value() * v
+    out = {}
+    for e, acc in num.items():
+        terms = {(0, b): v for b, v in acc.items() if v}
+        if terms:
+            g = math.gcd(den, *terms.values())
+            out[e] = ExactScalar(QTPolynomial({k: v // g for k, v in terms.items()}), QTPolynomial.const(den // g))
+    return ZPolynomial(n, out)
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_t_schur_on_dominant_exponents_matches_the_full_rho_sum(d):
+    for mu in _partitions(d):
+        for n in (max(d, 1), d + 2):
+            assert t_schur_polynomial(mu, n) == _t_schur_by_full_rho_sum(mu, n), (mu, n)
 
 
 def test_power_sum_expansion_does_not_depend_on_n():
