@@ -344,14 +344,7 @@ class QTPolynomial:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        out = _QT_ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _repeated_squaring(self, e) if e else _QT_ONE
 
     # -- division and gcd ---------------------------------------------------
 
@@ -515,6 +508,20 @@ def _power(v, e):
     return Fraction(v) ** e if e < 0 else v**e
 
 
+def _repeated_squaring(x, e):
+    """x**e for e >= 1 by repeated squaring.  Only powers of x are
+    multiplied, so x's ring needs no one; each __pow__ (QTPolynomial,
+    ExactScalar, ZPolynomial) handles e <= 0 itself."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else out * x
+        e >>= 1
+        if not e:
+            return out
+        x = x * x
+
+
 # ---------------------------------------------------------------------------
 # ExactScalar: reduced fractions in Q(q,t)
 # ---------------------------------------------------------------------------
@@ -526,6 +533,13 @@ def _cancel(a, b):
     if g.is_one():
         return g, a, b
     return g, a.exact_divide(g), b.exact_divide(g)
+
+
+def _positive_den(num, den):
+    """(num, den) with the denominator's lex-leading coefficient positive."""
+    if den.leading()[1] < 0:
+        return -num, -den
+    return num, den
 
 
 class ExactScalar:
@@ -555,9 +569,7 @@ class ExactScalar:
             return _QT_ZERO, _QT_ONE
         if not den.is_one():
             _, num, den = _cancel(num, den)
-        if den.leading()[1] < 0:
-            num, den = -num, -den
-        return num, den
+        return _positive_den(num, den)
 
     # -- constructors -------------------------------------------------------
 
@@ -584,15 +596,11 @@ class ExactScalar:
 
     @classmethod
     def q(cls, power=1):
-        if power >= 0:
-            return cls(QTPolynomial.q(power), _QT_ONE, _reduced=True)
-        return cls(_QT_ONE, QTPolynomial.q(-power), _reduced=True)
+        return cls.qt_monomial(power, 0)
 
     @classmethod
     def t(cls, power=1):
-        if power >= 0:
-            return cls(QTPolynomial.t(power), _QT_ONE, _reduced=True)
-        return cls(_QT_ONE, QTPolynomial.t(-power), _reduced=True)
+        return cls.qt_monomial(0, power)
 
     @classmethod
     def qt_monomial(cls, a, b):
@@ -680,22 +688,12 @@ class ExactScalar:
     def inverse(self):
         if not self:
             raise DivisionByZero("inverse of zero")
-        num, den = self.den, self.num
-        if den.leading()[1] < 0:
-            num, den = -num, -den
-        return ExactScalar(num, den, _reduced=True)
+        return ExactScalar(*_positive_den(self.den, self.num), _reduced=True)
 
     def __pow__(self, e):
         if e < 0:
-            return self.inverse() ** (-e)
-        out = _ES_ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+            return _repeated_squaring(self.inverse(), -e)
+        return _repeated_squaring(self, e) if e else _ES_ONE
 
     def swap_qt(self):
         """The image under q <-> t: (a, b) -> (b, a) in the numerator and
@@ -703,9 +701,7 @@ class ExactScalar:
         lex-leading term, so only the sign is normalized again."""
         num = QTPolynomial._of({(b, a): c for (a, b), c in self.num._terms.items()})
         den = QTPolynomial._of({(b, a): c for (a, b), c in self.den._terms.items()})
-        if den.leading()[1] < 0:
-            num, den = -num, -den
-        return ExactScalar(num, den, _reduced=True)
+        return ExactScalar(*_positive_den(num, den), _reduced=True)
 
     # -- evaluation ---------------------------------------------------------
 

@@ -97,8 +97,7 @@ def _from_msym_coords(coords, n):
 def msym_vector(f, labels):
     """Monomial-symmetric coordinates of a symmetric polynomial at the
     given padded partitions, as a list (zero where f has no term)."""
-    coords = msym_coords(f, f.n)
-    return [coords.get(rho, ExactScalar.zero()) for rho in labels]
+    return [f.terms.get(rho, ExactScalar.zero()) for rho in labels]
 
 
 def _solve_scalar_system(basis, targets):
@@ -141,7 +140,8 @@ def _power_sum_basis(d):
     conj = [idx[conjugate(mu)] for mu in labels]
     solved = [i for i in range(len(labels)) if i >= conj[i]]
     coords = [pad(p, d) for p in labels]
-    basis = [msym_vector(power_sum_product(rho, d), coords) for rho in labels]
+    ints = [_integer_power_sum_product(rho, d).terms for rho in labels]
+    basis = [[ExactScalar.from_int(p.get(e, 0)) for e in coords] for p in ints]
     targets = [msym_vector(schur_bialternant(labels[i], d), coords) for i in solved]
     rows = {
         i: {rho: Fraction(c.num.const_value(), c.den.const_value()) for rho, c in zip(labels, sol) if c}

@@ -38,8 +38,9 @@ def is_partition(lam):
 
 def compositions(total, n):
     """All compositions of `total` into n parts, lexicographically."""
-    if n == 1:
-        yield (total,)
+    if n == 0:
+        if total == 0:
+            yield ()
         return
     for first in range(total + 1):
         for rest in compositions(total - first, n - 1):

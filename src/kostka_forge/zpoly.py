@@ -6,7 +6,9 @@ theory; the Jack degeneration reuses the same class with AlphaPolynomial
 coefficients, and the Schur polynomials' divided differences with int
 coefficients (any ring element with +, -, * and truthiness works;
 exact_divide also needs / by a divisor's leading coefficient unless that
-is 1, or // on ints).
+is 1, or // on ints).  f ** e for e >= 1 multiplies only powers of f, so
+it works over every such ring; f ** 0 is the one with an ExactScalar
+coefficient, and a negative exponent is refused with ValueError.
 
 ZPolynomial.exact_divide is classical division in the recursive
 representation (Knuth, TAOCP vol. 2, 4.6.1): the dividend and the divisor
@@ -22,7 +24,7 @@ from fractions import Fraction
 from operator import add, itemgetter, sub
 
 from .errors import DimensionMismatch, NotDivisible
-from .qt import ExactScalar, QTPolynomial
+from .qt import ExactScalar, QTPolynomial, _repeated_squaring
 
 
 class ZPolynomial:
@@ -128,14 +130,9 @@ class ZPolynomial:
         return ZPolynomial(self.n, out)
 
     def __pow__(self, e):
-        out = ZPolynomial.one(self.n)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        if e < 0:
+            raise ValueError("negative power of a polynomial")
+        return _repeated_squaring(self, e) if e else ZPolynomial.one(self.n)
 
     # -- substitution -------------------------------------------------------
 

@@ -117,6 +117,38 @@ class TestScalarArithmetic:
         assert ExactScalar.from_json(x.to_json()) == x
 
 
+class TestPowers:
+    @pytest.mark.parametrize(
+        "x", [P({(1, 0): 2, (0, 1): -1, (0, 0): 3}), ExactScalar(ONE - T, ONE + Q)], ids=["poly", "scalar"]
+    )
+    @pytest.mark.parametrize("e", range(6))
+    def test_power_is_the_repeated_product(self, x, e):
+        product = type(x).one()
+        for _ in range(e):
+            product = product * x
+        assert x**e == product
+
+    @pytest.mark.parametrize("e", range(1, 5))
+    def test_negative_scalar_power_is_the_inverse_power(self, e):
+        # the inverse (1 + q)/(1 - t) is renormalized to (-1 - q)/(t - 1)
+        x = ExactScalar(ONE - T, ONE + Q)
+        assert x**-e == x.inverse() ** e
+        assert (x**-e * x**e).is_one()
+
+    def test_negative_polynomial_power_is_refused(self):
+        with pytest.raises(ValueError):
+            (ONE - T) ** -1
+
+    def test_negative_power_of_zero_is_refused(self):
+        with pytest.raises(DivisionByZero):
+            ExactScalar.zero() ** -1
+
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_q_and_t_powers_are_monomials(self, k):
+        assert ExactScalar.q(k) == ExactScalar.qt_monomial(k, 0) == ExactScalar.q() ** k
+        assert ExactScalar.t(k) == ExactScalar.qt_monomial(0, k) == ExactScalar.t() ** k
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------

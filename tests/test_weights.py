@@ -338,7 +338,8 @@ def test_partitions_build_only_what_they_yield():
 
 
 def test_compositions_come_by_weight_then_lexicographically():
-    for n in range(1, 5):
+    # n = 0 too: compositions(0, 0) is [()] and compositions(2, 0) is empty
+    for n in range(5):
         lams = [lam for d in range(7) for lam in compositions(d, n)]
         every = (c for c in itertools.product(range(7), repeat=n) if sum(c) <= 6)
         assert lams == sorted(every, key=lambda c: (sum(c), c))

@@ -265,6 +265,30 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_negative_power_is_refused():
+    with time_limit(1), pytest.raises(ValueError):
+        z(2, 1) ** -1
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (2, 1, -3),
+        (AlphaPolynomial((1, 2)), AlphaPolynomial.one(), AlphaPolynomial((0, -1, 1))),
+        (ExactScalar.q(), ExactScalar.from_int(-3), ExactScalar.t(-1) + ExactScalar.one()),
+    ],
+    ids=["int", "alpha", "exact"],
+)
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_power_is_the_repeated_product(coeffs, e):
+    """** needs only the coefficients' *, so it works over every ring."""
+    f = ZPolynomial(2, dict(zip([(1, 0), (0, 1), (-1, 2)], coeffs)))
+    product = f
+    for _ in range(e - 1):
+        product = product * f
+    assert f**e == product
+
+
 @settings(deadline=None, max_examples=60)
 @given(laurent, laurent, laurent_exps, non_units)
 def test_exact_divide_refuses_an_extra_term(a, b, e, c):
