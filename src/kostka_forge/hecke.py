@@ -263,11 +263,14 @@ def _run_packed(f, word, hecke_steps, q_growth, qshift, tshift=0, runs=1):
     dict of packed ints to the dict of the result's packed ints, with
     one_minus_t(c) = c - (c << B*Q) the product by (1-t) and bound the
     digit bound below, and the result is unpacked, times
-    q^qshift t^tshift, and divided by L.  The word may run hecke_steps
-    steps H_i or Hbar_i (_hecke_terms), any number of rotations of the
-    exponent vectors and of products by monomials q^a t^b with a, b >= 0
-    whose q-exponents on any one term add up to at most q_growth, and a
-    sum or difference of `runs` such runs.
+    q^qshift t^tshift, and divided by L.  Where L is a monomial q^a t^b
+    with coefficient 1 (1 on every calE_mu), the division is part of the
+    unpacking, which multiplies by q^(qshift - a) t^(tshift - b); any
+    other L is divided out by one closing scalar product.  The word may
+    run hecke_steps steps H_i or Hbar_i (_hecke_terms), any number of
+    rotations of the exponent vectors and of products by monomials
+    q^a t^b with a, b >= 0 whose q-exponents on any one term add up to at
+    most q_growth, and a sum or difference of `runs` such runs.
 
     The digits must fit.  Let G = hi - lo + 1, with lo and hi the least
     and the largest z-exponent in L f (_z_range).  H_i keeps every
@@ -302,6 +305,11 @@ def _run_packed(f, word, hecke_steps, q_growth, qshift, tshift=0, runs=1):
         if k is None:
             k = cofactors[c.den] = den.exact_divide(c.den)
         nums[e] = c.num if k.is_one() else c.num * k
+    # a monomial L = q^a t^b (1 included) divides while unpacking
+    ((a, b), lc), *rest = den.terms()
+    monomial = not rest and lc == 1
+    if monomial:
+        qshift, tshift = qshift - a, tshift - b
     lo, hi = _z_range(nums)
     polys = nums.values()
     bound = runs * (3 + 2 * (hi - lo)) ** hecke_steps * sum(p.norm1() for p in polys)
@@ -321,7 +329,7 @@ def _run_packed(f, word, hecke_steps, q_growth, qshift, tshift=0, runs=1):
         else:
             break
     out = ZPolynomial(f.n, {e: codec.unpack(v) for e, v in packed.items()})
-    return out if den.is_one() else out.scalar_mul(ExactScalar.from_poly(den).inverse())
+    return out if monomial else out.scalar_mul(ExactScalar.from_poly(den).inverse())
 
 
 def hecke_symmetrize(f, t_symmetric_in=0):

@@ -130,13 +130,18 @@ def _exact_quotient(c, d):
     return ExactScalar(quot if d.den.is_one() else quot * d.den, c.den)
 
 
+def _order_key(mu):
+    """A key that strictly extends the order: mu < nu gives key(mu) <
+    key(nu).  Dominance implies lex order on the sorted parts, and within
+    one orbit a strict Bruhat step lengthens w_min(mu), whose length is
+    length_stat(mu)."""
+    return sorted(mu, reverse=True), -length_stat(mu)
+
+
 def _span_below(lam):
     """Compositions mu <= lam of the same weight, in a linear extension of
-    the order (decreasing: every element precedes everything below it).
-
-    The key extends the order: dominance implies lex order on the sorted
-    parts, and within one orbit a strict Bruhat step lengthens w_min(mu),
-    whose length is length_stat(mu).
+    the order (decreasing: every element precedes everything below it),
+    sorted by _order_key.
     """
     lam = tuple(lam)
     members = [
@@ -146,7 +151,7 @@ def _span_below(lam):
     ]
     return sorted(
         members,
-        key=lambda mu: (sorted(mu, reverse=True), -length_stat(mu)),
+        key=_order_key,
         reverse=True,
     )
 
@@ -299,6 +304,12 @@ def _peel(f, element):
     for a maximal monomial mu of the remainder.  Every leading coefficient
     is 1, so nothing divides.
 
+    The scan for mu passes over the remainder and moves mu to nu wherever
+    mu < nu.  It calls order_leq(mu, nu) only where _order_key(nu) exceeds
+    mu's key: the key strictly extends the order, so mu < nu needs that,
+    and the scan picks what a test of every nu would.  The keys are
+    memoized per exponent for the word.
+
     The peel is Q(q,t)-linear in f, so it runs as one word of
     hecke._run_packed: on L f over Z[q,t], with each coefficient one
     Kronecker-packed int, c * element(mu) is one int product per term, and
@@ -320,12 +331,15 @@ def _peel(f, element):
     def word(rem, codec, one_minus_t, bound):
         top = 1 << (codec.B - 1)
         coeffs = {}
+        key = functools.cache(_order_key)
         while rem:
             support = iter(rem)
             mu = next(support)
+            top_key = key(mu)
             for nu in support:
-                if order_leq(mu, nu) == "less":
-                    mu = nu
+                nu_key = key(nu)
+                if nu_key > top_key and order_leq(mu, nu) == "less":
+                    mu, top_key = nu, nu_key
             if any(x < 0 for x in mu):
                 raise NotInSpan("Laurent support cannot be expanded in t-monomials")
             terms = element(mu).terms

@@ -22,6 +22,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from itertools import compress
 from math import gcd as _igcd
 from math import isqrt
 
@@ -317,6 +318,11 @@ class QTPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
+        # by 1: the types are immutable, so the other operand is the product
+        if other._terms == _QT_ONE._terms:
+            return self
+        if self._terms == _QT_ONE._terms:
+            return other
         if not self._terms or not other._terms:
             return _QT_ZERO
         if len(self._terms) == 1:
@@ -462,7 +468,8 @@ class QTPolynomial:
     # -- serialization ------------------------------------------------------
 
     def to_json_terms(self):
-        return [[a, b, str(c)] for (a, b), c in self.terms()]
+        t = self._terms
+        return [[*k, str(t[k])] for k in sorted(t)]
 
     @classmethod
     def from_json_terms(cls, data):
@@ -823,19 +830,28 @@ class Kronecker:
     def unpack(self, v):
         """q^qshift t^tshift times the polynomial whose image is the nonzero
         int v, as a reduced ExactScalar: the negative q- and t-exponents
-        that the shifts leave go to a monomial denominator, with no gcd."""
-        B, nbytes, half = self.B, self._nbytes, self._half
+        that the shifts leave go to a monomial denominator, with no gcd.
+
+        Each digit of v + offset is d + 2^(B-1) for the digit d of v, so
+        xor with the offset flips its top bit and leaves d as a signed
+        B-bit word: at B = 64 the words are read in C by one cast, and
+        compress keeps the nonzero ones with their exponents without a
+        Python-level test per slot.  The terms come in the order of the
+        table of exponents, t-row by t-row, so the first has the least
+        t-exponent."""
+        B, nbytes = self.B, self._nbytes
         # a top digit d != 0 over lower digits below 2^(B-1) gives |v| >=
         # 2^(B*top - 2), so this many digits hold all of v
         ndigits = (abs(v).bit_length() + 1) // B + 1
-        buf = (v + self._offset_of(ndigits)).to_bytes(ndigits * nbytes, "little")
+        offset = self._offset_of(ndigits)
+        buf = ((v + offset) ^ offset).to_bytes(ndigits * nbytes, "little")
         if nbytes == 8 and _WORDS_ARE_LITTLE:
-            words = memoryview(buf).cast("Q")
+            words = memoryview(buf).cast("q").tolist()
         else:
-            words = [int.from_bytes(buf[k : k + nbytes], "little") for k in range(0, len(buf), nbytes)]
-        terms = {key: w - half for key, w in zip(self._keys, words) if w != half}
+            words = [int.from_bytes(buf[k : k + nbytes], "little", signed=True) for k in range(0, len(buf), nbytes)]
+        terms = dict(compress(zip(self._keys, words), words))
         dq = max(-min(terms)[0], 0) if self._qshift < 0 else 0
-        dt = max(-min(j for _, j in terms), 0) if self._tshift < 0 else 0
+        dt = max(-next(iter(terms))[1], 0) if self._tshift < 0 else 0
         if dq or dt:
             num = QTPolynomial._of({(i + dq, j + dt): a for (i, j), a in terms.items()})
             # num has a q^0 term if dq > 0 and a t^0 term if dt > 0, so it

@@ -7,8 +7,9 @@ coefficients, and the Schur polynomials' divided differences with int
 coefficients (any ring element with +, -, * and truthiness works;
 exact_divide also needs / by a divisor's leading coefficient unless that
 is 1, or // on ints).  f ** e for e >= 1 multiplies only powers of f, so
-it works over every such ring; f ** 0 is the one with an ExactScalar
-coefficient, and a negative exponent is refused with ValueError.
+it works over every such ring; f ** 0 is the one of f's coefficient ring
+(with an ExactScalar coefficient for the zero polynomial), and a negative
+exponent is refused with ValueError.
 
 ZPolynomial.exact_divide is classical division in the recursive
 representation (Knuth, TAOCP vol. 2, 4.6.1): the dividend and the divisor
@@ -132,7 +133,10 @@ class ZPolynomial:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        return _repeated_squaring(self, e) if e else ZPolynomial.one(self.n)
+        if e:
+            return _repeated_squaring(self, e)
+        c = next(iter(self.terms.values()), ExactScalar.one())
+        return ZPolynomial.monomial(self.n, (0,) * self.n, c.one() if hasattr(c, "one") else 1)
 
     # -- substitution -------------------------------------------------------
 

@@ -276,6 +276,40 @@ class TestPackedXi:
                 assert apply_xi(f, i, direction) == xi_reference(f, i, direction)
         assert widths == [128] * (2 * n)
 
+    @staticmethod
+    def closing_products(monkeypatch):
+        """The scalars ZPolynomial.scalar_mul is called with, from now on."""
+        calls = []
+        scalar_mul = ZPolynomial.scalar_mul
+        monkeypatch.setattr(ZPolynomial, "scalar_mul", lambda f, c: calls.append(c) or scalar_mul(f, c))
+        return calls
+
+    def test_a_monomial_denominator_divides_while_unpacking(self, monkeypatch):
+        # L = q^2 t: the runner shifts the decode by q^-2 t^-1 and makes
+        # no closing scalar product
+        f = mono(3, (1, 0, 2), ExactScalar(QTPolynomial.const(3) + _Q, QTPolynomial.monomial(2, 1)))
+        f = f + mono(3, (0, 2, -1), ExactScalar.t(-1)) + mono(3, (0, 0, 1), ExactScalar.from_int(-5))
+        cases = [(i, d) for i in range(1, 4) for d in ("forward", "inverse")]
+        expected = [xi_reference(f, i, d) for i, d in cases]
+        calls = self.closing_products(monkeypatch)
+        assert [apply_xi(f, i, d) for i, d in cases] == expected
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            mono(2, (0, 0), ExactScalar.from_fraction(Fraction(1, 2))),
+            mono(3, (1, 0, 2), ExactScalar(_Q + _T, QTPolynomial.one() - _Q * _T)) + mono(3, (0, 1, 0)),
+        ],
+        ids=["L=2", "L=1-qt"],
+    )
+    def test_any_other_denominator_keeps_the_closing_product(self, monkeypatch, f):
+        cases = [(i, d) for i in range(1, f.n + 1) for d in ("forward", "inverse")]
+        expected = [xi_reference(f, i, d) for i, d in cases]
+        calls = self.closing_products(monkeypatch)
+        assert [apply_xi(f, i, d) for i, d in cases] == expected
+        assert len(calls) == len(cases)
+
     def test_runs_no_exact_step(self, monkeypatch):
         rng = random.Random(41)
         cases = [macdonald.nonsym_E(lam) for lam in [(1, 0, 2), (0, 2, 1), (2, 0)]]

@@ -238,6 +238,19 @@ def test_one_term_product_and_quotient(p, m):
     assert (p * m).exact_divide(m) == p
 
 
+@settings(deadline=None, max_examples=100)
+@given(polys)
+def test_product_by_one_is_the_other_operand(p):
+    assert p * QTPolynomial.one() is p
+    assert QTPolynomial.one() * p is p
+
+
+@settings(deadline=None, max_examples=100)
+@given(polys)
+def test_json_terms_are_the_sorted_terms(p):
+    assert p.to_json_terms() == [[a, b, str(c)] for (a, b), c in sorted(p.items())]
+
+
 @settings(deadline=None, max_examples=150)
 @given(polys, polys)
 def test_sum_negation_and_product_hold_no_zero_terms(a, b):
@@ -390,6 +403,20 @@ def test_kronecker_pack_is_the_image_sparse_or_dense(monkeypatch, bound, dense):
     assert v == _image(p, codec.B, Q)
     assert codec.unpack(v) == ExactScalar.from_poly(p)
     assert codec.unpack(-v) == ExactScalar.from_poly(-p)
+
+
+@pytest.mark.parametrize("B", [64, 128])
+def test_kronecker_unpack_reads_the_extreme_digits_in_key_order(B):
+    """Digits of +-(2^(B-1) - 1) decode as signed words, and the terms come
+    back t-row by t-row, q within a row, whatever order p stored them in."""
+    top = 2 ** (B - 1) - 1
+    p = P({(2, 2): top, (0, 0): -top, (1, 1): -1, (2, 0): top, (0, 2): 1, (1, 0): -top})
+    codec = qt.Kronecker(top, 3)
+    assert codec.B == B
+    for v in (codec.pack(p), -codec.pack(p)):
+        out = codec.unpack(v)
+        assert out == ExactScalar.from_poly(p if v > 0 else -p)
+        assert list(out.num.items()) == sorted(out.num.items(), key=lambda kv: kv[0][::-1])
 
 
 # ---------------------------------------------------------------------------

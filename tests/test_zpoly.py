@@ -289,6 +289,21 @@ def test_power_is_the_repeated_product(coeffs, e):
     assert f**e == product
 
 
+@pytest.mark.parametrize(
+    "c, one",
+    [(2, 1), (AlphaPolynomial((1, 2)), AlphaPolynomial.one()), (ExactScalar.q(), ExactScalar.one())],
+    ids=["int", "alpha", "exact"],
+)
+def test_power_zero_is_the_one_of_the_coefficient_ring(c, one):
+    f = ZPolynomial(2, {(1, 0): c})
+    assert f**0 == ZPolynomial(2, {(0, 0): one})
+    assert (f**0) * f == f and f * (f**0) == f
+
+
+def test_power_zero_of_zero_is_the_exact_one():
+    assert ZPolynomial.zero(3) ** 0 == ZPolynomial.one(3)
+
+
 @settings(deadline=None, max_examples=60)
 @given(laurent, laurent, laurent_exps, non_units)
 def test_exact_divide_refuses_an_extra_term(a, b, e, c):
