@@ -98,7 +98,7 @@ _MEMOS = {
         macdonald._xi_on_monomial,
         jack._jack_nonsym,
         symfunc._power_sum_basis,
-        symfunc._integer_power_sum_product,
+        symfunc._power_sum_coefficient,
     )
 }
 

@@ -318,8 +318,8 @@ class QTPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        # by 1: the types are immutable, so the other operand is the product
-        if other._terms == _QT_ONE._terms:
+        # by 1: the types are immutable, so the other operand is the product; one() * p is p for p = 1 too
+        if other._terms == _QT_ONE._terms and self is not _QT_ONE:
             return self
         if self._terms == _QT_ONE._terms:
             return other

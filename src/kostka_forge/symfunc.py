@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import NotAPartition, SingularSystem, TooFewVariables
 from .qt import ExactScalar, QTPolynomial
-from .weights import conjugate, distinct_permutations, is_partition, pad, partitions
+from .weights import conjugate, distinct_permutations, is_partition, length, pad, partitions
 from .zpoly import ZPolynomial
 
 
@@ -31,16 +31,17 @@ def schur_bialternant(mu, n):
     (s_1)(s_2 s_1)...(s_{n-1}...s_1) of w0, rightmost letter first, with
     integer coefficients that become ExactScalars only at the end.  For a
     composition mu the result carries the straightening sign, and it is 0
-    when mu+delta has a repeated entry.
+    when mu+delta has a repeated entry.  Zero parts beyond n are dropped.
 
     For a partition mu in n > d = |mu| variables it is built in d
     variables only: s_mu = sum_nu K_mu,nu m_nu (Macdonald I §6) and its
     msym coordinates K_mu,nu do not depend on the number of variables, so
     each one is written on every distinct rearrangement of nu padded to n.
     """
-    mu = pad(tuple(mu), n)
-    if len(mu) > n:
+    mu = tuple(mu)
+    if length(mu) > n:
         raise TooFewVariables(f"{mu} needs more than {n} variables")
+    mu = pad(mu[:n], n)
     d = sum(mu)
     if n > d and is_partition(mu):
         return _from_msym_coords(msym_coords(schur_bialternant(mu[:d], d), d), n)
@@ -55,22 +56,28 @@ def schur_bialternant(mu, n):
 
 def power_sum(r, n):
     """p_r = z_1^r + ... + z_n^r."""
-    return power_sum_product((r,), n)
-
-
-@functools.cache
-def _integer_power_sum_product(rho, n):
-    """p_rho in n variables, with int coefficients (rho a tuple); memoized,
-    so the result is shared and must not be changed."""
-    f = ZPolynomial(n, {(0,) * n: 1})
-    for r in rho:
-        f = f * ZPolynomial(n, {tuple(r if j == i else 0 for j in range(n)): 1 for i in range(n)})
-    return f
+    return ZPolynomial(n, {tuple(r if j == i else 0 for j in range(n)): ExactScalar.one() for i in range(n)})
 
 
 def power_sum_product(rho, n):
-    f = _integer_power_sum_product(tuple(rho), n)
-    return ZPolynomial(n, {e: ExactScalar.from_int(c) for e, c in f.terms.items()})
+    return math.prod((power_sum(r, n) for r in rho), start=ZPolynomial.one(n))
+
+
+@functools.cache
+def _power_sum_coefficient(rho, kappa):
+    """The coefficient of z^kappa in p_rho (rho, kappa partitions of one
+    weight, no zero parts): the ways to send each part of rho to a position
+    of kappa so that each position's parts sum to its entry.  What is left
+    of kappa is kept sorted and without zeros: the count is symmetric."""
+    if not rho:
+        return 1
+    r, rest = rho[0], rho[1:]
+    total = 0
+    for i, k in enumerate(kappa):
+        if k >= r:
+            left = sorted((*kappa[:i], k - r, *kappa[i + 1:]), reverse=True)
+            total += _power_sum_coefficient(rest, tuple(x for x in left if x))
+    return total
 
 
 def msym_coords(f, n):
@@ -101,8 +108,8 @@ def msym_vector(f, labels):
 
 
 def _solve_scalar_system(basis, targets):
-    """Coordinates of each target vector in the basis vectors, exactly over
-    Q(q,t): one Gauss-Jordan elimination on [A | B], where A's columns are
+    """Coordinates of each target vector in the basis vectors, over Q(q,t)
+    or Q: one Gauss-Jordan elimination on [A | B], where A's columns are
     the basis vectors and B's the targets.  A is square: there are as many
     basis vectors as coordinates.  Returns one row per target."""
     size = len(basis)
@@ -112,7 +119,7 @@ def _solve_scalar_system(basis, targets):
         if piv is None:
             raise SingularSystem("singular coefficient matrix")
         m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col].inverse()
+        inv = m[col][col] ** -1
         m[col] = [x * inv for x in m[col]]
         for r in range(size):
             if r != col and m[r][col]:
@@ -124,9 +131,9 @@ def _solve_scalar_system(basis, targets):
 @functools.cache
 def _power_sum_basis(d):
     """{mu: {rho: c_rho}}, s_mu = sum_rho c_rho p_rho for every partition mu
-    of d, the nonzero c_rho as Fractions: one solve per degree over integer
-    msym coordinates in d variables, with the p_rho as basis, so every c_rho
-    is constant.
+    of d, the nonzero c_rho as Fractions: one solve per degree over Q, with
+    the counted msym coordinates of the p_rho (_power_sum_coefficient) as
+    basis and the Kostka numbers of the s_mu as targets.
 
     Only half the s_mu are built and solved for.  The involution omega
     takes s_mu to s_mu' and p_rho to eps_rho p_rho, with
@@ -140,12 +147,12 @@ def _power_sum_basis(d):
     conj = [idx[conjugate(mu)] for mu in labels]
     solved = [i for i in range(len(labels)) if i >= conj[i]]
     coords = [pad(p, d) for p in labels]
-    ints = [_integer_power_sum_product(rho, d).terms for rho in labels]
-    basis = [[ExactScalar.from_int(p.get(e, 0)) for e in coords] for p in ints]
-    targets = [msym_vector(schur_bialternant(labels[i], d), coords) for i in solved]
+    basis = [[Fraction(_power_sum_coefficient(rho, kappa)) for kappa in labels] for rho in labels]
+    targets = [
+        [Fraction(c.num.const_value()) for c in msym_vector(schur_bialternant(labels[i], d), coords)] for i in solved
+    ]
     rows = {
-        i: {rho: Fraction(c.num.const_value(), c.den.const_value()) for rho, c in zip(labels, sol) if c}
-        for i, sol in zip(solved, _solve_scalar_system(basis, targets))
+        i: {rho: c for rho, c in zip(labels, sol) if c} for i, sol in zip(solved, _solve_scalar_system(basis, targets))
     }
     return {
         mu: rows[i] if i in rows else {rho: (-1) ** (d - len(rho)) * c for rho, c in rows[conj[i]].items()}
@@ -158,54 +165,42 @@ def schur_power_sum_expansion(mu, n):
 
     Valid (and unique) for n >= |mu|, where the c_rho do not depend on n;
     so they are a copy of the table of degree |mu| (_power_sum_basis).
+    Trailing zeros of mu are dropped; other zeros make it no partition.
     """
-    mu = tuple(x for x in mu if x)
+    mu = tuple(mu)
     d = sum(mu)
     if n < d:
         raise TooFewVariables(f"power-sum basis needs n >= {d}")
     if not is_partition(mu):
         raise NotAPartition(f"{mu} is not a partition")
-    return dict(_power_sum_basis(d)[mu])
+    return dict(_power_sum_basis(d)[mu[: length(mu)]])
 
 
 def t_schur_polynomial(mu, n):
     """S_mu(z;t): the Schur function with p_r rescaled to (1-t^r) p_r.
 
-    The sum over rho runs in Z[t] on ints, scaled by the common denominator
-    D of the power-sum expansion: each coefficient is a dict {b: int} of
-    t-powers.  Each is then reduced against D by one integer gcd, which is
-    its gcd with D in Z[q,t], so no polynomial gcd runs.
+    S_mu has coefficients in Z[t] (Macdonald III §4, a determinant in the
+    q_r(z;t)).  So with D the common denominator of the c_rho, its msym
+    coordinate at a partition kappa of |mu| with at most n parts is the sum
+    over rho of the count of z^kappa in p_rho (_power_sum_coefficient)
+    times D c_rho prod_i (1 - t^rho_i), divided exactly by D once.
 
-    Each p_rho is symmetric, and so is S_mu, so the sum runs over the
-    dominant (non-increasing) exponents only, and each reduced coefficient
-    is written on every distinct rearrangement of its exponent, as in
-    schur_bialternant for n > |mu|.  The c_rho come from _power_sum_basis,
-    which reads half of them off the other half by omega
-    (Macdonald I (2.13), (3.8)).
+    The coordinates do not depend on n; each is written on every distinct
+    rearrangement of kappa padded to n, as in schur_bialternant for
+    n > |mu|.  The c_rho come from _power_sum_basis, which reads half of
+    them off the other half by omega (Macdonald I (2.13), (3.8)).
     """
-    mu = tuple(x for x in mu if x)
-    if n < sum(mu):
-        raise TooFewVariables(f"t-Schur construction needs n >= {sum(mu)}")
+    mu = tuple(mu)
     expansion = schur_power_sum_expansion(mu, n)
+    d = sum(mu)
     den = math.lcm(*(c.denominator for c in expansion.values()))
-    num = {}
-    for rho, c in expansion.items():
-        factor = {0: c.numerator * (den // c.denominator)}
-        for r in rho:
-            # times (1 - t^r)
-            shifted = dict(factor)
-            for b, k in factor.items():
-                shifted[b + r] = shifted.get(b + r, 0) - k
-            factor = shifted
-        for e, k in msym_coords(_integer_power_sum_product(rho, n), n).items():
-            acc = num.setdefault(e, {})
-            for b, v in factor.items():
-                acc[b] = acc.get(b, 0) + k * v
+    factors = {
+        rho: math.prod((QTPolynomial.one() - QTPolynomial.t(r) for r in rho), start=QTPolynomial.const(c * den))
+        for rho, c in expansion.items()
+    }
     coords = {}
-    for e, acc in num.items():
-        terms = {(0, b): v for b, v in acc.items() if v}
-        if terms:
-            g = math.gcd(den, *terms.values())
-            p = QTPolynomial._of({k: v // g for k, v in terms.items()})
-            coords[e] = ExactScalar(p, QTPolynomial.const(den // g), _reduced=True)
+    for kappa in partitions(d, n):
+        num = sum((f.scale(_power_sum_coefficient(rho, kappa)) for rho, f in factors.items()), QTPolynomial.zero())
+        if num:
+            coords[kappa] = ExactScalar.from_poly(num.exact_divide(QTPolynomial.const(den)))
     return _from_msym_coords(coords, n)

@@ -652,8 +652,8 @@ def test_clear_caches_empties_every_table(cold_caches):
         "macdonald._nonsym_calE",
         "macdonald._t_monomial",
         "macdonald._xi_on_monomial",
-        "symfunc._integer_power_sum_product",
         "symfunc._power_sum_basis",
+        "symfunc._power_sum_coefficient",
     ]
     assert all(sizes.values())
     assert kostka_forge.clear_caches() == sizes

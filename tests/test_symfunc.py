@@ -32,6 +32,8 @@ def z(n, i):
 
 def test_schur_single_row():
     assert schur_bialternant((1,), 2) == z(2, 1) + z(2, 2)
+    # zero parts beyond n are dropped, as hall_littlewood drops them
+    assert schur_bialternant((1, 0, 0), 2) == z(2, 1) + z(2, 2)
 
 
 def test_schur_single_column():
@@ -91,8 +93,14 @@ def test_t_schur_sum_in_zt_matches_the_scalar_sum(d):
 
 
 def test_power_sum_expansion_needs_a_partition():
-    with pytest.raises(NotAPartition):
-        schur_power_sum_expansion((1, 2), 3)
+    # a zero counts where it stands: only trailing zeros pass
+    for mu in [(1, 2), (0, 1), (2, 0, 1)]:
+        with pytest.raises(NotAPartition):
+            schur_power_sum_expansion(mu, 3)
+        with pytest.raises(NotAPartition):
+            t_schur_polynomial(mu, 3)
+    assert schur_power_sum_expansion((2, 1, 0), 3) == schur_power_sum_expansion((2, 1), 3)
+    assert t_schur_polynomial((2, 1, 0), 3) == t_schur_polynomial((2, 1), 3)
 
 
 def test_msym_coords_reads_dominant_monomials():
@@ -312,6 +320,25 @@ def test_t_schur_on_dominant_exponents_matches_the_full_rho_sum(d):
             assert t_schur_polynomial(mu, n) == _t_schur_by_full_rho_sum(mu, n), (mu, n)
 
 
+@pytest.mark.parametrize("d", range(8))
+def test_power_sum_coefficient_is_the_coefficient_in_the_product(d):
+    # the multiplied-out p_rho is the reference for the count
+    for rho in _partitions(d):
+        p = power_sum_product(rho, d)
+        for kappa in _partitions(d):
+            k = symfunc._power_sum_coefficient(rho, kappa)
+            assert p.coeff(kappa + (0,) * (d - len(kappa))) == (ExactScalar.from_int(k) if k else None), (rho, kappa)
+
+
+def test_kostka_path_multiplies_out_no_polynomial(monkeypatch, cold_caches):
+    def refuse(self, other):
+        raise AssertionError("ZPolynomial product")
+
+    monkeypatch.setattr(ZPolynomial, "__mul__", refuse)
+    macdonald.kostka_matrix(5, 5)
+    t_schur_polynomial((2, 1), 8)
+
+
 def test_power_sum_expansion_does_not_depend_on_n():
     for mu in [(1,), (2, 1), (3,), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1)]:
         d = sum(mu)
@@ -377,6 +404,16 @@ def test_solver_matches_sympy(size):
         basis = [[random_scalar(rng) for _ in range(size)] for _ in range(size)]
         targets = [[random_scalar(rng) for _ in range(size)] for _ in range(3)]
         assert_solves_like_sympy(basis, targets)
+    # an integer system solves over Q, on Fractions, as it does over Q(q,t);
+    # the basis is diagonally dominant, so regular
+    basis = [[rng.randint(-3, 3) + 10 * (i == j) for i in range(size)] for j in range(size)]
+    targets = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(2)]
+    scalars = [[ExactScalar.from_int(c) for c in v] for v in basis + targets]
+    assert_solves_like_sympy(scalars[:size], scalars[size:])
+    rows = _solve_scalar_system([[Fraction(c) for c in v] for v in basis], [[Fraction(c) for c in v] for v in targets])
+    assert [[ExactScalar.from_fraction(c) for c in row] for row in rows] == _solve_scalar_system(
+        scalars[:size], scalars[size:]
+    )
 
 
 def test_solver_matches_sympy_dense():
