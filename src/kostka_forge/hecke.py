@@ -31,28 +31,14 @@ def apply_reflection(f, i):
 
 
 def apply_divided_difference(f, i):
-    """N_i = (z_i - z_{i+1})^{-1} (1 - s_i), via the per-term geometric sum.
+    """N_i = (z_i - z_{i+1})^{-1} (1 - s_i), as one exact division.
 
-    (z^a w^b - z^b w^a)/(z - w) expands exactly, so no polynomial division
-    is needed and the result is always a (Laurent) polynomial.
+    f - s_i f is antisymmetric in z_i, z_{i+1}, so z_i - z_{i+1} divides
+    it and the result is always a (Laurent) polynomial.  The divisor's
+    coefficients are the one of f's coefficient ring (f ** 0).
     """
-    _check_reflection_index(f, i)
-    out = {}
-    ii = i - 1
-    for e, c in f.terms.items():
-        a, b = e[ii], e[ii + 1]
-        if a == b:
-            continue
-        neg = a < b
-        if neg:
-            a, b = b, a
-            c = -c
-        base = list(e)
-        for k in range(a - b):
-            base[ii], base[ii + 1] = a - 1 - k, b + k
-            key = tuple(base)
-            out[key] = out[key] + c if key in out else c
-    return ZPolynomial(f.n, out)
+    zi = (f ** 0).monomial_mul([int(j == i - 1) for j in range(f.n)])
+    return (f - apply_reflection(f, i)).exact_divide(zi - apply_reflection(zi, i))
 
 
 def _hecke_terms(terms, i, bar, times_one_minus_t):

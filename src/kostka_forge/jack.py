@@ -24,7 +24,7 @@ from .weights import (
     star_step,
     weight,
 )
-from .zpoly import AlphaPolynomial, ZPolynomial
+from .zpoly import AlphaPolynomial, ZPolynomial, _float_monomial_sum
 
 
 def _alpha_one(n):
@@ -155,16 +155,6 @@ def positivity_report(expansion, alphas=(0, 1, 2)):
     return report
 
 
-def _eval_alpha_terms(terms, z):
-    """Sum of v z^e over (exponent, float coefficient) pairs (e, v)."""
-    total = 0.0
-    for e, v in terms:
-        for zi, p in zip(z, e):
-            v *= zi**p
-        total += v
-    return total
-
-
 def _default_grid(n):
     """Small fixed evaluation grid, deterministic across runs."""
     return [tuple(p) for p in itertools.product((1.0, 0.5, 1.5), repeat=n)]
@@ -197,6 +187,6 @@ def numeric_limit_check(lam, alpha0, t0=0.999, grid=None):
         a0 = qt_side.eval_float(t0**alpha0, t0, z) / (1.0 - t0) ** d
         a1 = qt_side.eval_float(t1**alpha0, t1, z) / (1.0 - t1) ** d
         a = 2.0 * a1 - a0
-        b = _eval_alpha_terms(alpha_terms, z)
+        b = _float_monomial_sum(alpha_terms, z)
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     return worst

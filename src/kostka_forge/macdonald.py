@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .errors import (
     IndexOutOfRange,
     NotAPartition,
-    NotDivisible,
     NotInSpan,
     PreconditionViolated,
     SingularSystem,
@@ -118,18 +117,6 @@ def _xi_on_monomial(n, i, mu):
     return apply_xi(ZPolynomial.monomial(n, mu), i, "forward")
 
 
-def _exact_quotient(c, d):
-    """c / d as the exact quotient of the numerators in Z[q,t], times d's
-    denominator, over c's denominator, where d's numerator divides c's;
-    otherwise a division in Q(q,t).  Where both denominators are
-    monomials, the quotient is reduced by gcds against a monomial only."""
-    try:
-        quot = c.num.exact_divide(d.num)
-    except NotDivisible:
-        return c / d
-    return ExactScalar(quot if d.den.is_one() else quot * d.den, c.den)
-
-
 def _order_key(mu):
     """A key that strictly extends the order: mu < nu gives key(mu) <
     key(nu).  Dominance implies lex order on the sorted parts, and within
@@ -165,9 +152,9 @@ def eigen_oracle_E(lam):
     The solve is seeded with d_lam (the norm factor) at lam, so it solves
     for calE_lam = d_lam E_lam, whose coefficients lie in Z[q,t] by Knop's
     integrality theorem.  The sums it divides have monomial denominators
-    (from the xi_i), so each division by an eigenvalue gap is one exact
-    division of the numerators (_exact_quotient), which falls back to
-    Q(q,t) where it does not divide.  It divides by d_lam once, at the end.
+    (from the xi_i), so each division by an eigenvalue gap (ExactScalar's
+    /) is one exact division of the numerators, which falls back to Q(q,t)
+    where it does not divide.  It divides by d_lam once, at the end.
     """
     lam = tuple(lam)
     n = len(lam)
@@ -195,7 +182,7 @@ def eigen_oracle_E(lam):
         )
         if not gap:  # pragma: no cover
             raise SingularSystem("vanishing eigenvalue gap")
-        c_mu = _exact_quotient(acc, gap)
+        c_mu = acc / gap
         if c_mu:
             coeffs[mu] = c_mu
     return ZPolynomial(n, coeffs).scalar_mul(d.inverse())
@@ -370,7 +357,8 @@ def expand_in_partial_t_monomials(f, m, augmented=True):
     Peels f in the plain level-m basis, which is unitriangular: every
     rearrangement head + nu of a partition tail lies below head + tail.
     A maximal remainder monomial without a partition tail is outside the
-    span.  Augmented coefficients are divided by the tail's b-factor.
+    span.  Augmented coefficients are divided by the tail's b-factor, an
+    exact division of the numerators wherever it divides (ExactScalar's /).
     The labels come in lexicographic order.
     """
     if not 0 <= m <= f.n:
@@ -383,7 +371,7 @@ def expand_in_partial_t_monomials(f, m, augmented=True):
 
     coeffs = _peel(f, element)
     labels = sorted(coeffs)
-    values = [_exact_quotient(coeffs[mu], b_factor(mu[m:])) if augmented else coeffs[mu] for mu in labels]
+    values = [coeffs[mu] / b_factor(mu[m:]) if augmented else coeffs[mu] for mu in labels]
     basis_tag = f"t_monomial_{'augmented' if augmented else 'partial'}"
     return BasisExpansion(basis_tag, labels, values, m=m)
 

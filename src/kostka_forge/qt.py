@@ -686,11 +686,19 @@ class ExactScalar:
         return ExactScalar(n1 * n2, d1 * d2, _reduced=True)
 
     def __truediv__(self, other):
+        """Where other's numerator divides self's in Z[q,t], the quotient
+        times other's denominator, over self's denominator (reduced by
+        gcds against self's denominator only); otherwise self times
+        other's inverse."""
         if not other:
             raise DivisionByZero("division by zero scalar")
         if not self:
             return _ES_ZERO
-        return self * other.inverse()
+        try:
+            quot = self.num.exact_divide(other.num)
+        except NotDivisible:
+            return self * other.inverse()
+        return ExactScalar(quot if other.den.is_one() else quot * other.den, self.den)
 
     def inverse(self):
         if not self:

@@ -55,7 +55,9 @@ def schur_bialternant(mu, n):
 
 
 def power_sum(r, n):
-    """p_r = z_1^r + ... + z_n^r."""
+    """p_r = z_1^r + ... + z_n^r, so p_0 = n."""
+    if r == 0:
+        return ZPolynomial.monomial(n, (0,) * n, ExactScalar.from_int(n))
     return ZPolynomial(n, {tuple(r if j == i else 0 for j in range(n)): ExactScalar.one() for i in range(n)})
 
 

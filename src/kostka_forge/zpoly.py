@@ -204,13 +204,7 @@ class ZPolynomial:
         """Float evaluation; coefficients evaluated as num/den at (qv, tv)."""
         if len(z) != self.n:
             raise DimensionMismatch("need one value per variable")
-        total = 0.0
-        for e, c in self.terms.items():
-            v = float(c.evaluate(qv, tv))
-            for zi, p in zip(z, e):
-                v *= zi**p
-            total += v
-        return total
+        return _float_monomial_sum(((e, float(c.evaluate(qv, tv))) for e, c in self.terms.items()), z)
 
     # -- specialization -----------------------------------------------------
 
@@ -258,6 +252,16 @@ class ZPolynomial:
 
     def __repr__(self):
         return f"ZPolynomial({self})"
+
+
+def _float_monomial_sum(terms, z):
+    """Sum of v z^e over (exponent, float coefficient) pairs (e, v)."""
+    total = 0.0
+    for e, v in terms:
+        for zi, p in zip(z, e):
+            v *= zi**p
+        total += v
+    return total
 
 
 def _divide(f, g):

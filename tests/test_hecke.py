@@ -29,7 +29,7 @@ from kostka_forge.hecke import (
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.verify import random_zpoly
 from kostka_forge.weights import compositions, length, spectral_vector, t_factorial
-from kostka_forge.zpoly import ZPolynomial
+from kostka_forge.zpoly import AlphaPolynomial, ZPolynomial
 
 ONE_MINUS_T = ExactScalar.from_poly(QTPolynomial.one() - QTPolynomial.t())
 
@@ -68,6 +68,18 @@ class TestDividedDifference:
 
     def test_square(self):
         assert apply_divided_difference(mono(2, (2, 0)), 1) == z(2, 1) + z(2, 2)
+
+    def test_zero_is_zero(self):
+        for n in (2, 3):
+            for i in range(1, n):
+                assert apply_divided_difference(ZPolynomial.zero(n), i) == ZPolynomial.zero(n)
+
+    @pytest.mark.parametrize("i", [0, 3, -1])
+    def test_index_out_of_range(self, i):
+        with pytest.raises(IndexOutOfRange):
+            apply_divided_difference(z(3, 1), i)
+        with pytest.raises(IndexOutOfRange):
+            apply_divided_difference(ZPolynomial.zero(3), i)
 
 
 class TestHecke:
@@ -130,6 +142,33 @@ def test_fused_hecke_matches_its_definition(data):
         assert apply_hecke(f, i, variant) == hecke_reference(f, i, variant)
     assert apply_hecke(apply_hecke(f, i, "H"), i, "H_inv") == f
     assert apply_hecke(apply_hecke(f, i, "Hbar"), i, "Hbar_inv") == f
+
+
+def divided_difference_by_geometric_sum(f, i):
+    """N_i term by term: for a > b, (z^a w^b - z^b w^a)/(z - w) is
+    sum_{k < a-b} z^(a-1-k) w^(b+k), with z = z_i and w = z_{i+1}."""
+    out = {}
+    for e, c in f.terms.items():
+        a, b = e[i - 1], e[i]
+        if a < b:
+            a, b, c = b, a, -c
+        for k in range(a - b):
+            key = e[: i - 1] + (a - 1 - k, b + k) + e[i + 1 :]
+            out[key] = out[key] + c if key in out else c
+    return ZPolynomial(f.n, out)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [st.integers(-3, 3), st.lists(st.integers(-3, 3), max_size=3).map(AlphaPolynomial), fractions],
+    ids=["int", "alpha", "exact"],
+)
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_divided_difference_is_the_geometric_sum(coeffs, data):
+    f = data.draw(laurent_zpolys(coeffs))
+    i = data.draw(st.integers(1, f.n - 1))
+    assert apply_divided_difference(f, i) == divided_difference_by_geometric_sum(f, i)
 
 
 class TestDelta:

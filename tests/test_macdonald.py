@@ -111,7 +111,7 @@ class TestNonsymE:
     )
     def test_exact_quotient_is_the_field_quotient(self, acc):
         gap = ExactScalar.qt_monomial(1, 0) - ExactScalar.qt_monomial(0, -2)
-        assert macdonald._exact_quotient(acc, gap) == acc / gap
+        assert acc / gap == acc * gap.inverse()
 
     def test_span_below_is_a_linear_extension(self):
         for n in range(1, 5):

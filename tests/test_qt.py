@@ -269,6 +269,20 @@ def test_integral_product_is_the_reduced_product(a, b):
     assert is_canonical(product)
 
 
+@settings(deadline=None, max_examples=150)
+@given(scalars, scalars.filter(bool), polys, nonzero_polys, one_terms)
+def test_quotient_is_the_product_by_the_inverse(x, y, p, d, m):
+    # a random numerator, one that y's numerator divides, and zero, each
+    # over y and over y's numerator on a monomial denominator
+    planted = ExactScalar(y.num * p, d)
+    over_monomial = ExactScalar(y.num, m)
+    for a in (x, planted, ExactScalar.zero()):
+        for b in (y, over_monomial):
+            quot = a / b
+            assert quot == a * b.inverse()
+            assert is_canonical(quot)
+
+
 def substitute_in_fractions(p, qv, tv):
     """The substitution with every coefficient and power as a Fraction."""
     acc = {}

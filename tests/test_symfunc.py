@@ -48,6 +48,13 @@ def test_schur_hook():
     assert s.coeff((1, 1, 1)) == ExactScalar.from_int(2)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 4])
+def test_power_sum_of_degree_zero_is_n(n):
+    # z_1^0 + ... + z_n^0 = n, and so p_(1,0) = n p_1
+    assert power_sum(0, n) == ZPolynomial.one(n).scalar_mul(ExactScalar.from_int(n))
+    assert power_sum_product((1, 0), n) == power_sum(1, n).scalar_mul(ExactScalar.from_int(n))
+
+
 def test_power_sum():
     assert power_sum(2, 2) == ZPolynomial.monomial(2, (2, 0)) + ZPolynomial.monomial(
         2, (0, 2)
