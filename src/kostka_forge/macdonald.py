@@ -299,8 +299,10 @@ def _peel(f, element):
 
     The peel is Q(q,t)-linear in f, so it runs as one word of
     hecke._run_packed: on L f over Z[q,t], with each coefficient one
-    Kronecker-packed int, c * element(mu) is one int product per term, and
-    the runner divides the coefficients by L.
+    Kronecker-packed int, and the runner divides the coefficients by L.
+    Each coefficient of element(mu) has a few terms, so c times its image
+    is a sum of shifted copies of c (Kronecker.pack_times), with no product
+    of c by a many-digit int; it is the same int as that product.
 
     The digits must fit, and the word's running bound S sees to it.  It
     starts from the runner's bound, L1(L f) here (no Hecke step), with L1
@@ -335,7 +337,7 @@ def _peel(f, element):
             if bound >= top:
                 raise _Widen(bound)
             for nu, e in terms.items():
-                s = rem.get(nu, 0) - c * codec.pack(e.num)
+                s = rem.get(nu, 0) - codec.pack_times(e.num, c)
                 if s:
                     rem[nu] = s
                 else:

@@ -269,7 +269,8 @@ class QTPolynomial:
         return self._terms.get((0, 0), 0)
 
     def deg_q(self):
-        return max((a for a, _ in self._terms), default=-1)
+        # the lex-largest key has the largest q-exponent
+        return max(self._terms)[0] if self._terms else -1
 
     def deg_t(self):
         return max((b for _, b in self._terms), default=-1)
@@ -721,6 +722,10 @@ class ExactScalar:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, qv, tv):
+        if self.den.is_one():
+            # qv**0 * tv**0 is the 1 that den.evaluate gives, of its type:
+            # a zero numerator over it stays a Fraction at a Fraction point
+            return self.num.evaluate(qv, tv) / (qv**0 * tv**0)
         d = self.den.evaluate(qv, tv)
         if d == 0:
             raise PoleAtSpecialization(f"denominator vanishes at q={qv}, t={tv}")
@@ -771,12 +776,14 @@ class Kronecker:
     sum a_ij q^i t^j maps to sum a_ij 2^(B*(i + Q*j)).
 
     The map is a ring homomorphism, so a sum is one int addition and a
-    product by q^a t^b is a left shift by B*(a + Q*b).  An int decodes
-    back to the polynomial it is the image of whenever that polynomial has
-    q-degree below Q and coefficients in (-2^(B-1), 2^(B-1)): they are
-    then its balanced base-2^B digits.  Both directions go through bytes
-    against an offset whose digits are all 2^(B-1) (adding it makes every
-    digit nonnegative without a carry), so each is linear in the size.
+    product by q^a t^b is a left shift by B*(a + Q*b); so an int v times
+    the image of a sparse p is a sum of shifted copies of v (pack_times).
+    An int decodes back to the polynomial it is the image of whenever
+    that polynomial has q-degree below Q and coefficients in
+    (-2^(B-1), 2^(B-1)): they are then its balanced base-2^B digits.
+    Both directions go through bytes against an offset whose digits are
+    all 2^(B-1) (adding it makes every digit nonnegative without a
+    carry), so each is linear in the size.
     """
 
     __slots__ = ("B", "Q", "_qshift", "_tshift", "_nbytes", "_half", "_ndigits", "_offset", "_keys")
@@ -810,19 +817,16 @@ class Kronecker:
         """The image of a nonzero p with q-degree below Q and coefficients
         inside the digit bound.
 
-        A sparse p is packed as the sum of its shifted terms, which touches
-        about terms * ndigits / 2 words; a dense one through the array of
-        digits, which touches ndigits words after a fixed cost of about 256
-        (timed).  So the sum is taken while (terms - 2) * ndigits < 512,
-        always for at most two terms."""
+        A sparse p is packed as the sum of its shifted terms,
+        pack_times(p, 1), which touches about terms * ndigits / 2 words; a
+        dense one through the array of digits, which touches ndigits words
+        after a fixed cost of about 256 (timed).  So the sum is taken while
+        (terms - 2) * ndigits < 512, always for at most two terms."""
         terms = p._terms
-        B, Q, half, nbytes = self.B, self.Q, self._half, self._nbytes
+        Q, half, nbytes = self.Q, self._half, self._nbytes
         ndigits = Q * (max(j for _, j in terms) + 1) if len(terms) > 2 else 0
         if (len(terms) - 2) * ndigits < 512:
-            v = 0
-            for (i, j), a in terms.items():
-                v += a << B * (i + Q * j)
-            return v
+            return self.pack_times(p, 1)
         offset = self._offset_of(ndigits)
         if nbytes == 8 and _WORDS_ARE_LITTLE:
             words = array("Q", [half]) * ndigits
@@ -834,6 +838,16 @@ class Kronecker:
             k = (i + Q * j) * nbytes
             buf[k : k + nbytes] = (a + half).to_bytes(nbytes, "little")
         return int.from_bytes(buf, "little") - offset
+
+    def pack_times(self, p, v):
+        """v times the image of p, as the sum of (a*v) << B*(i + Q*j) over
+        the terms a q^i t^j of p: a product by each small a and a shift, in
+        place of a product of v by the many-digit image of p."""
+        B, Q = self.B, self.Q
+        w = 0
+        for (i, j), a in p._terms.items():
+            w += a * v << B * (i + Q * j)
+        return w
 
     def unpack(self, v):
         """q^qshift t^tshift times the polynomial whose image is the nonzero

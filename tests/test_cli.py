@@ -70,6 +70,20 @@ class TestExpand:
         assert out.endswith("\n")
         assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
 
+    def test_canonical_json_is_the_sorted_compact_dump(self, monkeypatch):
+        """No cycle check changes no byte: a table entry, a Kostka matrix and
+        a failing suite report with a counterexample."""
+        from kostka_forge import verify as verify_mod
+
+        real = verify_mod.nonsym_calE
+        bad = real((1, 0)).scalar_mul(ExactScalar.q(-1))
+        monkeypatch.setattr(verify_mod, "nonsym_calE", lambda lam: bad if lam == (1, 0) else real(lam))
+        report = run_suite("integrality", n=2, maxdeg=2)
+        assert not report["passed"]
+        entry = {"lambda": [1, 0, 2], "calE": macdonald.nonsym_calE((1, 0, 2)).to_json_dict()}
+        for obj in (entry, kostka_matrix(3, 3).to_json_dict(), report):
+            assert cli.canonical_json(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
     def test_latex_output(self, capsys):
         code, out, _ = run(
             capsys,

@@ -442,6 +442,30 @@ class TestPackedPeel:
         assert got == _peeled(_reference_t_monomials, f)
         assert widths == [64, 128]
 
+    @pytest.mark.parametrize(
+        "peel, f, runs",
+        [
+            (expand_in_t_monomials, nonsym_calE((1, 0, 2)), 1),
+            (lambda f: expand_in_partial_t_monomials(f, 1), sym_calJ((2, 1, 0)), 1),
+            (expand_in_t_monomials, mono(3, (2, 1, 0), ExactScalar.from_int(2**62)), 2),
+        ],
+        ids=["full", "partial", "repacked"],
+    )
+    def test_only_the_runner_packs(self, monkeypatch, peel, f, runs):
+        """The word subtracts shifted copies of each c (pack_times) and
+        packs no element: the runner's one pack per coefficient of L f, once
+        per codec, is every pack."""
+        packed = []
+
+        class Spy(hecke.Kronecker):
+            def pack(self, p):
+                packed.append(p)
+                return super().pack(p)
+
+        monkeypatch.setattr(hecke, "Kronecker", Spy)
+        peel(f)
+        assert len(packed) == runs * len(f.terms)
+
 
 class TestSymmetric:
     def test_single_row(self):

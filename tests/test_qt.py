@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kostka_forge import qt
 from kostka_forge.errors import DivisionByZero, NotDivisible, PoleAtSpecialization
@@ -251,6 +251,13 @@ def test_json_terms_are_the_sorted_terms(p):
     assert p.to_json_terms() == [[a, b, str(c)] for (a, b), c in sorted(p.items())]
 
 
+@settings(deadline=None, max_examples=100)
+@example(QTPolynomial.zero())
+@given(st.dictionaries(st.tuples(st.integers(-3, 4), st.integers(-3, 4)), st.integers(-6, 6), max_size=5).map(P))
+def test_deg_q_is_the_largest_q_exponent(p):
+    assert p.deg_q() == max((a for a, _ in p._terms), default=-1)
+
+
 @settings(deadline=None, max_examples=150)
 @given(polys, polys)
 def test_sum_negation_and_product_hold_no_zero_terms(a, b):
@@ -315,6 +322,29 @@ def test_substitute_matches_fraction_arithmetic(p, qv, tv):
     assert type(den) is int and all(type(c) is int for _, c in poly.terms())
     if all(v is None or Fraction(v).denominator == 1 for v in (qv, tv)):
         assert den == 1
+
+
+points = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-2, 2),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(scalars, polys.map(ExactScalar.from_poly)), points, points)
+def test_evaluate_is_the_quotient_of_the_evaluations(x, qv, tv):
+    """The value at a float, int or Fraction point (or a mix) is
+    num(qv, tv) / den(qv, tv) in value and type, bit for bit, whether or
+    not the denominator is 1; a vanishing denominator is a pole."""
+    d = x.den.evaluate(qv, tv)
+    if d == 0:
+        with pytest.raises(PoleAtSpecialization):
+            x.evaluate(qv, tv)
+        return
+    expected = x.num.evaluate(qv, tv) / d
+    got = x.evaluate(qv, tv)
+    assert (type(got), repr(got)) == (type(expected), repr(expected))
 
 
 def test_substitute_a_negative_power_of_an_integer():
@@ -431,6 +461,36 @@ def test_kronecker_unpack_reads_the_extreme_digits_in_key_order(B):
         out = codec.unpack(v)
         assert out == ExactScalar.from_poly(p if v > 0 else -p)
         assert list(out.num.items()) == sorted(out.num.items(), key=lambda kv: kv[0][::-1])
+
+
+def _pack_times_polys(B):
+    """Constants, monomials, Z[t] and mixed q,t polynomials with q-degree
+    below 5, over coefficients +-1, small ones and +-(2^(B-1) - 1)."""
+    top = 2 ** (B - 1) - 1
+    coeffs = st.sampled_from([1, -1, top, -top]) | st.integers(-6, 6).filter(bool)
+    return st.one_of(
+        coeffs.map(lambda a: P({(0, 0): a})),
+        st.builds(lambda e, a: P({e: a}), exponents, coeffs),
+        st.dictionaries(st.tuples(st.just(0), st.integers(0, 6)), coeffs, min_size=1, max_size=6).map(P),
+        st.dictionaries(exponents, coeffs, min_size=1, max_size=6).map(P),
+    )
+
+
+@pytest.mark.parametrize("B", [64, 128])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_kronecker_pack_times_is_the_product_by_the_image(B, data):
+    """pack_times(p, v) is the int v * pack(p), for any v; where the
+    product's digits fit, it unpacks to v p."""
+    top = 2 ** (B - 1) - 1
+    p = data.draw(_pack_times_polys(B))
+    codec = qt.Kronecker(top, 5)
+    assert codec.B == B
+    v = data.draw(st.integers(-(2**300), 2**300))
+    assert codec.pack_times(p, v) == v * codec.pack(p)
+    most = top // max(map(abs, p._terms.values()))
+    v = data.draw(st.integers(-most, most).filter(bool))
+    assert codec.unpack(codec.pack_times(p, v)) == ExactScalar.from_poly(p * P({(0, 0): v}))
 
 
 # ---------------------------------------------------------------------------
