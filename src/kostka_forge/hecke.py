@@ -17,6 +17,11 @@ from .zpoly import ZPolynomial
 _ONE_MINUS_T = ExactScalar.from_poly(QTPolynomial.one() - QTPolynomial.t())
 
 
+def _unit(n, j):
+    """The exponent vector of z_{j+1} in n variables (j 0-based)."""
+    return tuple(int(k == j) for k in range(n))
+
+
 def _check_reflection_index(f, i):
     if not 1 <= i <= f.n - 1:
         raise IndexOutOfRange(f"reflection index {i} out of range for n={f.n}")
@@ -37,7 +42,7 @@ def apply_divided_difference(f, i):
     it and the result is always a (Laurent) polynomial.  The divisor's
     coefficients are the one of f's coefficient ring (f ** 0).
     """
-    zi = (f ** 0).monomial_mul([int(j == i - 1) for j in range(f.n)])
+    zi = (f ** 0).monomial_mul(_unit(f.n, i - 1))
     return (f - apply_reflection(f, i)).exact_divide(zi - apply_reflection(zi, i))
 
 
@@ -107,18 +112,10 @@ def apply_hecke(f, i, variant="H"):
 def apply_delta(f, direction="forward"):
     """Delta f(z_1,...,z_n) = f(q^{-1} z_n, z_1, ..., z_{n-1})."""
     n = f.n
-    qinv = ExactScalar.q(-1)
-    qpos = ExactScalar.q(1)
-
-    def unit(j):
-        e = [0] * n
-        e[j] = 1
-        return tuple(e)
-
     if direction == "forward":
-        images = [(qinv, unit(n - 1))] + [(None, unit(j - 2)) for j in range(2, n + 1)]
+        images = [(ExactScalar.q(-1), _unit(n, n - 1))] + [(None, _unit(n, j)) for j in range(n - 1)]
     elif direction == "inverse":
-        images = [(None, unit(j)) for j in range(1, n)] + [(qpos, unit(0))]
+        images = [(None, _unit(n, j)) for j in range(1, n)] + [(ExactScalar.q(1), _unit(n, 0))]
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return f.substitute(images)
@@ -128,8 +125,7 @@ def apply_phi(f, variant="Phi"):
     """Phi = z_n Delta;  Phi' = t^{1-n} z_n H_{n-1}...H_1;  Phi_1 = z_n s_{n-1}...s_1,
     where s_{n-1}...s_1 rotates each exponent vector left by one place."""
     n = f.n
-    zn = [0] * n
-    zn[n - 1] = 1
+    zn = _unit(n, n - 1)
     if variant == "Phi":
         return apply_delta(f, "forward").monomial_mul(zn)
     if variant == "Phi_prime":

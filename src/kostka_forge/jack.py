@@ -16,11 +16,13 @@ from fractions import Fraction
 
 from .errors import NotAPartition, NotInSpan
 from .hecke import _coset_chain_sum, apply_phi, apply_reflection
+from .macdonald import nonsym_calE
 from .weights import (
     distinct_permutations,
     is_partition,
     length,
     multiplicity,
+    spectral_vector,
     star_step,
     weight,
 )
@@ -35,13 +37,15 @@ def _creation_step(f, lam):
     """The limiting creation operator applied to f = calE_{lam*}(alpha).
 
     Sum over i of s_m ... (omit s_i) ... s_{n-1} Phi_1, plus
-    (alpha*lam_m - k + m) times the full word s_m ... s_{n-1} Phi_1,
-    where k counts the earlier parts that are >= lam_m.
+    (alpha*lam_m - k + m) times the full word s_m ... s_{n-1} Phi_1, with
+    (lam_m, -k) the m-th entry of the spectral vector: the t -> 1 limit
+    of (lambda-bar_m t^m - 1)/(t - 1), where lambda-bar_m t^m =
+    q^{lam_m} t^{m-k} and q = t^alpha (Knop; Macdonald, SFHP VI §10).
     """
     lam = tuple(lam)
     n = len(lam)
     m = length(lam)
-    k = sum(1 for i in range(m - 1) if lam[i] >= lam[m - 1])
+    a, minus_k = spectral_vector(lam).exponents[m - 1]
     g = apply_phi(f, "Phi_one")
     total = ZPolynomial.zero(n)
     # one chain: with g = s_{j+1} ... s_{n-1} Phi_1 f, the words from s_j on
@@ -49,7 +53,7 @@ def _creation_step(f, lam):
     for j in range(n - 1, m - 1, -1):
         total = g + apply_reflection(total, j)
         g = apply_reflection(g, j)
-    return total + g.scalar_mul(AlphaPolynomial((m - k, lam[m - 1])))
+    return total + g.scalar_mul(AlphaPolynomial((m + minus_k, a)))
 
 
 def jack_nonsym(lam):
@@ -171,8 +175,6 @@ def numeric_limit_check(lam, alpha0, t0=0.999, grid=None):
     term (a wrong limit still shows up as an O(1) gap), and normalize
     each gap by max(1, |target|).
     """
-    from .macdonald import nonsym_calE
-
     lam = tuple(lam)
     n = len(lam)
     if grid is None:

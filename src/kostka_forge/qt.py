@@ -285,10 +285,7 @@ class QTPolynomial:
         return k, self._terms[k]
 
     def content(self):
-        g = 0
-        for c in self._terms.values():
-            g = _igcd(g, c)
-        return g
+        return _ucontent(self._terms.values())
 
     def __eq__(self, other):
         if not isinstance(other, QTPolynomial):
@@ -817,16 +814,14 @@ class Kronecker:
         """The image of a nonzero p with q-degree below Q and coefficients
         inside the digit bound.
 
-        A sparse p is packed as the sum of its shifted terms,
-        pack_times(p, 1), which touches about terms * ndigits / 2 words; a
-        dense one through the array of digits, which touches ndigits words
-        after a fixed cost of about 256 (timed).  So the sum is taken while
-        (terms - 2) * ndigits < 512, always for at most two terms."""
+        A p with at most two terms is packed as the sum of its shifted
+        terms, pack_times(p, 1); any other through the array of its digits,
+        which touches each digit slot once."""
         terms = p._terms
-        Q, half, nbytes = self.Q, self._half, self._nbytes
-        ndigits = Q * (max(j for _, j in terms) + 1) if len(terms) > 2 else 0
-        if (len(terms) - 2) * ndigits < 512:
+        if len(terms) <= 2:
             return self.pack_times(p, 1)
+        Q, half, nbytes = self.Q, self._half, self._nbytes
+        ndigits = Q * (max(j for _, j in terms) + 1)
         offset = self._offset_of(ndigits)
         if nbytes == 8 and _WORDS_ARE_LITTLE:
             words = array("Q", [half]) * ndigits

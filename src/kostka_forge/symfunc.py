@@ -88,12 +88,7 @@ def msym_coords(f, n):
     Keys are padded partitions; the coordinate on m_rho is the coefficient
     of the dominant monomial z^rho.
     """
-    out = {}
-    for e, c in f.terms.items():
-        key = tuple(sorted(e, reverse=True))
-        if key == e:
-            out[key] = c
-    return out
+    return {e: c for e, c in f.terms.items() if is_partition(e)}
 
 
 def _from_msym_coords(coords, n):

@@ -62,25 +62,23 @@ from .zpoly import ZPolynomial
 
 
 def random_zpoly(rng, n, maxdeg=4, max_terms=5, coeff_bound=5):
-    terms = {}
+    """Up to max_terms random terms with nonzero int coefficients; those on
+    one exponent are summed as ints, each nonzero sum becomes one
+    ExactScalar, and the result is the constant 1 if every sum is zero."""
+    sums = {}
     for _ in range(rng.randint(1, max_terms)):
-        deg = rng.randint(0, maxdeg)
         exps = [0] * n
-        for _ in range(deg):
+        for _ in range(rng.randint(0, maxdeg)):
             exps[rng.randrange(n)] += 1
         c = 0
         while c == 0:
             c = rng.randint(-coeff_bound, coeff_bound)
         key = tuple(exps)
-        prev = terms.get(key, ExactScalar.zero())
-        s = prev + ExactScalar.from_int(c)
-        if s:
-            terms[key] = s
-        elif key in terms:
-            del terms[key]
-    if not terms:
-        terms = {(0,) * n: ExactScalar.one()}
-    return ZPolynomial(n, terms)
+        s = sums[key] = sums.get(key, 0) + c
+        if not s:
+            del sums[key]
+    terms = {e: ExactScalar.from_int(c) for e, c in sums.items()}
+    return ZPolynomial(n, terms or {(0,) * n: ExactScalar.one()})
 
 
 def _all_compositions(n, maxdeg):

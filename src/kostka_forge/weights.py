@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from operator import ge
 
 from .errors import DimensionMismatch, NotAPartition, ZeroComposition
 from .qt import ExactScalar, QTPolynomial
@@ -33,7 +34,7 @@ def length(lam):
 
 
 def is_partition(lam):
-    return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
+    return all(map(ge, lam, lam[1:]))
 
 
 def compositions(total, n):

@@ -100,11 +100,7 @@ class ZPolynomial:
         return ZPolynomial(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] - c if k in out else -c
-        return ZPolynomial(self.n, out)
+        return self + (-other)
 
     def __mul__(self, other):
         self._check(other)

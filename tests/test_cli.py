@@ -699,6 +699,44 @@ class TestVerify:
             assert set(check) == {"name", "passed", "detail"} | extra
 
 
+def _random_zpoly_by_exact_sums(rng, n, maxdeg=4, max_terms=5, coeff_bound=5):
+    """random_zpoly with each draw added as an ExactScalar and a term
+    deleted where its sum cancels."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        deg = rng.randint(0, maxdeg)
+        exps = [0] * n
+        for _ in range(deg):
+            exps[rng.randrange(n)] += 1
+        c = 0
+        while c == 0:
+            c = rng.randint(-coeff_bound, coeff_bound)
+        key = tuple(exps)
+        s = terms.get(key, ExactScalar.zero()) + ExactScalar.from_int(c)
+        if s:
+            terms[key] = s
+        elif key in terms:
+            del terms[key]
+    if not terms:
+        terms = {(0,) * n: ExactScalar.one()}
+    return ZPolynomial(n, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("maxdeg, max_terms, coeff_bound", [(4, 5, 5), (3, 3, 5), (1, 8, 1), (0, 6, 2)])
+def test_random_zpoly_sums_its_draws_as_ints(n, maxdeg, max_terms, coeff_bound):
+    """The same polynomial, in the same term order, from the same draws as
+    the generator that sums ExactScalars; small sizes make cancellation
+    and the all-cancelled constant 1 common."""
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            f = random_zpoly(rng, n, maxdeg, max_terms, coeff_bound)
+            g = _random_zpoly_by_exact_sums(ref, n, maxdeg, max_terms, coeff_bound)
+            assert list(f.terms.items()) == list(g.terms.items())
+        assert rng.getstate() == ref.getstate()
+
+
 class TestDeterminism:
     def test_table_bytes_stable_across_parallelism(self, tmp_path):
         paths = [tmp_path / f"t{i}.json" for i in range(3)]

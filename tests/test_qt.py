@@ -159,6 +159,15 @@ nonzero_polys = polys.filter(bool)
 scalars = st.tuples(polys, nonzero_polys).map(lambda p: ExactScalar(p[0], p[1]))
 
 
+@given(polys, st.integers(1, 12))
+def test_content_is_the_gcd_of_the_coefficients(p, k):
+    """Nonnegative, 0 for zero, and a common factor k of every coefficient
+    shows in it."""
+    kp = P({e: k * c for e, c in p._terms.items()})
+    assert p.content() == math.gcd(*p._terms.values())
+    assert kp.content() == k * p.content()
+
+
 def is_canonical(x):
     if not x.num:
         return x.den.is_one()
@@ -424,18 +433,20 @@ def _image(p, B, Q):
 
 
 @pytest.mark.parametrize("bound", [2**62, 2**100], ids=["B64", "B128"])
-@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
-def test_kronecker_pack_is_the_image_sparse_or_dense(monkeypatch, bound, dense):
-    """A sparse input (three terms over 155 digit slots) is packed as the
-    sum of its shifted terms, a dense one (every slot filled) through the
-    array of digits; both give the image and decode back, negative
-    coefficients and the extreme digits included."""
+@pytest.mark.parametrize("shape", ["sparse", "three-term", "dense"])
+def test_kronecker_pack_is_the_image_sparse_or_dense(monkeypatch, bound, shape):
+    """A sparse input (two terms over 155 digit slots) is packed as the sum
+    of its shifted terms; a three-term one and a dense one (every slot
+    filled) through the array of digits.  Each gives the image and decodes
+    back, negative coefficients and the extreme digits included."""
     Q, top = 5, 30
-    if dense:
+    if shape == "dense":
         terms = {(i, j): (-1) ** (i + j) * (i + 7 * j + 1) for i in range(Q) for j in range(top + 1)}
         terms[0, 0], terms[Q - 1, top] = bound, -bound
-    else:
+    elif shape == "three-term":
         terms = {(0, 0): -bound, (2, 11): 3, (Q - 1, top): bound}
+    else:
+        terms = {(0, 0): -bound, (Q - 1, top): bound}
     p = P(terms)
     codec = qt.Kronecker(bound, Q)
     assert codec.B == (64 if bound < 2**63 else 128)
@@ -443,7 +454,7 @@ def test_kronecker_pack_is_the_image_sparse_or_dense(monkeypatch, bound, dense):
     offset_of = qt.Kronecker._offset_of
     monkeypatch.setattr(qt.Kronecker, "_offset_of", lambda self, n: arrays.append(n) or offset_of(self, n))
     v = codec.pack(p)
-    assert (len(arrays) == 1) == dense
+    assert len(arrays) == (shape != "sparse")
     assert v == _image(p, codec.B, Q)
     assert codec.unpack(v) == ExactScalar.from_poly(p)
     assert codec.unpack(-v) == ExactScalar.from_poly(-p)

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kostka_forge.errors import NotAPartition, ZeroComposition
 from kostka_forge.qt import ExactScalar, QTPolynomial
@@ -13,6 +14,7 @@ from kostka_forge.weights import (
     conjugate,
     distinct_permutations,
     dominance_cmp,
+    is_partition,
     length_stat,
     multiplicity,
     norm_factor,
@@ -283,6 +285,20 @@ def test_dominance_cmp_basic():
     assert dominance_cmp((2, 0), (1, 1)) == "greater"
     assert dominance_cmp((2, 1, 1), (2, 1, 1)) == "equal"
     assert dominance_cmp((3, 1, 1, 1), (2, 2, 2, 0)) == "incomparable"
+
+
+@given(st.lists(st.integers(-3, 3), max_size=6), st.booleans())
+@example([], True)
+@example([], False)
+@example([4], True)
+@example([-2], False)
+@example([2, 2, -1], True)
+@example([1, 2], False)
+def test_is_partition_is_the_sorted_comparison(parts, as_tuple):
+    """Non-increasing, on tuples and lists, empty, one-part and negative
+    entries included."""
+    lam = tuple(parts) if as_tuple else parts
+    assert is_partition(lam) == (tuple(sorted(lam, reverse=True)) == tuple(lam))
 
 
 def test_distinct_permutations_match_the_set_of_all_permutations():

@@ -170,6 +170,41 @@ def test_difference_is_sum_of_negative(a, b):
     assert (a - b) + b == a
 
 
+# one coefficient strategy per ring ZPolynomial takes
+ring_coeffs = {
+    "int": st.integers(-3, 3).filter(bool),
+    "alpha": st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(AlphaPolynomial).filter(bool),
+    "exact": st.one_of(st.just(ONE), non_units),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(ring_coeffs))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_difference_is_the_termwise_difference(ring, data):
+    """f - g over int, alpha and ExactScalar coefficients: the termwise
+    difference, equal to f + (-g), with no zero coefficient stored, and
+    f - f is zero.  g takes some of f's terms as they are, so that
+    cancelling terms are common."""
+    polys = st.dictionaries(st.sampled_from([(0, 0), (1, 0), (0, 1), (-1, 2)]), ring_coeffs[ring], max_size=4)
+    f = ZPolynomial(2, data.draw(polys))
+    shared = data.draw(st.sets(st.sampled_from(sorted(f.terms)))) if f else set()
+    g = ZPolynomial(2, {**data.draw(polys), **{k: f.terms[k] for k in shared}})
+    expected = {}
+    for k in f.terms.keys() | g.terms.keys():
+        if k not in g.terms:
+            expected[k] = f.terms[k]
+        elif k not in f.terms:
+            expected[k] = -g.terms[k]
+        elif f.terms[k] != g.terms[k]:
+            expected[k] = f.terms[k] - g.terms[k]
+    h = f - g
+    assert h.terms == expected
+    assert h == f + (-g)
+    assert no_zero_coefficient(h)
+    assert (f - f).terms == {}
+
+
 def test_difference_needs_equal_dimensions():
     with pytest.raises(DimensionMismatch):
         z(2, 1) - z(3, 1)
