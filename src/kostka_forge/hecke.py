@@ -150,7 +150,7 @@ def apply_xi(f, i, direction="forward"):
     Both words are Q(q,t)-linear, so each runs once on Kronecker-packed
     ints (_run_packed).  Delta puts q^{-e_1} on the term z^e and
     Delta^{-1} puts q^{e_n}; with lo and hi the least and the largest
-    z-exponent of f, these run as the left shifts by q^{hi - e_1} and
+    z-exponent of f, these run as codec.times by q^{hi - e_1} and
     q^{e_n - lo}, and q^{-hi} (Delta) or q^{lo} t^{1-n} (Delta^{-1}) is
     applied while unpacking.
     """
@@ -161,24 +161,24 @@ def apply_xi(f, i, direction="forward"):
     if direction == "forward":
         hs, hbars, offset = range(i, n), range(1, i), (lo, 1 - n)
 
-        def rotate(e, v, B):  # Delta^{-1}, times q^{-lo}
-            return e[-1:] + e[:-1], v << B * (e[-1] - lo)
+        def rotate(e, v, codec):  # Delta^{-1}, times q^{-lo}
+            return e[-1:] + e[:-1], codec.times(v, e[-1] - lo)
 
     elif direction == "inverse":
         hs, hbars, offset = range(i - 1, 0, -1), range(n - 1, i - 1, -1), (-hi, 0)
 
-        def rotate(e, v, B):  # Delta, times q^{hi}
-            return e[1:] + e[:1], v << B * (hi - e[0])
+        def rotate(e, v, codec):  # Delta, times q^{hi}
+            return e[1:] + e[:1], codec.times(v, hi - e[0])
 
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
-    def word(g, codec, one_minus_t, bound):
+    def word(g, codec, bound):
         for j in hs:
-            g = _hecke_terms(g, j, False, one_minus_t)
-        g = dict(rotate(e, v, codec.B) for e, v in g.items())
+            g = _hecke_terms(g, j, False, codec.one_minus_t)
+        g = dict(rotate(e, v, codec) for e, v in g.items())
         for j in hbars:
-            g = _hecke_terms(g, j, True, one_minus_t)
+            g = _hecke_terms(g, j, True, codec.one_minus_t)
         return g
 
     return _run_packed(f, word, n - 1, hi - lo, *offset)
@@ -213,13 +213,12 @@ def apply_X_lambda(f, lam):
     tb += m
 
     # A_m = H_m...H_{n-1} Phi and Abar_m = Hbar_m...Hbar_{n-1} Phi share Phi f
-    def word(a, codec, one_minus_t, bound):
+    def word(a, codec, bound):
         abar = a
         for i in range(n - 1, m - 1, -1):
-            a = _hecke_terms(a, i, False, one_minus_t)
-            abar = _hecke_terms(abar, i, True, one_minus_t)
-        ev_shift = codec.B * (qa + codec.Q * tb)
-        a = {e: v << ev_shift for e, v in a.items()}
+            a = _hecke_terms(a, i, False, codec.one_minus_t)
+            abar = _hecke_terms(abar, i, True, codec.one_minus_t)
+        a = {e: codec.times(v, qa, tb) for e, v in a.items()}
         return (ZPolynomial(n, abar) - ZPolynomial(n, a)).terms
 
     g = apply_phi(f.scalar_mul(ExactScalar.q(d)))
@@ -241,10 +240,10 @@ def _run_packed(f, word, hecke_steps, q_growth, qshift, tshift=0, runs=1):
 
     With L the lcm of the coefficient denominators of f (1 if f is
     integral), L f has coefficients in Z[q,t]; it is packed by a
-    qt.Kronecker codec, word(packed, codec, one_minus_t, bound) maps the
-    dict of packed ints to the dict of the result's packed ints, with
-    one_minus_t(c) = c - (c << B*Q) the product by (1-t) and bound the
-    digit bound below, and the result is unpacked, times
+    qt.Kronecker codec, word(packed, codec, bound) maps the dict of
+    packed ints to the dict of the result's packed ints through the
+    codec's times, one_minus_t and holds, with bound the digit bound
+    below, and the result is unpacked, times
     q^qshift t^tshift, and divided by L.  Where L is a monomial q^a t^b
     with coefficient 1 (1 on every calE_mu), the division is part of the
     unpacking, which multiplies by q^(qshift - a) t^(tshift - b); any
@@ -272,8 +271,8 @@ def _run_packed(f, word, hecke_steps, q_growth, qshift, tshift=0, runs=1):
 
     A word whose growth is not known in advance may instead keep its own
     running bound S on the digits, from bound up, and raise _Widen(S)
-    once S reaches 2^(B-1); the runner then re-packs L f under a codec for
-    S and runs the word again with the same bound.
+    once the codec no longer holds S; the runner then re-packs L f under
+    a codec for S and runs the word again with the same bound.
     """
     dens = {c.den for c in f.terms.values()}
     den = QTPolynomial.one()
@@ -299,13 +298,8 @@ def _run_packed(f, word, hecke_steps, q_growth, qshift, tshift=0, runs=1):
     width = bound
     while True:
         codec = Kronecker(width, Q, qshift, tshift)
-        t_shift = codec.B * Q
-
-        def one_minus_t(c):
-            return c - (c << t_shift)
-
         try:
-            packed = word({e: codec.pack(p) for e, p in nums.items()}, codec, one_minus_t, bound)
+            packed = word({e: codec.pack(p) for e, p in nums.items()}, codec, bound)
         except _Widen as widen:
             (width,) = widen.args
         else:

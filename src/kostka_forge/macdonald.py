@@ -17,7 +17,6 @@ from .errors import (
     NotAPartition,
     NotInSpan,
     PreconditionViolated,
-    SingularSystem,
     TailNotPartition,
     TooFewVariables,
 )
@@ -26,9 +25,9 @@ from .hecke import (
     _coset_chain_sum,
     _run_packed,
     _Widen,
+    apply_delta,
     apply_hecke,
     apply_X_lambda,
-    apply_xi,
     hecke_symmetrize,
 )
 from .qt import ExactScalar
@@ -114,7 +113,15 @@ def nonsym_E(lam):
 
 @functools.cache
 def _xi_on_monomial(n, i, mu):
-    return apply_xi(ZPolynomial.monomial(n, mu), i, "forward")
+    """xi_i z^mu by its word t^{1-n} Hbar_{i-1}...Hbar_1 Delta^{-1} H_{n-1}...H_i
+    in ExactScalar steps: the oracle shares no packed code with apply_xi."""
+    g = ZPolynomial.monomial(n, mu)
+    for j in range(i, n):
+        g = apply_hecke(g, j, "H")
+    g = apply_delta(g, "inverse")
+    for j in range(1, i):
+        g = apply_hecke(g, j, "Hbar")
+    return g.scalar_mul(ExactScalar.t(1 - n))
 
 
 def _order_key(mu):
@@ -166,22 +173,14 @@ def eigen_oracle_E(lam):
         if mu == lam:
             continue
         mu_spec = spectral_vector(mu).exponents
-        i = next(
-            (j + 1 for j in range(n) if mu_spec[j] != lam_spec[j]),
-            None,
-        )
-        if i is None:  # pragma: no cover - spectral vectors are injective
-            raise SingularSystem(f"equal spectral vectors for {mu} and {lam}")
+        # the q-exponents are the parts: some differ, and the gap is nonzero
+        i = next(j + 1 for j in range(n) if mu_spec[j] != lam_spec[j])
         acc = ExactScalar.zero()
         for nu, c in coeffs.items():
             entry = _xi_on_monomial(n, i, nu).coeff(mu)
             if entry is not None and nu != mu:
                 acc = acc + entry * c
-        gap = ExactScalar.qt_monomial(*lam_spec[i - 1]) - ExactScalar.qt_monomial(
-            *mu_spec[i - 1]
-        )
-        if not gap:  # pragma: no cover
-            raise SingularSystem("vanishing eigenvalue gap")
+        gap = ExactScalar.qt_monomial(*lam_spec[i - 1]) - ExactScalar.qt_monomial(*mu_spec[i - 1])
         c_mu = acc / gap
         if c_mu:
             coeffs[mu] = c_mu
@@ -317,8 +316,7 @@ def _peel(f, element):
     step that raised.
     """
 
-    def word(rem, codec, one_minus_t, bound):
-        top = 1 << (codec.B - 1)
+    def word(rem, codec, bound):
         coeffs = {}
         key = functools.cache(_order_key)
         while rem:
@@ -334,7 +332,7 @@ def _peel(f, element):
             terms = element(mu).terms
             c = coeffs[mu] = rem[mu]
             bound += codec.unpack(c).num.norm1() * sum(e.num.norm1() for e in terms.values())
-            if bound >= top:
+            if not codec.holds(bound):
                 raise _Widen(bound)
             for nu, e in terms.items():
                 s = rem.get(nu, 0) - codec.pack_times(e.num, c)

@@ -74,8 +74,6 @@ def _uexact_div(f, g):
     """Exact division in Z[y]; raises NotDivisible if not exact."""
     if not g:
         raise NotDivisible("division by zero polynomial")
-    if not f:
-        return ()
     if g == (1,):
         return f
     dg = _udeg(g)
@@ -321,8 +319,6 @@ class QTPolynomial:
             return self
         if self._terms == _QT_ONE._terms:
             return other
-        if not self._terms or not other._terms:
-            return _QT_ZERO
         if len(self._terms) == 1:
             self, other = other, self
         if len(other._terms) == 1:
@@ -356,8 +352,6 @@ class QTPolynomial:
         """Quotient self / other in Z[q,t]; raises NotDivisible otherwise."""
         if not other._terms:
             raise NotDivisible("division by zero")
-        if not self._terms:
-            return _QT_ZERO
         if len(other._terms) == 1:
             # by c q^a t^b: each term divides on its own, or nothing does
             (((la, lb), lc),) = other._terms.items()
@@ -408,8 +402,6 @@ class QTPolynomial:
                 if c != 1:
                     c = _igcd(c, v)
             return QTPolynomial.monomial(mq, mt, c)
-        if a._terms == b._terms:
-            return a._positive()
         # split off the monomial and integer contents on each side
         a, aq, at, ca = a._primitive()
         b, bq, bt, cb = b._primitive()
@@ -658,8 +650,6 @@ class ExactScalar:
         num = self.num * d2g + other.num * d1g
         if not num:
             return _ES_ZERO
-        if g.is_one():
-            return ExactScalar(num, d1 * d2, _reduced=True)
         _, num, g = _cancel(num, g)
         return ExactScalar(num, d1g * d2g * g, _reduced=True)
 
@@ -772,12 +762,13 @@ class Kronecker:
     """Z[q,t] in Z by the substitution q -> 2^B, t -> 2^(B*Q):
     sum a_ij q^i t^j maps to sum a_ij 2^(B*(i + Q*j)).
 
-    The map is a ring homomorphism, so a sum is one int addition and a
-    product by q^a t^b is a left shift by B*(a + Q*b); so an int v times
-    the image of a sparse p is a sum of shifted copies of v (pack_times).
-    An int decodes back to the polynomial it is the image of whenever
-    that polynomial has q-degree below Q and coefficients in
-    (-2^(B-1), 2^(B-1)): they are then its balanced base-2^B digits.
+    The map is a ring homomorphism, so a sum is one int addition, a
+    product by q^a t^b is a left shift by B*(a + Q*b) (times; 1 - t in
+    one_minus_t), and v times the image of a sparse p is a sum of shifted
+    copies of v (pack_times).  An int decodes back to the polynomial it
+    is the image of whenever that polynomial has q-degree below Q and
+    coefficients in (-2^(B-1), 2^(B-1)) (holds): they are then its
+    balanced base-2^B digits.
     Both directions go through bytes against an offset whose digits are
     all 2^(B-1) (adding it makes every digit nonnegative without a
     carry), so each is linear in the size.
@@ -833,6 +824,18 @@ class Kronecker:
             k = (i + Q * j) * nbytes
             buf[k : k + nbytes] = (a + half).to_bytes(nbytes, "little")
         return int.from_bytes(buf, "little") - offset
+
+    def times(self, v, a, b=0):
+        """v times q^a t^b, for a, b >= 0."""
+        return v << self.B * (a + self.Q * b)
+
+    def one_minus_t(self, v):
+        """(1 - t) v."""
+        return v - (v << self.B * self.Q)
+
+    def holds(self, bound):
+        """True iff digits of absolute value at most bound decode."""
+        return bound < self._half
 
     def pack_times(self, p, v):
         """v times the image of p, as the sum of (a*v) << B*(i + Q*j) over

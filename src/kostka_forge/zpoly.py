@@ -322,12 +322,13 @@ def _coefficient_quotient(c, lc):
 
 
 class AlphaPolynomial:
-    """Polynomial in alpha with rational coefficients (dense, trimmed)."""
+    """Polynomial in alpha with rational coefficients (dense, trimmed):
+    int coefficients stay ints, any other becomes a Fraction."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -352,7 +353,7 @@ class AlphaPolynomial:
         return bool(self.coeffs)
 
     def is_one(self):
-        return self.coeffs == (Fraction(1),)
+        return self.coeffs == (1,)
 
     def __eq__(self, other):
         if not isinstance(other, AlphaPolynomial):
@@ -380,7 +381,7 @@ class AlphaPolynomial:
     def __mul__(self, other):
         if not self.coeffs or not other.coeffs:
             return AlphaPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b

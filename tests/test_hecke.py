@@ -563,7 +563,7 @@ def test_run_packed_widens_and_runs_the_word_again():
     f = ZPolynomial(2, {(1, 0): dense, (0, 2): ExactScalar.q(3) - dense})
     codecs = []
 
-    def word(packed, codec, one_minus_t, bound):
+    def word(packed, codec, bound):
         codecs.append(codec)
         if 2**200 >= 2 ** (codec.B - 1):
             raise hecke._Widen(2**200)

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-module-level private helper is used somewhere in the package.
+"""Every name a library module imports is used in that module, every
+module-level private helper is used somewhere in the package, and only
+`qt.py` reads the Kronecker layout.
 
 `__init__.py` is exempt from the import scan: its imports are the
 package's re-exports.
@@ -77,3 +78,25 @@ def test_the_scan_sees_a_dead_helper():
 
 def test_no_dead_private_helpers():
     assert dead_private_helpers(SOURCES) == []
+
+
+def layout_reads(source):
+    """Line numbers where source reads an attribute named B or Q: the
+    Kronecker codec's digit width and q-span."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("B", "Q")
+    )
+
+
+def test_the_scan_sees_a_layout_read():
+    source = "def w(v, codec):\n    B = 64\n    return v << codec.B * (1 + codec.Q)\n"
+    assert layout_reads(source) == [3, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "qt.py"], ids=lambda p: p.name)
+def test_only_qt_reads_the_kronecker_layout(path):
+    # packed words shift and bound their digits through Kronecker.times,
+    # one_minus_t and holds
+    assert layout_reads(path.read_text()) == [], f"{path.name} reads Kronecker.B or .Q"

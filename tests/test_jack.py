@@ -119,6 +119,13 @@ class TestNonsym:
     def test_column(self):
         assert jack_nonsym((0, 1)) == amono(2, (0, 1), (2, 1))
 
+    @pytest.mark.parametrize("lam", [(2, 0, 1), (1, 2, 1), (0, 3, 1, 1)])
+    def test_coefficients_are_ints(self, lam):
+        # the creation recursion has integer coefficients in alpha, and
+        # AlphaPolynomial keeps them as ints
+        coeffs = [a for c in jack_nonsym(lam).terms.values() for a in c.coeffs]
+        assert coeffs and all(type(a) is int for a in coeffs)
+
     def test_positivity_small(self):
         for lam in [(2, 0), (1, 1), (2, 1, 0), (0, 2, 1)]:
             f = jack_nonsym(lam)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import kostka_forge
 from kostka_forge.errors import (
     IndexOutOfRange,
     NotAPartition,
@@ -128,6 +129,19 @@ class TestNonsymE:
     def test_oracle_agreement_sample(self):
         for lam in [(2, 0), (1, 2), (0, 1, 2), (2, 0, 1), (1, 1, 1)]:
             assert nonsym_E(lam) == eigen_oracle_E(lam)
+
+    def test_oracle_shares_no_packed_code(self, monkeypatch, cold_caches):
+        # the oracle's xi_i run in ExactScalar steps: with every packed word
+        # refused, it still rebuilds E_lam from cold caches
+        lams = [(2, 0, 1), (0, 1, 2), (1, 2, 0), (1, 1, 1)]
+        expected = [nonsym_E(lam) for lam in lams]
+        kostka_forge.clear_caches()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the oracle reached hecke._run_packed")
+
+        monkeypatch.setattr(hecke, "_run_packed", refused)
+        assert [eigen_oracle_E(lam) for lam in lams] == expected
 
 
 class TestHActionStep:

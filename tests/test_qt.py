@@ -51,6 +51,7 @@ class TestPolynomialArithmetic:
 
     def test_exact_divide_zero_numerator(self):
         assert QTPolynomial.zero().exact_divide(ONE - T) == QTPolynomial.zero()
+        assert QTPolynomial.zero().exact_divide(P({(1, 2): -3})) == QTPolynomial.zero()
 
     def test_exact_divide_cross(self):
         prod = P({(0, 0): 1, (0, 1): -1, (1, 1): -1, (1, 2): 1})
@@ -65,6 +66,52 @@ class TestPolynomialArithmetic:
         poly, den = p.substitute(qv=Fraction(1, 2))
         assert den == 2
         assert poly == P({(0, 1): 1, (0, 0): 2})
+
+
+class TestGeneralPaths:
+    """Cases that the general loops handle with no early return: zero
+    products, gcd(p, p) and sums over coprime denominators."""
+
+    @pytest.mark.parametrize(
+        "p", [P({(1, 2): -3}), P({(1, 0): 2, (0, 1): -1, (0, 0): 3})], ids=["one-term", "multi-term"]
+    )
+    def test_zero_product_in_both_orders(self, p):
+        zero = QTPolynomial.zero()
+        for product in (p * zero, zero * p, zero * zero):
+            assert product == zero and not product
+
+    @pytest.mark.parametrize("g", [(1, -1), (3,), (1,)])
+    def test_univariate_zero_divided_is_zero(self, g):
+        assert qt._uexact_div((), g) == ()
+
+    @pytest.mark.parametrize(
+        "p",
+        [P({(2, 1): -6, (1, 0): 4, (0, 2): 2}), P({(3, 2): -4, (1, 2): 6, (2, 1): 2})],
+        ids=["content", "content-and-monomial"],
+    )
+    def test_gcd_with_itself_is_the_positive_associate(self, p):
+        assert p.leading()[1] < 0
+        assert QTPolynomial.gcd(p, p) == -p
+
+    @pytest.mark.parametrize(
+        "x, y, total",
+        [
+            (
+                ExactScalar.from_fraction(Fraction(1, 2)),
+                ExactScalar.from_fraction(Fraction(1, 3)),
+                ExactScalar.from_fraction(Fraction(5, 6)),
+            ),
+            (
+                ExactScalar(ONE, ONE - T),
+                ExactScalar(Q, ONE + Q * T),
+                ExactScalar(ONE + Q, (ONE - T) * (ONE + Q * T)),
+            ),
+        ],
+        ids=["integers", "polynomials"],
+    )
+    def test_sum_over_coprime_denominators(self, x, y, total):
+        assert x + y == total == y + x
+        assert QTPolynomial.gcd((x + y).num, (x + y).den).is_one()
 
 
 class TestScalarArithmetic:
@@ -502,6 +549,33 @@ def test_kronecker_pack_times_is_the_product_by_the_image(B, data):
     most = top // max(map(abs, p._terms.values()))
     v = data.draw(st.integers(-most, most).filter(bool))
     assert codec.unpack(codec.pack_times(p, v)) == ExactScalar.from_poly(p * P({(0, 0): v}))
+
+
+@pytest.mark.parametrize("B", [64, 128])
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_kronecker_times_and_one_minus_t_are_the_products(B, data):
+    """For v the image of p, times(v, a, b) is the image of q^a t^b p and
+    one_minus_t(v) that of (1 - t) p; both decode, the extreme digits of
+    (1 - t) p included."""
+    top = 2 ** (B - 2) - 1
+    coeffs = st.sampled_from([1, -1, top, -top]) | st.integers(-6, 6).filter(bool)
+    p = data.draw(st.dictionaries(exponents, coeffs, min_size=1, max_size=6).map(P))
+    a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    codec = qt.Kronecker(2 * top, 8)
+    assert codec.B == B
+    v = codec.pack(p)
+    assert codec.unpack(codec.times(v, a, b)) == ExactScalar.from_poly(p * QTPolynomial.monomial(a, b))
+    assert codec.times(v, a) == codec.times(v, a, 0) == _image(p * QTPolynomial.monomial(a, 0), B, 8)
+    assert codec.unpack(codec.one_minus_t(v)) == ExactScalar.from_poly((ONE - T) * p)
+
+
+@pytest.mark.parametrize("B", [64, 128])
+def test_kronecker_holds_digits_below_half_the_word(B):
+    codec = qt.Kronecker(2 ** (B - 1) - 1, 1)
+    assert codec.B == B
+    assert codec.holds(2 ** (B - 1) - 1)
+    assert not codec.holds(2 ** (B - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -529,3 +529,16 @@ class TestAlphaPolynomial:
         assert AlphaPolynomial((0, 2, 1)).is_natural()
         assert not AlphaPolynomial((-1, 2)).is_natural()
         assert not AlphaPolynomial((Fraction(1, 2),)).is_natural()
+
+    def test_ints_and_equal_fractions_agree(self):
+        # int coefficients stay ints, and a Fraction equal to an int gives
+        # an equal polynomial with an equal hash
+        ints = AlphaPolynomial((3, 0, -2))
+        fracs = AlphaPolynomial((Fraction(6, 2), Fraction(0), Fraction(-2)))
+        assert all(type(c) is int for c in ints.coeffs)
+        assert ints == fracs and hash(ints) == hash(fracs)
+        assert {ints: 1}[fracs] == 1
+        assert AlphaPolynomial((Fraction(1),)).is_one() and AlphaPolynomial.one().is_one()
+        assert all(type(c) is int for c in (ints * ints + ints).coeffs)
+        half = ints.scale(Fraction(1, 2))
+        assert half == AlphaPolynomial((Fraction(3, 2), 0, -1))
