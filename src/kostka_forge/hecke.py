@@ -11,28 +11,15 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch, IndexOutOfRange, PreconditionViolated, ZeroComposition
 from .qt import ExactScalar, Kronecker, QTPolynomial
-from .weights import length, spectral_vector
+from .weights import _transpose, _unit, length, spectral_vector
 from .zpoly import ZPolynomial
 
 _ONE_MINUS_T = ExactScalar.from_poly(QTPolynomial.one() - QTPolynomial.t())
 
 
-def _unit(n, j):
-    """The exponent vector of z_{j+1} in n variables (j 0-based)."""
-    return tuple(int(k == j) for k in range(n))
-
-
-def _check_reflection_index(f, i):
-    if not 1 <= i <= f.n - 1:
-        raise IndexOutOfRange(f"reflection index {i} out of range for n={f.n}")
-
-
 def apply_reflection(f, i):
     """s_i: swap z_i and z_{i+1}."""
-    _check_reflection_index(f, i)
-    w = list(range(f.n))
-    w[i - 1], w[i] = i, i - 1
-    return f.permute(w)
+    return f.permute(_transpose(range(f.n), i))
 
 
 def apply_divided_difference(f, i):
@@ -99,7 +86,8 @@ def apply_hecke(f, i, variant="H"):
     the quadratic relation gives H_i^{-1} = t^{-1} Hbar_i and
     Hbar_i^{-1} = t^{-1} H_i.
     """
-    _check_reflection_index(f, i)
+    if not 1 <= i < f.n:
+        raise IndexOutOfRange(f"reflection index {i} out of range for n={f.n}")
     if variant == "H_inv":
         return apply_hecke(f, i, "Hbar").scalar_mul(ExactScalar.t(-1))
     if variant == "Hbar_inv":

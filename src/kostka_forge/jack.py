@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import NotAPartition, NotInSpan
 from .hecke import _coset_chain_sum, apply_phi, apply_reflection
-from .macdonald import nonsym_calE
+from .macdonald import _rotated_seed, nonsym_calE
 from .weights import (
     distinct_permutations,
     is_partition,
@@ -69,18 +69,13 @@ def _jack_nonsym(lam):
 
 
 def _jack_seed(lam):
-    """The seed that jack_sym symmetrizes: jack_nonsym of
-    lam0 = (lam_m - 1, ..., lam_1 - 1, 0, ..., 0), rotated m times by Phi_1:
-    z^e goes to z^(e_{m+1}, ..., e_n, e_1 + 1, ..., e_m + 1).
+    """The seed that jack_sym symmetrizes: jack_nonsym of lam0 rotated m
+    times by Phi_1, the rotation of macdonald's seed (_rotated_seed).
 
     Its n - m leading variables carry the zero parts, and it is symmetric
     in them: s_i seed = seed for i < n - m.
     """
-    n = len(lam)
-    m = length(lam)
-    lam0 = tuple(lam[i] - 1 for i in range(m - 1, -1, -1)) + (0,) * (n - m)
-    seed = jack_nonsym(lam0)
-    return ZPolynomial(n, {e[m:] + tuple(x + 1 for x in e[:m]): c for e, c in seed.terms.items()})
+    return ZPolynomial(len(lam), {e: c for e, c, _ in _rotated_seed(lam, jack_nonsym)})
 
 
 def jack_sym(lam):

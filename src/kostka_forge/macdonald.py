@@ -33,6 +33,7 @@ from .hecke import (
 from .qt import ExactScalar
 from .symfunc import _from_msym_coords, _solve_scalar_system, msym_coords, msym_vector, t_schur_polynomial as t_schur
 from .weights import (
+    _transpose,
     b_factor,
     compositions,
     conjugate,
@@ -217,22 +218,16 @@ def t_monomial(lam):
 @functools.cache
 def _t_monomial(lam):
     n = len(lam)
-    desc = next((i for i in range(n - 1) if lam[i] > lam[i + 1]), None)
+    desc = next((i for i in range(1, n) if lam[i - 1] > lam[i]), None)
     if desc is None:
         return ZPolynomial.monomial(n, lam)
-    swapped = list(lam)
-    swapped[desc], swapped[desc + 1] = swapped[desc + 1], swapped[desc]
-    return apply_hecke(t_monomial(tuple(swapped)), desc + 1, "Hbar")
+    return apply_hecke(t_monomial(_transpose(lam, desc)), desc, "Hbar")
 
 
 def t_monomial_hecke_action(lam, i, variant="H"):
     """The one- or two-term case table for H_i / Hbar_i on a t-monomial."""
     lam = tuple(lam)
-    if not 1 <= i <= len(lam) - 1:
-        raise IndexOutOfRange(f"index {i} out of range")
-    swapped = list(lam)
-    swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-    swapped = tuple(swapped)
+    swapped = _transpose(lam, i)
     t = ExactScalar.t()
     one = ExactScalar.one()
     a, b = lam[i - 1], lam[i]
@@ -381,23 +376,30 @@ def expand_in_partial_t_monomials(f, m, augmented=True):
 # ---------------------------------------------------------------------------
 
 
+def _rotated_seed(lam, form):
+    """Each term of form(lam0), lam0 = (lam_m - 1, ..., lam_1 - 1, 0, ..., 0),
+    rotated m times by Phi_1, as (exponent, coefficient, moved weight):
+    z^e goes to z^(e_{m+1}, ..., e_n, e_1 + 1, ..., e_m + 1), onto the
+    antidominant (0, ..., 0, lam_m, ..., lam_1), and the moved weight is
+    e_1 + ... + e_m.  The seeds of calJ_lam and of the Jack calJ_lam(alpha).
+    """
+    n, m = len(lam), length(lam)
+    lam0 = tuple(x - 1 for x in reversed(lam[:m])) + (0,) * (n - m)
+    for e, c in form(lam0).terms.items():
+        yield e[m:] + tuple(x + 1 for x in e[:m]), c, sum(e[:m])
+
+
 def _calJ_seed(lam):
-    """The calE seed that sym_calJ symmetrizes: calE_lam0 for
-    lam0 = (lam_m - 1, ..., lam_1 - 1, 0, ..., 0), rotated m times by Phi
-    onto the antidominant (0, ..., 0, lam_m, ..., lam_1), times q^{|lam| - m}:
-    Phi^m z^e = q^{-(e_1 + ... + e_m)} z^(e_{m+1}, ..., e_n, e_1 + 1, ..., e_m + 1).
+    """The calE seed that sym_calJ symmetrizes: Phi^m calE_lam0 times
+    q^{|lam| - m}, where Phi^m z^e = q^{-(e_1 + ... + e_m)} times the
+    Phi_1 rotation of z^e (_rotated_seed).
 
     Its n - m leading variables carry the zero parts, and it is
     t-symmetric in them: H_i seed = t seed for i < n - m.
     """
-    n = len(lam)
-    m = length(lam)
-    lam0 = tuple(lam[i] - 1 for i in range(m - 1, -1, -1)) + (0,) * (n - m)
-    shift = weight(lam) - m
-    out = {}
-    for e, c in nonsym_calE(lam0).terms.items():
-        out[e[m:] + tuple(x + 1 for x in e[:m])] = c * ExactScalar.q(shift - sum(e[:m]))
-    return ZPolynomial(n, out)
+    shift = weight(lam) - length(lam)
+    terms = _rotated_seed(lam, nonsym_calE)
+    return ZPolynomial(len(lam), {e: c * ExactScalar.q(shift - moved) for e, c, moved in terms})
 
 
 def sym_calJ(lam):
@@ -420,7 +422,7 @@ def sym_calJ(lam):
         raise NotAPartition(f"{lam} is not a partition")
     n, m = len(lam), length(lam)
     factor = _ONE_MINUS_T**m
-    coords = msym_coords(hecke_symmetrize(_calJ_seed(lam), n - m), n)
+    coords = msym_coords(hecke_symmetrize(_calJ_seed(lam), n - m))
     return _from_msym_coords({nu: c * factor for nu, c in coords.items()}, n)
 
 

@@ -391,9 +391,11 @@ class QTPolynomial:
         if len(b._terms) == 1:
             a, b = b, a
         if len(a._terms) == 1:
-            # against a single term the gcd is a monomial
+            # against a single term the gcd is a monomial, and 1 against +-1
             (((mq, mt), c),) = a._terms.items()
             c = abs(c)
+            if c == 1 and not mq and not mt:
+                return QTPolynomial.one()
             for (x, y), v in b._terms.items():
                 if x < mq:
                     mq = x
@@ -584,7 +586,10 @@ class ExactScalar:
 
     @classmethod
     def from_fraction(cls, f):
-        f = Fraction(f)
+        try:
+            f = Fraction(f)
+        except ZeroDivisionError:
+            raise DivisionByZero(f"zero denominator in {f!r}") from None
         return cls(QTPolynomial.const(f.numerator), QTPolynomial.const(f.denominator))
 
     @classmethod

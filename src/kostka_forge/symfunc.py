@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import NotAPartition, SingularSystem, TooFewVariables
 from .qt import ExactScalar, QTPolynomial
-from .weights import conjugate, distinct_permutations, is_partition, length, pad, partitions
+from .weights import _transpose, _unit, conjugate, distinct_permutations, is_partition, length, pad, partitions
 from .zpoly import ZPolynomial
 
 
@@ -44,13 +44,12 @@ def schur_bialternant(mu, n):
     mu = pad(mu[:n], n)
     d = sum(mu)
     if n > d and is_partition(mu):
-        return _from_msym_coords(msym_coords(schur_bialternant(mu[:d], d), d), n)
+        return _from_msym_coords(msym_coords(schur_bialternant(mu[:d], d)), n)
     f = ZPolynomial(n, {tuple(m + n - 1 - i for i, m in enumerate(mu)): 1})
-    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     for k in range(n - 1, 0, -1):
-        for i in range(k):
-            s_i = [*range(i), i + 1, i, *range(i + 2, n)]
-            f = (f - f.permute(s_i)).exact_divide(ZPolynomial(n, {unit[i]: 1, unit[i + 1]: -1}))
+        for i in range(1, k + 1):
+            s_i = _transpose(range(n), i)
+            f = (f - f.permute(s_i)).exact_divide(ZPolynomial(n, {_unit(n, i - 1): 1, _unit(n, i): -1}))
     return ZPolynomial(n, {e: ExactScalar.from_int(c) for e, c in f.terms.items()})
 
 
@@ -82,7 +81,7 @@ def _power_sum_coefficient(rho, kappa):
     return total
 
 
-def msym_coords(f, n):
+def msym_coords(f):
     """Monomial-symmetric coordinates of a symmetric polynomial.
 
     Keys are padded partitions; the coordinate on m_rho is the coefficient

@@ -44,6 +44,8 @@ from .symfunc import (
     schur_bialternant,
 )
 from .weights import (
+    _transpose,
+    _unit,
     compositions,
     dominance_cmp,
     is_partition,
@@ -148,9 +150,7 @@ class _Failures:
 
 
 def _mul_z(f, i):
-    e = [0] * f.n
-    e[i - 1] = 1
-    return f.monomial_mul(e)
+    return f.monomial_mul(_unit(f.n, i - 1))
 
 
 def _hecke_relation_checks(n):
@@ -237,9 +237,7 @@ def _hecke_relation_checks(n):
             g = f
             for i in range(1, n):
                 g = apply_hecke(g, i, "Hbar_inv")
-            zn = [0] * n
-            zn[n - 1] = 1
-            return g.monomial_mul(zn) == apply_phi(f, "Phi_prime")
+            return g.monomial_mul(_unit(n, n - 1)) == apply_phi(f, "Phi_prime")
 
         add("phi_prime_word", phi_prime_eq)
     # invariance criterion on symmetrized input
@@ -332,31 +330,23 @@ def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
             rec.equal("oracle_phi", lam, scaled, e)
         for i in range(1, n):
             if lam[i - 1] > lam[i]:
-                swapped = list(lam)
-                swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-                rec.equal("oracle_haction", lam, haction_step(monic(tuple(swapped)), lam, i), e, i=i)
+                rec.equal("oracle_haction", lam, haction_step(monic(_transpose(lam, i)), lam, i), e, i=i)
         # interchange of a nonzero part with the end of a following zero run:
-        # (1 - c) E_lam = [Hbar_a ... Hbar_{b-1} - c H_a ... H_{b-1}] E_hashed
-        # where c = lbar_a t^a when nothing nonzero follows position b; in
-        # general the t-exponent ignores later parts larger than lam_a and
-        # picks up one t per later nonzero part that is at most lam_a
+        # (1 - c) E_lam = [Hbar_a ... Hbar_{b-1} - c H_a ... H_{b-1}] E_mu,
+        # mu the composition with lam_a moved to position b, where c is the
+        # ratio lbar_a / mubar_a of the xi_a eigenvalues; it is lbar_a t^a
+        # when nothing nonzero follows position b
         for a in range(1, n):
             if lam[a - 1] == 0:
                 continue
             b = a + 1
             while b <= n and lam[b - 1] == 0:
-                texp = (
-                    a
-                    - sum(1 for j in range(a - 1) if lam[j] >= lam[a - 1])
-                    + sum(1 for j in range(b, n) if 1 <= lam[j] <= lam[a - 1])
-                )
-                c = ExactScalar.qt_monomial(lam[a - 1], texp)
+                mu = lam[: a - 1] + (0,) + lam[a : b - 1] + (lam[a - 1],) + lam[b:]
+                c = sv.scalar(a) / spectral_vector(mu).scalar(a)
                 if all(x == 0 for x in lam[a:]):
                     rec.equal("oracle_interchange", lam, c, sv.scalar(a) * ExactScalar.t(a), a=a, b=b, part="scalar")
                 lhs = e.scalar_mul(ExactScalar.one() - c)
-                g = h = monic(
-                    lam[: a - 1] + (0,) + lam[a : b - 1] + (lam[a - 1],) + lam[b:]
-                )
+                g = h = monic(mu)
                 for j in range(b - 1, a - 1, -1):
                     g = apply_hecke(g, j, "Hbar")
                     h = apply_hecke(h, j, "H")
@@ -418,11 +408,10 @@ def suite_degeneration(n=3, maxdeg=4, seed=0, trials=None):
         rec.equal("calE_q0_is_tmonomial", lam, nonsym_calE(lam).specialize(qv=0), t_monomial(lam))
         if lam[-1] != 0:
             prev = (lam[-1] - 1,) + lam[:-1]
-            # the exponent counts earlier parts >= lam_n (ties included:
-            # the weak inequality is what the braid-recursion produces)
-            a = sum(1 for i in range(n - 1) if lam[i] >= lam[-1])
+            # t^{-k_n(lam)}, k_n counting the earlier parts >= lam_n
+            _, minus_k = spectral_vector(lam).exponents[-1]
             lhs = apply_phi(t_monomial(prev), "Phi_prime")
-            rec.equal("phi_prime_tmonomial_step", lam, lhs, t_monomial(lam).scalar_mul(ExactScalar.t(-a)))
+            rec.equal("phi_prime_tmonomial_step", lam, lhs, t_monomial(lam).scalar_mul(ExactScalar.t(minus_k)))
         # each augmented level-m basis element expands at level m+1 with Z[t] coefficients
         m = length(lam)
         if m < n and is_partition(lam[m:]):
@@ -459,7 +448,7 @@ def suite_hall_littlewood(n=3, maxdeg=4, seed=0, trials=None):
         for i in range(1, n):
             if not rec.equal("hl_symmetric", lam, apply_reflection(hl, i), hl, i=i):
                 break
-        coords = {lam: ExactScalar.zero(), **msym_coords(hl, n)}
+        coords = {lam: ExactScalar.zero(), **msym_coords(hl)}
         for rho, c in coords.items():
             if (c != ExactScalar.one() if rho == lam else dominance_cmp(rho, lam) != "less"):
                 rec.add("hl_unitriangular", lam, {"lambda": lam, "rho": rho, "coefficient": c})

@@ -12,7 +12,7 @@ from bisect import insort
 from dataclasses import dataclass
 from operator import ge
 
-from .errors import DimensionMismatch, NotAPartition, ZeroComposition
+from .errors import DimensionMismatch, IndexOutOfRange, NotAPartition, ZeroComposition
 from .qt import ExactScalar, QTPolynomial
 
 # ---------------------------------------------------------------------------
@@ -66,6 +66,18 @@ def partitions(total, max_parts):
 
 def pad(lam, n):
     return tuple(lam) + (0,) * (n - len(lam))
+
+
+def _transpose(seq, i):
+    """s_i on a tuple: entries i and i + 1 (1-based) swapped."""
+    if not 1 <= i < len(seq):
+        raise IndexOutOfRange(f"index {i} out of range for n={len(seq)}")
+    return (*seq[: i - 1], seq[i], seq[i - 1], *seq[i + 1 :])
+
+
+def _unit(n, j):
+    """The exponent vector of z_{j+1} in n variables (j 0-based)."""
+    return tuple(int(k == j) for k in range(n))
 
 
 def conjugate(lam):

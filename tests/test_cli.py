@@ -647,7 +647,7 @@ class TestVerify:
         # P_(1,1) = m_(1,1), and m_(2,0) lies above m_(1,1) in dominance
         monkeypatch.setattr(
             verify_mod, "msym_coords",
-            lambda f, n: {**real(f, n), (2, 0): five} if set(real(f, n)) == {(1, 1)} else real(f, n),
+            lambda f: {**real(f), (2, 0): five} if set(real(f)) == {(1, 1)} else real(f),
         )
         failed = self.failing_checks(capsys, "--suite", "hall-littlewood", "--n", "2", "--maxdeg", "2")
         assert failed == {"hl_unitriangular": {"lambda": [1, 1], "rho": [2, 0], "coefficient": five.to_json()}}

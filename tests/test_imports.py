@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-module-level private helper is used somewhere in the package, and only
-`qt.py` reads the Kronecker layout.
+module-level private helper is used somewhere in the package, only
+`qt.py` reads the Kronecker layout, and the classical oracles in
+`symfunc.py` import no operator code.
 
 `__init__.py` is exempt from the import scan: its imports are the
 package's re-exports.
@@ -100,3 +101,37 @@ def test_only_qt_reads_the_kronecker_layout(path):
     # packed words shift and bound their digits through Kronecker.times,
     # one_minus_t and holds
     assert layout_reads(path.read_text()) == [], f"{path.name} reads Kronecker.B or .Q"
+
+
+def package_imports(source):
+    """The kostka_forge modules that source imports from, by bare name:
+    `from .x import f`, `from . import x`, `import kostka_forge.x` and
+    `from kostka_forge.x import f` all give x."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level and not module:
+                out.update(alias.name for alias in node.names)
+            elif node.level or module.startswith("kostka_forge."):
+                out.add(module.split(".")[-1])
+            elif module == "kostka_forge":
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("kostka_forge."))
+    return out
+
+
+def test_the_scan_sees_each_form_of_import():
+    source = (
+        "import math\nfrom fractions import Fraction\nfrom .qt import ExactScalar\n"
+        "from . import hecke, jack as j\nimport kostka_forge.verify\n"
+        "from kostka_forge.macdonald import t_monomial\nfrom kostka_forge import zpoly\n"
+        "def f():\n    from .weights import pad\n"
+    )
+    assert package_imports(source) == {"qt", "hecke", "jack", "verify", "macdonald", "zpoly", "weights"}
+
+
+def test_classical_oracles_import_no_operator_code():
+    # symfunc cross-checks the Hecke machinery, so it shares none of it
+    assert package_imports(SOURCES["symfunc.py"]) & {"hecke", "macdonald", "jack", "verify"} == set()

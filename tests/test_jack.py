@@ -105,6 +105,21 @@ class TestCreationStep:
                         seed = apply_phi(seed, "Phi_one")
                     assert _jack_seed(lam) == seed, lam
 
+    def test_seed_matches_the_term_map_written_by_hand(self):
+        # reference: lam0 built and every term rotated by hand
+        def by_hand(lam):
+            n = len(lam)
+            m = length(lam)
+            lam0 = tuple(lam[i] - 1 for i in range(m - 1, -1, -1)) + (0,) * (n - m)
+            seed = jack_nonsym(lam0)
+            return ZPolynomial(n, {e[m:] + tuple(x + 1 for x in e[:m]): c for e, c in seed.terms.items()})
+
+        for n in range(1, 5):
+            for d in range(6):
+                for part in partitions(d, n):
+                    lam = pad(part, n)
+                    assert _jack_seed(lam) == by_hand(lam), lam
+
 
 class TestNonsym:
     def test_zero_composition(self):

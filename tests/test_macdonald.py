@@ -18,6 +18,7 @@ from kostka_forge import hecke, macdonald
 from kostka_forge.hecke import apply_hecke, apply_phi
 from kostka_forge.macdonald import (
     _calJ_seed,
+    _rotated_seed,
     _span_below,
     eigen_oracle_E,
     expand_in_partial_t_monomials,
@@ -493,7 +494,7 @@ class TestSymmetric:
     def test_monic_normalization(self):
         for lam in [(1, 0), (1, 1), (2, 0), (2, 1, 0)]:
             j = sym_J(lam)
-            assert msym_coords(j, len(lam)).get(lam) == ExactScalar.one()
+            assert msym_coords(j).get(lam) == ExactScalar.one()
 
     def test_needs_partition(self):
         with pytest.raises(NotAPartition):
@@ -510,6 +511,37 @@ class TestSymmetric:
                     for _ in range(m):
                         seed = apply_phi(seed, "Phi")
                     assert _calJ_seed(lam) == seed.scalar_mul(ExactScalar.q(d - m)), lam
+
+    def test_seed_matches_the_term_map_written_by_hand(self):
+        # reference: lam0 built and every term rotated and shifted by hand
+        def by_hand(lam):
+            n = len(lam)
+            m = length(lam)
+            lam0 = tuple(lam[i] - 1 for i in range(m - 1, -1, -1)) + (0,) * (n - m)
+            shift = sum(lam) - m
+            out = {}
+            for e, c in nonsym_calE(lam0).terms.items():
+                out[e[m:] + tuple(x + 1 for x in e[:m])] = c * ExactScalar.q(shift - sum(e[:m]))
+            return ZPolynomial(n, out)
+
+        for n in range(1, 5):
+            for d in range(6):
+                for part in partitions(d, n):
+                    lam = pad(part, n)
+                    assert _calJ_seed(lam) == by_hand(lam), lam
+
+    def test_rotated_seed_asks_for_lam0_and_gives_the_moved_weight(self):
+        asked = []
+
+        def form(lam0):
+            asked.append(lam0)
+            return ZPolynomial(4, {(2, 1, 0, 5): 7, (0, 0, 1, 0): -1})
+
+        assert list(_rotated_seed((3, 1, 0, 0), form)) == [((0, 5, 3, 2), 7, 3), ((1, 0, 1, 1), -1, 0)]
+        assert list(_rotated_seed((0, 0), lambda lam0: asked.append(lam0) or ZPolynomial.one(2))) == [
+            ((0, 0), ExactScalar.one(), 0)
+        ]
+        assert asked == [(0, 2, 0, 0), (0, 0)]
 
     def test_seed_is_integral(self):
         # every denominator is q^0: sym_calJ relies on this to symmetrize

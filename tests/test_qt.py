@@ -114,7 +114,39 @@ class TestGeneralPaths:
         assert QTPolynomial.gcd((x + y).num, (x + y).den).is_one()
 
 
+class _UnreadTerms(dict):
+    """A term dict whose terms must not be read."""
+
+    def items(self):
+        raise AssertionError("the terms were scanned")
+
+
+class TestOneTermGcd:
+    @pytest.mark.parametrize("unit", [ONE, -ONE], ids=["one", "minus-one"])
+    def test_gcd_with_a_unit_reads_no_term_of_the_other_operand(self, unit):
+        p = P({(2, 1): 4, (0, 3): -6, (1, 0): 2})
+        p._terms = _UnreadTerms(p._terms)
+        assert QTPolynomial.gcd(unit, p) == ONE
+        assert QTPolynomial.gcd(p, unit) == ONE
+
+    @pytest.mark.parametrize(
+        "m, p, g",
+        [
+            (P({(0, 0): 2}), P({(2, 1): 4, (1, 0): 6}), P({(0, 0): 2})),
+            (P({(1, 0): -1}), P({(2, 1): 4, (1, 0): 6}), Q),
+            (P({(0, 1): 3}), P({(2, 1): 4, (1, 0): 6}), ONE),
+        ],
+        ids=["content", "monomial", "coprime"],
+    )
+    def test_gcd_with_another_term_is_a_monomial(self, m, p, g):
+        assert QTPolynomial.gcd(m, p) == QTPolynomial.gcd(p, m) == g
+
+
 class TestScalarArithmetic:
+    def test_from_fraction_with_a_zero_denominator(self):
+        with pytest.raises(DivisionByZero):
+            ExactScalar.from_fraction("1/0")
+
     def test_zero_plus_x(self):
         x = ExactScalar(ONE - T, ONE - Q * T)
         assert ExactScalar.zero() + x == x

@@ -5,9 +5,10 @@ import itertools
 import pytest
 from hypothesis import example, given, strategies as st
 
-from kostka_forge.errors import NotAPartition, ZeroComposition
+from kostka_forge.errors import IndexOutOfRange, NotAPartition, ZeroComposition
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.weights import (
+    _transpose,
     b_factor,
     box_stats,
     compositions,
@@ -181,6 +182,57 @@ class TestSpectralVector:
                     key = spectral_vector(lam).exponents
                     assert key not in seen, (lam, seen.get(key))
                     seen[key] = lam
+
+
+class TestInterchangeConstant:
+    """verify's oracle reads its exponents off spectral_vector: the
+    interchange constant as an eigenvalue ratio, and the Phi' step's t^{-k_n}."""
+
+    @staticmethod
+    def counted_texp(lam, a, b):
+        n = len(lam)
+        return (
+            a
+            - sum(1 for j in range(a - 1) if lam[j] >= lam[a - 1])
+            + sum(1 for j in range(b, n) if 1 <= lam[j] <= lam[a - 1])
+        )
+
+    def test_ratio_of_eigenvalues_is_the_counted_constant(self):
+        checked = 0
+        for n in range(2, 6):
+            for d in range(6):
+                for lam in compositions(d, n):
+                    for a in range(1, n):
+                        b = a + 1
+                        while lam[a - 1] and b <= n and lam[b - 1] == 0:
+                            mu = lam[: a - 1] + (0,) + lam[a : b - 1] + (lam[a - 1],) + lam[b:]
+                            c = spectral_vector(lam).scalar(a) / spectral_vector(mu).scalar(a)
+                            assert c == ExactScalar.qt_monomial(lam[a - 1], self.counted_texp(lam, a, b)), (lam, a, b)
+                            checked += 1
+                            b += 1
+        assert checked == 600
+
+    def test_last_exponent_counts_earlier_parts_at_least_the_last(self):
+        for n in range(1, 6):
+            for d in range(6):
+                for lam in compositions(d, n):
+                    a = sum(1 for i in range(n - 1) if lam[i] >= lam[-1])
+                    assert spectral_vector(lam).exponents[-1] == (lam[-1], -a), lam
+
+
+def test_transpose_swaps_entries_i_and_i_plus_one():
+    assert _transpose((5, 6, 7), 1) == (6, 5, 7)
+    assert _transpose((5, 6, 7), 2) == (5, 7, 6)
+    assert _transpose(range(4), 3) == (0, 1, 3, 2)
+    for n in range(2, 6):
+        for i in range(1, n):
+            assert _transpose(_transpose(tuple(range(n)), i), i) == tuple(range(n))
+
+
+@pytest.mark.parametrize("seq, i", [((5, 6, 7), 0), ((5, 6, 7), 3), ((5,), 1), ((), 0)])
+def test_transpose_refuses_an_index_out_of_range(seq, i):
+    with pytest.raises(IndexOutOfRange):
+        _transpose(seq, i)
 
 
 class TestBoxStats:
