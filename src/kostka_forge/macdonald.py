@@ -114,15 +114,17 @@ def nonsym_E(lam):
 
 @functools.cache
 def _xi_on_monomial(n, i, mu):
-    """xi_i z^mu by its word t^{1-n} Hbar_{i-1}...Hbar_1 Delta^{-1} H_{n-1}...H_i
-    in ExactScalar steps: the oracle shares no packed code with apply_xi."""
+    """t^{n-1} xi_i z^mu by its word Hbar_{i-1}...Hbar_1 Delta^{-1} H_{n-1}...H_i
+    in ExactScalar steps: the oracle shares no packed code with apply_xi.
+    Delta^{-1} puts q^{mu_n} on z^mu and the H steps have coefficients in
+    Z[t], so the result lies in Z[q,t]."""
     g = ZPolynomial.monomial(n, mu)
     for j in range(i, n):
         g = apply_hecke(g, j, "H")
     g = apply_delta(g, "inverse")
     for j in range(1, i):
         g = apply_hecke(g, j, "Hbar")
-    return g.scalar_mul(ExactScalar.t(1 - n))
+    return g
 
 
 def _order_key(mu):
@@ -159,10 +161,12 @@ def eigen_oracle_E(lam):
 
     The solve is seeded with d_lam (the norm factor) at lam, so it solves
     for calE_lam = d_lam E_lam, whose coefficients lie in Z[q,t] by Knop's
-    integrality theorem.  The sums it divides have monomial denominators
-    (from the xi_i), so each division by an eigenvalue gap (ExactScalar's
-    /) is one exact division of the numerators, which falls back to Q(q,t)
-    where it does not divide.  It divides by d_lam once, at the end.
+    integrality theorem.  It reads the integral t^{n-1} xi_i off
+    _xi_on_monomial, so each sum it forms lies in Z[q,t], and divides it
+    by t^{n-1} times the eigenvalue gap, a binomial in Z[q,t] (each
+    spectral t-exponent is at least 1 - n).  Each division is one exact
+    division of the numerators (ExactScalar's /), which falls back to
+    Q(q,t) where it does not divide.  It divides by d_lam once, at the end.
     """
     lam = tuple(lam)
     n = len(lam)
@@ -181,7 +185,8 @@ def eigen_oracle_E(lam):
             entry = _xi_on_monomial(n, i, nu).coeff(mu)
             if entry is not None and nu != mu:
                 acc = acc + entry * c
-        gap = ExactScalar.qt_monomial(*lam_spec[i - 1]) - ExactScalar.qt_monomial(*mu_spec[i - 1])
+        (a, b), (a_mu, b_mu) = lam_spec[i - 1], mu_spec[i - 1]
+        gap = ExactScalar.qt_monomial(a, b + n - 1) - ExactScalar.qt_monomial(a_mu, b_mu + n - 1)
         c_mu = acc / gap
         if c_mu:
             coeffs[mu] = c_mu

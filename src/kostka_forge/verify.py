@@ -30,6 +30,7 @@ from .macdonald import (
     expand_in_partial_t_monomials,
     haction_step,
     hall_littlewood,
+    nonsym_E,
     nonsym_calE,
     sym_calJ,
     t_monomial,
@@ -275,35 +276,51 @@ def suite_hecke_relations(n=3, trials=50, seed=0, maxdeg=4):
 # ---------------------------------------------------------------------------
 
 
+def _times_is(f, x, g):
+    """x f == g, decided coefficient by coefficient on cross products of
+    numerators and denominators, so no gcd runs; x is nonzero."""
+    terms = g.terms
+    return f.terms.keys() == terms.keys() and all(
+        c.num * x.num * terms[k].den == terms[k].num * c.den * x.den for k, c in f.terms.items()
+    )
+
+
+def _cleared(x):
+    """(p, m) with x = p / m, both in Z[q,t]: for x a ratio of spectral
+    values, m is a monomial, and a check times m stays in Z[q,t]."""
+    return ExactScalar.from_poly(x.num), ExactScalar.from_poly(x.den)
+
+
+def _interchange_rhs(f, a, b, x, y):
+    """x Hbar_a ... Hbar_{b-1} f - y H_a ... H_{b-1} f."""
+    g = h = f
+    for j in range(b - 1, a - 1, -1):
+        g = apply_hecke(g, j, "Hbar")
+        h = apply_hecke(h, j, "H")
+    return g.scalar_mul(x) - h.scalar_mul(y)
+
+
 def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
     """The E-polynomial theorems, each an equality lhs == rhs per composition.
     A failing check's counterexample holds the first failing lambda (with i,
-    or a and b, where the check has them) and both sides.
+    or a and b, where the check has them) and both sides on E_lam.
 
-    The eigenvalue, fixpoint and support checks are decided on the integral
-    form calE_lam = d_lam E_lam, whose coefficients lie in Z[q,t], so their
-    arithmetic meets no denominator but a monomial; a failure still shows
-    both sides on E_lam.  Each E_lam is built once, as calE_lam / d_lam,
-    and kept while checks of its weight or the next one may use it."""
+    Every check is decided on the integral form calE_lam = d_lam E_lam,
+    whose coefficients lie in Z[q,t].  The eigen-oracle's E_lam agrees when
+    d_lam times it is calE_lam, and is then the E_lam a failure shows.  The
+    Phi, H-action and interchange checks relate E_lam to one E_nu, and
+    d_lam / d_nu is a ratio of binomials, so each is multiplied out into an
+    identity between calE_lam and calE_nu.  A failing check builds E_nu by
+    nonsym_E, so a passing run divides by d_lam only inside the oracle."""
     rec = _Failures()
     lams = list(_all_compositions(n, maxdeg))
-    forms = {}
-    t = ExactScalar.t()
-
-    def monic(lam):
-        e = forms.get(lam)
-        if e is None:
-            e = forms[lam] = nonsym_calE(lam).scalar_mul(norm_factor(lam).inverse())
-        return e
-
-    weight = 0
+    one, t = ExactScalar.one(), ExactScalar.t()
     for lam in lams:
-        if sum(lam) > weight:
-            # the checks at lam use E of weight |lam| and |lam| - 1 only
-            weight = sum(lam)
-            forms = {mu: f for mu, f in forms.items() if sum(mu) == weight - 1}
-        cal, d, e = nonsym_calE(lam), norm_factor(lam), monic(lam)
-        rec.equal("oracle_oracle", lam, e, eigen_oracle_E(lam))
+        cal, d = nonsym_calE(lam), norm_factor(lam)
+        e = eigen_oracle_E(lam)
+        if not _times_is(e, d, cal):
+            e, oracle = cal.scalar_mul(d.inverse()), e
+            rec.mismatch("oracle_oracle", lam, e, oracle)
         sv = spectral_vector(lam)
         for i in range(1, n + 1):
             if apply_xi(cal, i, "forward") != cal.scalar_mul(sv.scalar(i)):
@@ -322,20 +339,31 @@ def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
                     rec.mismatch("oracle_fixpoint", lam, apply_hecke(e, i, "Hbar"), e, i=i)
         if lam[-1] != 0:
             # E_lam = q^{lam_n - 1} Phi(E_{lam*}): the q-power compensates
-            # the q^{-1} that Phi's rotation puts on the leading monomial
+            # the q^{-1} that Phi's rotation puts on the leading monomial;
+            # d_lam / d_{lam*} = 1 - lbar_n t^n, a polynomial
             prev = (lam[-1] - 1,) + lam[:-1]
-            scaled = apply_phi(monic(prev), "Phi").scalar_mul(
-                ExactScalar.q(lam[-1] - 1)
-            )
-            rec.equal("oracle_phi", lam, scaled, e)
+            q_shift = ExactScalar.q(lam[-1] - 1)
+            ratio = one - sv.scalar(n) * ExactScalar.t(n)
+            if apply_phi(nonsym_calE(prev), "Phi").scalar_mul(q_shift * ratio) != cal:
+                rec.mismatch("oracle_phi", lam, apply_phi(nonsym_E(prev), "Phi").scalar_mul(q_shift), e)
         for i in range(1, n):
             if lam[i - 1] > lam[i]:
-                rec.equal("oracle_haction", lam, haction_step(monic(_transpose(lam, i)), lam, i), e, i=i)
+                # haction_step's identity times d_lam, as d_lam / d_{s_i lam}
+                # = (1 - rho) / (1 - t rho), rho = lbar_i / lbar_{i+1} = p / m:
+                # (m - t p) calE_lam = [(m - p) H_i + m (1 - t)] calE_{s_i lam}
+                swapped = _transpose(lam, i)
+                p, m = _cleared(sv.scalar(i) / sv.scalar(i + 1))
+                s = nonsym_calE(swapped)
+                rhs = apply_hecke(s, i, "H").scalar_mul(m - p) + s.scalar_mul(m - m * t)
+                if cal.scalar_mul(m - t * p) != rhs:
+                    rec.mismatch("oracle_haction", lam, haction_step(nonsym_E(swapped), lam, i), e, i=i)
         # interchange of a nonzero part with the end of a following zero run:
         # (1 - c) E_lam = [Hbar_a ... Hbar_{b-1} - c H_a ... H_{b-1}] E_mu,
         # mu the composition with lam_a moved to position b, where c is the
         # ratio lbar_a / mubar_a of the xi_a eigenvalues; it is lbar_a t^a
-        # when nothing nonzero follows position b
+        # when nothing nonzero follows position b.  As d_lam / d_mu =
+        # (1 - c) / (1 - t^{b-a} c) and c = p / m, it is decided as
+        # (m - t^{b-a} p) calE_lam = [m Hbar ... - p H ...] calE_mu
         for a in range(1, n):
             if lam[a - 1] == 0:
                 continue
@@ -345,12 +373,10 @@ def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
                 c = sv.scalar(a) / spectral_vector(mu).scalar(a)
                 if all(x == 0 for x in lam[a:]):
                     rec.equal("oracle_interchange", lam, c, sv.scalar(a) * ExactScalar.t(a), a=a, b=b, part="scalar")
-                lhs = e.scalar_mul(ExactScalar.one() - c)
-                g = h = monic(mu)
-                for j in range(b - 1, a - 1, -1):
-                    g = apply_hecke(g, j, "Hbar")
-                    h = apply_hecke(h, j, "H")
-                rec.equal("oracle_interchange", lam, lhs, g - h.scalar_mul(c), a=a, b=b)
+                p, m = _cleared(c)
+                if cal.scalar_mul(m - ExactScalar.t(b - a) * p) != _interchange_rhs(nonsym_calE(mu), a, b, m, p):
+                    rhs = _interchange_rhs(nonsym_E(mu), a, b, one, c)
+                    rec.mismatch("oracle_interchange", lam, e.scalar_mul(one - c), rhs, a=a, b=b)
                 b += 1
     return [
         rec.tally(f"oracle_{key}", f"{len(lams)} compositions", first=True)

@@ -572,6 +572,97 @@ class TestVerify:
             "rhs": z1z2.to_json_dict(),
         }
 
+    @staticmethod
+    def broken_on(forms, real, i, kind):
+        """real with the Hecke operator (i, kind) doubled on the given forms."""
+        two = ExactScalar.from_int(2)
+        return lambda f, j, k: real(f, j, k).scalar_mul(two) if (j, k) == (i, kind) and f in forms else real(f, j, k)
+
+    @pytest.mark.parametrize("broken_on_E", [True, False])
+    def test_oracle_phi_is_decided_on_calE(self, capsys, monkeypatch, broken_on_E):
+        # Phi doubled on calE_(0,1) and, when broken_on_E, on E_(0,1): the
+        # check at (1,1) fails either way and shows q^0 Phi(E_(0,1)) against E_(1,1)
+        from kostka_forge import verify as verify_mod
+
+        prev, lam = (0, 1), (1, 1)
+        broken = [macdonald.nonsym_calE(prev), nonsym_E(prev)][: 2 if broken_on_E else 1]
+        real = verify_mod.apply_phi
+        two = ExactScalar.from_int(2)
+        monkeypatch.setattr(
+            verify_mod, "apply_phi", lambda f, v="Phi": real(f, v).scalar_mul(two) if f in broken else real(f, v)
+        )
+        failed = self.failing_checks(capsys, "--suite", "oracle", "--n", "2", "--maxdeg", "2")
+        lhs = real(nonsym_E(prev), "Phi")
+        assert failed == {
+            "oracle_phi": {
+                "lambda": list(lam),
+                "lhs": (lhs.scalar_mul(two) if broken_on_E else lhs).to_json_dict(),
+                "rhs": nonsym_E(lam).to_json_dict(),
+            }
+        }
+
+    @pytest.mark.parametrize("broken_on_E", [True, False])
+    def test_oracle_haction_is_decided_on_calE(self, capsys, monkeypatch, broken_on_E):
+        # H_1 doubled on calE_(1,2,0) in the suite and, when broken_on_E, on
+        # E_(1,2,0) in haction_step too: the check at (2,1,0), i = 1, fails
+        # either way and shows haction_step's E_(2,1,0) against the true one
+        from kostka_forge import verify as verify_mod
+
+        swapped, lam = (1, 2, 0), (2, 1, 0)
+        real = verify_mod.apply_hecke
+        monkeypatch.setattr(verify_mod, "apply_hecke", self.broken_on([macdonald.nonsym_calE(swapped)], real, 1, "H"))
+        if broken_on_E:
+            monkeypatch.setattr(macdonald, "apply_hecke", self.broken_on([nonsym_E(swapped)], real, 1, "H"))
+        failed = self.failing_checks(capsys, "--suite", "oracle", "--n", "3", "--maxdeg", "3")
+        # x E_lam = [x H_1 + 1 - t] E_swapped, x = 1 - lbar_1 / lbar_2, with H_1 doubled when broken_on_E
+        x = ExactScalar.one() - ExactScalar.qt_monomial(1, 1)
+        h = real(nonsym_E(swapped), 1, "H").scalar_mul(ExactScalar.from_int(2 if broken_on_E else 1))
+        lhs = (h.scalar_mul(x) + nonsym_E(swapped).scalar_mul(ExactScalar.one() - ExactScalar.t())).scalar_mul(x.inverse())
+        assert failed == {
+            "oracle_haction": {
+                "lambda": list(lam),
+                "i": 1,
+                "lhs": lhs.to_json_dict(),
+                "rhs": nonsym_E(lam).to_json_dict(),
+            }
+        }
+
+    @pytest.mark.parametrize("broken_on_E", [True, False])
+    def test_oracle_interchange_is_decided_on_calE(self, capsys, monkeypatch, broken_on_E):
+        # Hbar_1 doubled on calE_(0,1) and, when broken_on_E, on E_(0,1):
+        # the check at (1,0), a = 1, b = 2, fails either way and shows
+        # (1 - c) E_(1,0) against [Hbar_1 - c H_1] E_(0,1), c = q t
+        from kostka_forge import verify as verify_mod
+
+        mu, lam = (0, 1), (1, 0)
+        broken = [macdonald.nonsym_calE(mu), nonsym_E(mu)][: 2 if broken_on_E else 1]
+        real = verify_mod.apply_hecke
+        monkeypatch.setattr(verify_mod, "apply_hecke", self.broken_on(broken, real, 1, "Hbar"))
+        failed = self.failing_checks(capsys, "--suite", "oracle", "--n", "2", "--maxdeg", "2")
+        c = ExactScalar.qt_monomial(1, 1)
+        g = real(nonsym_E(mu), 1, "Hbar").scalar_mul(ExactScalar.from_int(2 if broken_on_E else 1))
+        assert failed == {
+            "oracle_interchange": {
+                "lambda": list(lam),
+                "a": 1,
+                "b": 2,
+                "lhs": nonsym_E(lam).scalar_mul(ExactScalar.one() - c).to_json_dict(),
+                "rhs": (g - real(nonsym_E(mu), 1, "H").scalar_mul(c)).to_json_dict(),
+            }
+        }
+
+    def test_passing_oracle_run_builds_no_E_of_its_own(self, capsys, monkeypatch):
+        # a passing run reads E_lam off the eigen-oracle: only a failure calls nonsym_E
+        from kostka_forge import verify as verify_mod
+
+        def refused(lam):
+            raise AssertionError(f"the suite built E_{lam}")
+
+        monkeypatch.setattr(verify_mod, "nonsym_E", refused)
+        code, out, _ = run(capsys, "verify", "--suite", "oracle", "--n", "3", "--maxdeg", "4")
+        assert code == EXIT_OK
+        assert json.loads(out)["passed"] is True
+
     def test_integrality_failure_carries_a_counterexample(self, capsys, monkeypatch):
         from kostka_forge import verify as verify_mod
 

@@ -38,6 +38,7 @@ from kostka_forge.macdonald import (
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.symfunc import _solve_scalar_system, msym_coords, msym_vector, schur_bialternant
 from kostka_forge.weights import (
+    _transpose,
     b_factor,
     compositions,
     conjugate,
@@ -49,6 +50,7 @@ from kostka_forge.weights import (
     order_leq,
     pad,
     partitions,
+    spectral_vector,
 )
 from kostka_forge.zpoly import ZPolynomial
 
@@ -158,6 +160,64 @@ class TestHActionStep:
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
             haction_step(nonsym_E((1, 0)), (0, 1), 1)
+
+
+class TestIntegralIdentities:
+    """The oracle suite's Phi, H-action and interchange identities on the
+    integral forms, E_lam's identities times d_lam, for n <= 4, |lam| <= 4."""
+
+    ONE = ExactScalar.one()
+
+    @staticmethod
+    def compositions_to(n_max, d_max):
+        for n in range(1, n_max + 1):
+            for d in range(d_max + 1):
+                yield from compositions(d, n)
+
+    def test_phi(self):
+        # calE_lam = q^{lam_n - 1} (1 - lbar_n t^n) Phi calE_{lam*}
+        checked = 0
+        for lam in self.compositions_to(4, 4):
+            n = len(lam)
+            if lam[-1]:
+                star = (lam[-1] - 1,) + lam[:-1]
+                x = ExactScalar.q(lam[-1] - 1) * (self.ONE - spectral_vector(lam).scalar(n) * ExactScalar.t(n))
+                assert apply_phi(nonsym_calE(star), "Phi").scalar_mul(x) == nonsym_calE(lam), lam
+                checked += 1
+        assert checked == 69
+
+    def test_hecke(self):
+        # (1 - t rho) calE_lam = [(1 - rho) H_i + 1 - t] calE_{s_i lam}
+        t = ExactScalar.t()
+        checked = 0
+        for lam in self.compositions_to(4, 4):
+            sv = spectral_vector(lam)
+            for i in range(1, len(lam)):
+                if lam[i - 1] > lam[i]:
+                    rho = sv.scalar(i) / sv.scalar(i + 1)
+                    s = nonsym_calE(_transpose(lam, i))
+                    rhs = apply_hecke(s, i, "H").scalar_mul(self.ONE - rho) + s.scalar_mul(self.ONE - t)
+                    assert nonsym_calE(lam).scalar_mul(self.ONE - t * rho) == rhs, (lam, i)
+                    checked += 1
+        assert checked == 104
+
+    def test_interchange(self):
+        # (1 - t^{b-a} c) calE_lam = [Hbar_a ... Hbar_{b-1} - c H_a ... H_{b-1}] calE_mu
+        checked = 0
+        for lam in self.compositions_to(4, 4):
+            for a in range(1, len(lam)):
+                b = a + 1
+                while lam[a - 1] and b <= len(lam) and lam[b - 1] == 0:
+                    mu = lam[: a - 1] + (0,) + lam[a : b - 1] + (lam[a - 1],) + lam[b:]
+                    c = spectral_vector(lam).scalar(a) / spectral_vector(mu).scalar(a)
+                    g = h = nonsym_calE(mu)
+                    for j in range(b - 1, a - 1, -1):
+                        g, h = apply_hecke(g, j, "Hbar"), apply_hecke(h, j, "H")
+                    lhs = nonsym_calE(lam).scalar_mul(self.ONE - ExactScalar.t(b - a) * c)
+                    assert lhs == g - h.scalar_mul(c), (lam, a, b)
+                    checked += 1
+                    b += 1
+        assert checked == 112
 
 
 class TestTMonomial:

@@ -220,6 +220,57 @@ class TestInterchangeConstant:
                     assert spectral_vector(lam).exponents[-1] == (lam[-1], -a), lam
 
 
+class TestNormFactorRatios:
+    """d_lam / d_nu at each step the oracle suite takes, nu = lam*, s_i lam
+    or the interchange's mu, is a ratio of at most two binomials; the suite
+    decides its Phi, H-action and interchange checks on calE by them."""
+
+    ONE = ExactScalar.one()
+
+    @staticmethod
+    def compositions_to(n_max, d_max):
+        for n in range(1, n_max + 1):
+            for d in range(d_max + 1):
+                yield from compositions(d, n)
+
+    def test_phi_step(self):
+        checked = 0
+        for lam in self.compositions_to(5, 5):
+            n = len(lam)
+            if lam[-1]:
+                star = (lam[-1] - 1,) + lam[:-1]
+                ratio = self.ONE - spectral_vector(lam).scalar(n) * ExactScalar.t(n)
+                assert norm_factor(lam) / norm_factor(star) == ratio, lam
+                checked += 1
+        assert checked == 251
+
+    def test_hecke_step(self):
+        checked = 0
+        for lam in self.compositions_to(5, 5):
+            sv = spectral_vector(lam)
+            for i in range(1, len(lam)):
+                if lam[i - 1] > lam[i]:
+                    rho = sv.scalar(i) / sv.scalar(i + 1)
+                    ratio = (self.ONE - rho) / (self.ONE - ExactScalar.t() * rho)
+                    assert norm_factor(lam) / norm_factor(_transpose(lam, i)) == ratio, (lam, i)
+                    checked += 1
+        assert checked == 535
+
+    def test_interchange_step(self):
+        checked = 0
+        for lam in self.compositions_to(5, 5):
+            for a in range(1, len(lam)):
+                b = a + 1
+                while lam[a - 1] and b <= len(lam) and lam[b - 1] == 0:
+                    mu = lam[: a - 1] + (0,) + lam[a : b - 1] + (lam[a - 1],) + lam[b:]
+                    c = spectral_vector(lam).scalar(a) / spectral_vector(mu).scalar(a)
+                    ratio = (self.ONE - c) / (self.ONE - ExactScalar.t(b - a) * c)
+                    assert norm_factor(lam) / norm_factor(mu) == ratio, (lam, a, b)
+                    checked += 1
+                    b += 1
+        assert checked == 600
+
+
 def test_transpose_swaps_entries_i_and_i_plus_one():
     assert _transpose((5, 6, 7), 1) == (6, 5, 7)
     assert _transpose((5, 6, 7), 2) == (5, 7, 6)
