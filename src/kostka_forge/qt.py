@@ -9,12 +9,13 @@ the denominator.
 
 The bivariate gcd is the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
 J. Symbolic Comput. 7 (1989) 31-48): evaluate t at a large integer xi,
-take the gcd of the images in Z[q] the same way one level down (one
-integer gcd), read the result back in symmetric base-xi digits and
-accept it only if it divides both operands exactly; with xi at least
-2 * min(|a|, |b|) + 2 (max norms) an accepted candidate is the gcd.  A
-rejected point moves on to a larger one, and a large enough point is
-always accepted (see _heu), so the heuristic is the only gcd algorithm.
+take the gcd of the images in Z[q] with QTPolynomial.gcd itself (which
+evaluates q the same way, so one level down the images are integers),
+read the result back in symmetric base-xi digits and accept it only if
+it divides both operands exactly; with xi at least 2 * min(|a|, |b|) + 2
+(max norms) an accepted candidate is the gcd.  A rejected point moves on
+to a larger one, and a large enough point is always accepted (see
+_heu_gcd), so the heuristic is the only gcd algorithm.
 """
 
 from __future__ import annotations
@@ -29,73 +30,7 @@ from math import isqrt
 from .errors import DivisionByZero, NotDivisible, PoleAtSpecialization
 
 # ---------------------------------------------------------------------------
-# univariate integer polynomials, represented as tuples low-to-high
-# ---------------------------------------------------------------------------
-
-
-def _utrim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _udeg(f):
-    return len(f) - 1  # zero polynomial has degree -1
-
-
-def _uscale(f, c):
-    if c == 0:
-        return ()
-    return tuple(a * c for a in f)
-
-
-def _ucontent(f):
-    g = 0
-    for c in f:
-        g = _igcd(g, c)
-    return g
-
-
-def _uprim(f):
-    c = _ucontent(f)
-    if c in (0, 1):
-        return f
-    return tuple(a // c for a in f)
-
-
-def _upositive(f):
-    if f and f[-1] < 0:
-        return tuple(-c for c in f)
-    return f
-
-
-def _uexact_div(f, g):
-    """Exact division in Z[y]; raises NotDivisible if not exact."""
-    if not g:
-        raise NotDivisible("division by zero polynomial")
-    if g == (1,):
-        return f
-    dg = _udeg(g)
-    lg = g[-1]
-    out = [0] * (len(f) - dg)
-    r = list(f)
-    for k in range(len(out) - 1, -1, -1):
-        c = r[k + dg]
-        if c % lg:
-            raise NotDivisible("non-integer quotient coefficient")
-        q = c // lg
-        out[k] = q
-        if q:
-            for j, b in enumerate(g):
-                r[k + j] -= q * b
-    if any(r):
-        raise NotDivisible("nonzero remainder in exact division")
-    return _utrim(out)
-
-
-# ---------------------------------------------------------------------------
-# heuristic gcd: evaluate, one integer gcd, interpolate, check by division
+# heuristic gcd: evaluate, gcd of the images, interpolate, check by division
 # ---------------------------------------------------------------------------
 
 
@@ -112,86 +47,51 @@ def _digits(n, xi):
     return out
 
 
-def _heu(f, g, norm, image, image_gcd, lift, divide):
-    """GCDHEU on primitive f, g, where norm = min(|f|_inf, |g|_inf): evaluate
-    both at xi (image), take the gcd of the images (image_gcd), read it back
-    in symmetric base-xi digits as a primitive candidate (lift), and accept
-    it if divide(f, h) and divide(g, h) raise no NotDivisible; otherwise
-    move on to a larger xi.  Every xi is at least 2 * norm + 2, so an
-    accepted candidate is the gcd.  The gcd image is a nonnegative integer
-    or has a positive leading coefficient, and the top symmetric digit of a
-    positive integer is positive, so an accepted candidate has a positive
-    (lex-)leading coefficient.
+def _heu_gcd(a, b):
+    """Gcd of primitive a, b in Z[q,t] with two or more terms each,
+    lex-leading coefficient positive, by GCDHEU: evaluate the last variable
+    that occurs (t, or q when neither operand has t) at xi, take the gcd of
+    the images with QTPolynomial.gcd, read it back in symmetric base-xi
+    digits in that variable as a primitive candidate h, and accept h if it
+    divides a and b exactly; otherwise move on to a larger xi.  Every xi is
+    at least 2 * min(|a|_inf, |b|_inf) + 2, so an accepted candidate is the
+    gcd.  The gcd of the images has a positive lex-leading coefficient, and
+    the top symmetric digit of a positive integer is positive, so an
+    accepted candidate has one too.
 
-    The loop ends.  Write f = G*A and g = G*B with G the gcd and A, B
-    coprime; the gcd of the images at xi is gamma * G(xi), gamma the gcd
-    of the cofactor images.  In Z[y], gamma divides the resultant
-    res(A, B), a fixed nonzero integer.  In Z[q,t], once xi is none of the
-    finitely many roots of res_q(A, B)(t) or of the leading q-coefficients,
-    gamma is an integer, and it divides a fixed nonzero integer because the
-    contents of A and B are coprime.  So once xi > 2 * |gamma| * |G|_inf
-    the digits give back gamma * G, whose primitive part G is accepted.
-    The points grow like xi^(5/4), so reaching any such bound takes
-    O(log log bound) points."""
-    xi = 2 * norm + 29
+    The loop ends.  Write a = G*A and b = G*B with G the gcd and A, B
+    coprime; the gcd of the images at xi is gamma * G(xi), gamma the gcd of
+    the cofactor images.  With q evaluated, gamma is an integer dividing
+    res(A, B), a fixed nonzero integer.  With t evaluated, once xi is none
+    of the finitely many roots of res_q(A, B)(t) or of the leading
+    q-coefficients, gamma is an integer, and it divides a fixed nonzero
+    integer because the contents of A and B are coprime.  So once xi >
+    2 * |gamma| * |G|_inf the digits give back gamma * G, whose primitive
+    part G is accepted.  The points grow like xi^(5/4), so reaching any
+    such bound takes O(log log bound) points."""
+    on_t = a.deg_t() > 0 or b.deg_t() > 0
+    xi = 2 * min(max(map(abs, a._terms.values())), max(map(abs, b._terms.values()))) + 29
     while True:
-        h = lift(image_gcd(image(f, xi), image(g, xi)), xi)
+        at = (None, xi) if on_t else (xi, None)
+        g = QTPolynomial.gcd(a.substitute(*at)[0], b.substitute(*at)[0])
+        terms = {}
+        for (x, y), n in g._terms.items():
+            for j, d in enumerate(_digits(n, xi)):
+                if d:
+                    terms[(x, j) if on_t else (j, y)] = d
+        h = QTPolynomial._of(terms)
+        cont = h.content()
+        if cont > 1:
+            h = QTPolynomial._of({k: v // cont for k, v in terms.items()})
         try:
-            divide(f, h)
-            divide(g, h)
+            if not h.is_one():
+                a.exact_divide(h)
+                b.exact_divide(h)
             return h
         except NotDivisible:
             pass
         # the next point, xi * floor(xi^(1/4)) * 73794 / 27011
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
-
-
-def _ueval(f, x):
-    v = 0
-    for c in reversed(f):
-        v = v * x + c
-    return v
-
-
-def _uheu_gcd(f, g):
-    """Gcd in Z[y], content included, leading coefficient positive."""
-    if not f or not g:
-        return _upositive(f or g)
-    pf, pg = _uprim(f), _uprim(g)
-    norm = min(max(map(abs, pf)), max(map(abs, pg)))
-    h = _heu(pf, pg, norm, _ueval, _igcd, lambda n, xi: _uprim(tuple(_digits(n, xi))), _uexact_div)
-    return _uscale(h, _igcd(_ucontent(f), _ucontent(g)))
-
-
-def _heu_gcd(a, b):
-    """Gcd of primitive a, b in Z[q,t] with two or more terms each,
-    lex-leading coefficient positive."""
-    dq = max(a.deg_q(), b.deg_q())
-    dt = max(a.deg_t(), b.deg_t())
-
-    def image(p, xi):
-        powers = [xi**y for y in range(dt + 1)]
-        f = [0] * (dq + 1)
-        for (x, y), v in p._terms.items():
-            f[x] += v * powers[y]
-        return _utrim(f)
-
-    def lift(c, xi):
-        terms = {}
-        for x, n in enumerate(c):
-            for y, d in enumerate(_digits(n, xi)):
-                if d:
-                    terms[(x, y)] = d
-        h = QTPolynomial(terms)
-        cont = h.content()
-        return QTPolynomial({k: v // cont for k, v in terms.items()}) if cont > 1 else h
-
-    def divide(p, h):
-        if not h.is_one():
-            p.exact_divide(h)
-
-    norm = min(max(map(abs, a._terms.values())), max(map(abs, b._terms.values())))
-    return _heu(a, b, norm, image, _uheu_gcd, lift, divide)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +183,7 @@ class QTPolynomial:
         return k, self._terms[k]
 
     def content(self):
-        return _ucontent(self._terms.values())
+        return _igcd(*self._terms.values())
 
     def __eq__(self, other):
         if not isinstance(other, QTPolynomial):

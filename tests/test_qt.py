@@ -80,10 +80,6 @@ class TestGeneralPaths:
         for product in (p * zero, zero * p, zero * zero):
             assert product == zero and not product
 
-    @pytest.mark.parametrize("g", [(1, -1), (3,), (1,)])
-    def test_univariate_zero_divided_is_zero(self, g):
-        assert qt._uexact_div((), g) == ()
-
     @pytest.mark.parametrize(
         "p",
         [P({(2, 1): -6, (1, 0): 4, (0, 2): 2}), P({(3, 2): -4, (1, 2): 6, (2, 1): 2})],
@@ -643,55 +639,52 @@ def test_gcd_matches_sympy_on_planted_factor(g, a, b, ca, cb):
     assert QTPolynomial.gcd(a, b) == sympy_gcd(a, b)
 
 
-Y_SYM = sympy.Symbol("y")
+def embed(coeffs, var):
+    """The one-variable polynomial with these coefficients, low to high,
+    in q or in t."""
+    return QTPolynomial({(i, 0) if var == "q" else (0, i): c for i, c in enumerate(coeffs)})
 
 
-def upoly(f):
-    """Z[y] tuple (low to high) as a sympy Poly."""
-    return sympy.Poly(list(reversed(f)) or [0], Y_SYM, domain="ZZ")
-
-
-def sympy_ugcd(f, g):
-    """Gcd over Z[y] by sympy, content included, leading coefficient positive."""
-    return qt._utrim(tuple(int(c) for c in reversed(sympy.gcd(upoly(f), upoly(g)).all_coeffs())))
-
-
-def umul(f, g):
-    return qt._utrim(tuple(int(c) for c in reversed((upoly(f) * upoly(g)).all_coeffs())))
-
-
-upolys = st.lists(st.integers(-40, 40), min_size=1, max_size=5).map(qt._utrim).filter(bool)
+# each one-variable case runs in both embeddings: GCDHEU evaluates t when
+# an operand has t, else q, so the two cover both branches of its loop
+VARS = ["q", "t"]
+ucoeffs = st.lists(st.integers(-40, 40), min_size=1, max_size=5).filter(any)
 
 
 @settings(deadline=None, max_examples=150)
-@given(upolys, upolys, upolys)
+@given(ucoeffs, ucoeffs, ucoeffs)
 def test_univariate_heuristic_matches_sympy(g, a, b):
-    a, b = umul(g, a), umul(g, b)
-    assert qt._uheu_gcd(a, b) == sympy_ugcd(a, b)
+    for var in VARS:
+        h = embed(g, var)
+        f, k = h * embed(a, var), h * embed(b, var)
+        assert QTPolynomial.gcd(f, k) == sympy_gcd(f, k)
 
 
 def test_heuristic_after_a_rejected_point():
     # at the first point xi = 31 the images of y - 1 and 1 - 29791 y share
     # the factor 30, whose digits read back as y - 1, which does not
     # divide 1 - 29791 y; the next point finds the gcd 1
-    assert qt._uheu_gcd((-1, 1), (1, -29791)) == sympy_ugcd((-1, 1), (1, -29791)) == (1,)
-    assert QTPolynomial.gcd(T - ONE, ONE - T.scale(29791)) == ONE
+    for var in VARS:
+        a, b = embed((-1, 1), var), embed((1, -29791), var)
+        assert QTPolynomial.gcd(a, b) == sympy_gcd(a, b) == ONE
 
 
 def test_heuristic_with_a_zero_image():
-    # the first point is xi = 2 * 1 + 29 = 31, a root of t - 31 and of y - 31
-    a, b = T - ONE.scale(31), T + ONE
-    assert QTPolynomial.gcd(a, b) == sympy_gcd(a, b) == ONE
-    assert str(ExactScalar(a, b)) == "(t - 31)/(t + 1)"
-    assert qt._uheu_gcd((-31, 1), (1, 1)) == sympy_ugcd((-31, 1), (1, 1)) == (1,)
-    assert qt._uheu_gcd((), (2, 4)) == qt._uheu_gcd((-2, -4), ()) == (2, 4)
-    assert qt._uheu_gcd((), ()) == ()
+    # the first point is xi = 2 * 1 + 29 = 31, a root of y - 31
+    zero = QTPolynomial.zero()
+    for var in VARS:
+        a, b = embed((-31, 1), var), embed((1, 1), var)
+        assert QTPolynomial.gcd(a, b) == sympy_gcd(a, b) == ONE
+        assert str(ExactScalar(a, b)) == f"({var} - 31)/({var} + 1)"
+        h = embed((2, 4), var)
+        assert QTPolynomial.gcd(zero, h) == QTPolynomial.gcd(-h, zero) == h
+    assert QTPolynomial.gcd(zero, zero) == zero
     a, b = (Q - ONE.scale(31)) * (T + ONE), (Q + ONE) * (T + ONE)
     assert QTPolynomial.gcd(a, b) == sympy_gcd(a, b) == T + ONE
 
 
-# the points _heu tries when the smaller max norm is 1: 2 * 1 + 29, then
-# each one times the floor of its fourth root, times 73794 / 27011
+# the points _heu_gcd tries when the smaller max norm is 1: 2 * 1 + 29,
+# then each one times the floor of its fourth root, times 73794 / 27011
 POINTS = [
     31, 169, 1385, 22702, 744261, 58966268, 14015328567, 13171708628261, 68551582381583973,
 ]
@@ -703,19 +696,19 @@ def test_heuristic_past_six_points(k, monkeypatch):
     # y - 1 and y + N - 1 share the factor xi - 1, which reads back as y - 1
     # and is rejected; the next point finds the gcd 1
     n = math.lcm(*(xi - 1 for xi in POINTS[:k]))
-    ueval, uheu_gcd = qt._ueval, qt._uheu_gcd
-    points, image_gcds = [], []
-    monkeypatch.setattr(qt, "_ueval", lambda p, x: points.append(x) or ueval(p, x))
-    f, g = (-1, 1), (n - 1, 1)
-    assert qt._uheu_gcd(f, g) == sympy_ugcd(f, g) == (1,)
+    digits, gcd = qt._digits, QTPolynomial.gcd
+    points, gcd_calls = [], []
+    monkeypatch.setattr(qt, "_digits", lambda m, xi: points.append(xi) or digits(m, xi))
+    f, g = Q - ONE, Q + ONE.scale(n - 1)
+    assert QTPolynomial.gcd(f, g) == sympy_gcd(f, g) == ONE
     assert sorted(set(points)) == POINTS[: k + 1]
-    # one level up, one image gcd per point
-    monkeypatch.setattr(qt, "_uheu_gcd", lambda f, g: image_gcds.append(f) or uheu_gcd(f, g))
+    # one level up, one image gcd per point (after the call itself)
+    monkeypatch.setattr(QTPolynomial, "gcd", staticmethod(lambda a, b: gcd_calls.append(a) or gcd(a, b)))
     a, b = T - ONE, T + ONE.scale(n - 1)
     assert QTPolynomial.gcd(a, b) == sympy_gcd(a, b) == ONE
-    assert len(image_gcds) == k + 1
+    assert len(gcd_calls) == k + 2
     # the same pairs times a planted factor, at both levels
     planted = (Q + T + ONE) * (Q - T.scale(3))
     assert QTPolynomial.gcd(a * planted, b * planted) == sympy_gcd(a * planted, b * planted)
-    h = (5, -3, 2)
-    assert uheu_gcd(umul(f, h), umul(g, h)) == sympy_ugcd(umul(f, h), umul(g, h)) == h
+    h = embed((5, -3, 2), "q")
+    assert gcd(f * h, g * h) == sympy_gcd(f * h, g * h) == h
