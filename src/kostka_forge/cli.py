@@ -382,9 +382,7 @@ def main(argv=None):
         return _emit_error("ValidationError", str(exc), EXIT_VALIDATION)
     except NotInSpan as exc:
         return _emit_error("NotInSpan", str(exc), EXIT_NOT_IN_SPAN)
-    except KostkaForgeError as exc:
-        return _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
-    except OSError as exc:  # an --output path that cannot be written
+    except (KostkaForgeError, OSError) as exc:  # OSError: an unwritable --output path
         return _emit_error(type(exc).__name__, str(exc), EXIT_VALIDATION)
     except MemoryError as exc:
         return _emit_error("MemoryError", str(exc) or "out of memory", EXIT_VALIDATION)

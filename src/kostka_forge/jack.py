@@ -14,10 +14,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import NotAPartition, NotInSpan
+from .errors import NotInSpan
 from .hecke import _coset_chain_sum, apply_phi, apply_reflection
 from .macdonald import _rotated_seed, nonsym_calE
 from .weights import (
+    _require_partition,
     distinct_permutations,
     is_partition,
     length,
@@ -87,8 +88,7 @@ def jack_sym(lam):
     multiplied in and never divided out.
     """
     lam = tuple(lam)
-    if not is_partition(lam):
-        raise NotAPartition(f"{lam} is not a partition")
+    _require_partition(lam)
     return _coset_chain_sum(_jack_seed(lam), apply_reflection, len(lam) - length(lam))
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     IndexOutOfRange,
-    NotAPartition,
     NotInSpan,
     PreconditionViolated,
     TailNotPartition,
@@ -33,6 +32,7 @@ from .hecke import (
 from .qt import ExactScalar
 from .symfunc import _from_msym_coords, _solve_scalar_system, msym_coords, msym_vector, t_schur_polynomial as t_schur
 from .weights import (
+    _require_partition,
     _transpose,
     b_factor,
     compositions,
@@ -423,8 +423,7 @@ def sym_calJ(lam):
     is written on every distinct rearrangement of its exponent.
     """
     lam = tuple(lam)
-    if not is_partition(lam):
-        raise NotAPartition(f"{lam} is not a partition")
+    _require_partition(lam)
     n, m = len(lam), length(lam)
     factor = _ONE_MINUS_T**m
     coords = msym_coords(hecke_symmetrize(_calJ_seed(lam), n - m))
@@ -445,8 +444,7 @@ def hall_littlewood(lam, kind="P", n=None):
     lam = tuple(lam)
     if n is None:
         n = len(lam)
-    if not is_partition(lam):
-        raise NotAPartition(f"{lam} is not a partition")
+    _require_partition(lam)
     if length(lam) > n:
         raise TooFewVariables(f"{lam} needs more than {n} variables")
     lam = pad(lam[:n], n)

@@ -449,7 +449,7 @@ class ExactScalar:
     coefficient is positive.  Zero is (0, 1).
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, _reduced=False):
         if den is None:
@@ -460,7 +460,6 @@ class ExactScalar:
             num, den = self._reduce(num, den)
         self.num = num
         self.den = den
-        self._hash = None
 
     @staticmethod
     def _reduce(num, den):
@@ -529,9 +528,7 @@ class ExactScalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     # -- field operations ---------------------------------------------------
 
@@ -549,12 +546,10 @@ class ExactScalar:
                 return ExactScalar(num, d1, _reduced=True)
             _, num, den = _cancel(num, d1)
             return ExactScalar(num, den, _reduced=True)
-        # with both operands reduced, any common factor of the combined
-        # numerator and denominator must divide g = gcd(d1, d2)
+        # with both operands reduced, a common factor of the combined numerator
+        # and denominator divides g = gcd(d1, d2), and d1 != d2 makes the sum nonzero
         g, d1g, d2g = _cancel(d1, d2)
         num = self.num * d2g + other.num * d1g
-        if not num:
-            return _ES_ZERO
         _, num, g = _cancel(num, g)
         return ExactScalar(num, d1g * d2g * g, _reduced=True)
 

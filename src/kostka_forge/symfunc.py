@@ -14,9 +14,9 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import NotAPartition, SingularSystem, TooFewVariables
+from .errors import SingularSystem, TooFewVariables
 from .qt import ExactScalar, QTPolynomial
-from .weights import _transpose, _unit, conjugate, distinct_permutations, is_partition, length, pad, partitions
+from .weights import _require_partition, _transpose, _unit, conjugate, distinct_permutations, is_partition, length, pad, partitions
 from .zpoly import ZPolynomial
 
 
@@ -167,8 +167,7 @@ def schur_power_sum_expansion(mu, n):
     d = sum(mu)
     if n < d:
         raise TooFewVariables(f"power-sum basis needs n >= {d}")
-    if not is_partition(mu):
-        raise NotAPartition(f"{mu} is not a partition")
+    _require_partition(mu)
     return dict(_power_sum_basis(d)[mu[: length(mu)]])
 
 

@@ -56,6 +56,7 @@ from .weights import (
     pad,
     partitions,
     spectral_vector,
+    star_step,
 )
 from .zpoly import ZPolynomial
 
@@ -341,7 +342,7 @@ def suite_oracle(n=3, maxdeg=4, seed=0, trials=None):
             # E_lam = q^{lam_n - 1} Phi(E_{lam*}): the q-power compensates
             # the q^{-1} that Phi's rotation puts on the leading monomial;
             # d_lam / d_{lam*} = 1 - lbar_n t^n, a polynomial
-            prev = (lam[-1] - 1,) + lam[:-1]
+            prev = star_step(lam)
             q_shift = ExactScalar.q(lam[-1] - 1)
             ratio = one - sv.scalar(n) * ExactScalar.t(n)
             if apply_phi(nonsym_calE(prev), "Phi").scalar_mul(q_shift * ratio) != cal:
@@ -411,7 +412,11 @@ def suite_integrality(n=3, maxdeg=4, seed=0, trials=None):
     parts = list(_all_partitions(n, maxdeg))
     for lam in parts:
         calj = sym_calJ(lam)
-        exp = expand_in_partial_t_monomials(calj, 0)
+        try:
+            exp = expand_in_partial_t_monomials(calj, 0)
+        except NotInSpan:
+            rec.add("calJ_tmono_integral", lam, {"lambda": lam, "form": calj})
+            continue
         if not exp.all_integral():
             rec.add("calJ_tmono_integral", lam, {"lambda": lam, "form": calj, "expansion": exp})
     return [
@@ -433,7 +438,7 @@ def suite_degeneration(n=3, maxdeg=4, seed=0, trials=None):
     for lam in lams:
         rec.equal("calE_q0_is_tmonomial", lam, nonsym_calE(lam).specialize(qv=0), t_monomial(lam))
         if lam[-1] != 0:
-            prev = (lam[-1] - 1,) + lam[:-1]
+            prev = star_step(lam)
             # t^{-k_n(lam)}, k_n counting the earlier parts >= lam_n
             _, minus_k = spectral_vector(lam).exponents[-1]
             lhs = apply_phi(t_monomial(prev), "Phi_prime")
@@ -538,7 +543,12 @@ def suite_jack(n=3, maxdeg=4, seed=0, trials=None):
             continue
         _check_positive(rec, "jack_nonsym_positive", lam, exp)
     for lam in _all_partitions(n, maxdeg):
-        _check_positive(rec, "jack_sym_positive", lam, expand_in_limit_basis(jack_sym(lam), 0))
+        try:
+            exp = expand_in_limit_basis(jack_sym(lam), 0)
+        except NotInSpan:
+            rec.add("jack_sym_positive", lam, {"lambda": lam, "m": 0})
+            continue
+        _check_positive(rec, "jack_sym_positive", lam, exp)
     worst, where = 0.0, None
     for lam in _all_compositions(n, min(maxdeg, 3)):
         for a in (1, 2):

@@ -37,6 +37,11 @@ def is_partition(lam):
     return all(map(ge, lam, lam[1:]))
 
 
+def _require_partition(lam):
+    if not is_partition(lam):
+        raise NotAPartition(f"{lam} is not a partition")
+
+
 def compositions(total, n):
     """All compositions of `total` into n parts, lexicographically."""
     if n == 0:
@@ -249,8 +254,8 @@ def norm_factor(lam, kind="nonsymmetric"):
     """Product over boxes of (1 - q^{a+1} t^{l+1}) or (1 - q^a t^{l+1})."""
     if kind not in ("nonsymmetric", "symmetric"):
         raise ValueError(f"unknown kind {kind!r}")
-    if kind == "symmetric" and not is_partition(lam):
-        raise NotAPartition(f"{lam} is not a partition")
+    if kind == "symmetric":
+        _require_partition(lam)
     shift = 1 if kind == "nonsymmetric" else 0
     prod = QTPolynomial.one()
     for s in box_stats(lam):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import add, itemgetter, sub
 
 from .errors import DimensionMismatch, NotDivisible
-from .qt import ExactScalar, QTPolynomial, _repeated_squaring
+from .qt import ExactScalar, _repeated_squaring
 
 
 class ZPolynomial:
@@ -220,13 +220,7 @@ class ZPolynomial:
 
     @classmethod
     def from_json_dict(cls, data):
-        terms = {}
-        for item in data["terms"]:
-            c = ExactScalar(
-                QTPolynomial.from_json_terms(item["num"]),
-                QTPolynomial.from_json_terms(item["den"]),
-            )
-            terms[tuple(int(x) for x in item["z"])] = c
+        terms = {tuple(int(x) for x in item["z"]): ExactScalar.from_json(item) for item in data["terms"]}
         return cls(int(data["n"]), terms)
 
     def __str__(self):

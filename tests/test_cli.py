@@ -25,6 +25,7 @@ from kostka_forge.cli import (
     main,
 )
 from kostka_forge import cli, macdonald
+from kostka_forge.errors import NotInSpan
 from kostka_forge.macdonald import KostkaMatrix, kostka_matrix, nonsym_E
 from kostka_forge.qt import ExactScalar, QTPolynomial
 from kostka_forge.verify import SUITES, random_zpoly, run_suite
@@ -780,6 +781,146 @@ class TestVerify:
         )
         failed = self.failing_checks(capsys, "--suite", "jack", "--n", "2", "--maxdeg", "2")
         assert failed == {"jack_numeric_limit": {"lambda": [0, 1], "alpha": 2, "gap": 0.25}}
+
+    def test_xi_triangularity_failure_carries_a_counterexample(self, capsys, monkeypatch):
+        # with order_leq saying "greater", no term of xi_i z^lam - lbar_i z^lam lies below lam
+        from kostka_forge import verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "order_leq", lambda mu, lam: "greater")
+        failed = self.failing_checks(capsys, "--suite", "hecke-relations", "--n", "2", "--trials", "3")
+        assert sorted(failed) == ["xi_triangularity"]
+        assert set(failed["xi_triangularity"]) == {"trial", "lambda", "i"}
+
+    def test_oracle_fixpoint_decides_Hbar_too(self, capsys, monkeypatch):
+        # Hbar_1 doubled on calE_(1,1,0) only: H_1 still fixes it up to t,
+        # and the check fails on the Hbar arm, showing Hbar_1 E against E
+        from kostka_forge import verify as verify_mod
+
+        lam = (1, 1, 0)
+        real = verify_mod.apply_hecke
+        monkeypatch.setattr(verify_mod, "apply_hecke", self.broken_on([macdonald.nonsym_calE(lam)], real, 1, "Hbar"))
+        failed = self.failing_checks(capsys, "--suite", "oracle", "--n", "3", "--maxdeg", "2")
+        e = nonsym_E(lam)
+        assert failed == {
+            "oracle_fixpoint": {"lambda": list(lam), "i": 1, "lhs": real(e, 1, "Hbar").to_json_dict(), "rhs": e.to_json_dict()}
+        }
+
+    @staticmethod
+    def refusing_at(real, refused):
+        """real(f, m, ...) raising NotInSpan where refused(m) holds."""
+
+        def expand(f, m, *args):
+            if refused(m):
+                raise NotInSpan(f"refused at m = {m}")
+            return real(f, m, *args)
+
+        return expand
+
+    def test_partial_tmono_span_failure_carries_a_counterexample(self, capsys, monkeypatch):
+        from kostka_forge import verify as verify_mod
+
+        real = verify_mod.expand_in_partial_t_monomials
+        monkeypatch.setattr(verify_mod, "expand_in_partial_t_monomials", self.refusing_at(real, lambda m: m == 2))
+        failed = self.failing_checks(capsys, "--suite", "integrality", "--n", "2", "--maxdeg", "2")
+        assert sorted(failed) == ["partial_tmono_in_span"]
+        assert set(failed["partial_tmono_in_span"]) == {"lambda", "m", "form"}
+        assert failed["partial_tmono_in_span"]["m"] == 2
+
+    def test_calJ_outside_the_span_is_a_failed_check(self, capsys, monkeypatch):
+        # a calJ_lam with no level-0 expansion fails calJ_tmono_integral; the
+        # run still reports every check and exits 5, not 3
+        from kostka_forge import verify as verify_mod
+
+        real = verify_mod.expand_in_partial_t_monomials
+        monkeypatch.setattr(verify_mod, "expand_in_partial_t_monomials", self.refusing_at(real, lambda m: m == 0))
+        failed = self.failing_checks(capsys, "--suite", "integrality", "--n", "2", "--maxdeg", "2")
+        # calE_(0,0) is expanded at level 0 too
+        assert sorted(failed) == ["calJ_tmono_integral", "partial_tmono_in_span"]
+        assert failed["calJ_tmono_integral"] == {
+            "lambda": [0, 0], "form": macdonald.sym_calJ((0, 0)).to_json_dict()
+        }
+
+    def test_calJ_integrality_failure_carries_a_counterexample(self, capsys, monkeypatch):
+        from kostka_forge import verify as verify_mod
+
+        real = verify_mod.sym_calJ
+        bad = real((1, 0)).scalar_mul(ExactScalar.q(-1))
+        monkeypatch.setattr(verify_mod, "sym_calJ", lambda lam: bad if lam == (1, 0) else real(lam))
+        failed = self.failing_checks(capsys, "--suite", "integrality", "--n", "2", "--maxdeg", "2")
+        assert failed == {
+            "calJ_tmono_integral": {
+                "lambda": [1, 0],
+                "form": bad.to_json_dict(),
+                "expansion": macdonald.expand_in_partial_t_monomials(bad, 0).to_json_dict(),
+            }
+        }
+
+    def test_augmented_ladder_outside_the_span_is_a_failed_check(self, capsys, monkeypatch):
+        from kostka_forge import verify as verify_mod
+
+        real = verify_mod.expand_in_partial_t_monomials
+        monkeypatch.setattr(verify_mod, "expand_in_partial_t_monomials", self.refusing_at(real, lambda m: m == 2))
+        failed = self.failing_checks(capsys, "--suite", "degeneration", "--n", "2", "--maxdeg", "2")
+        assert sorted(failed) == ["augmented_level_ladder"]
+        assert set(failed["augmented_level_ladder"]) == {"lambda", "m", "form"}
+        assert failed["augmented_level_ladder"]["m"] == 2
+
+    def test_augmented_ladder_integrality_failure_carries_the_expansion(self, capsys, monkeypatch):
+        # the level-1 basis scaled by q^-1 expands at level 2 with coefficients outside Z[t]
+        from kostka_forge import verify as verify_mod
+
+        real, q_inv = verify_mod.t_monomial_partial, ExactScalar.q(-1)
+        monkeypatch.setattr(
+            verify_mod, "t_monomial_partial",
+            lambda lam, m, augmented=False: real(lam, m, augmented).scalar_mul(q_inv) if m == 1 else real(lam, m, augmented),
+        )
+        failed = self.failing_checks(capsys, "--suite", "degeneration", "--n", "2", "--maxdeg", "2")
+        assert sorted(failed) == ["augmented_level_ladder"]
+        assert set(failed["augmented_level_ladder"]) == {"lambda", "m", "form", "expansion"}
+        assert failed["augmented_level_ladder"]["m"] == 2
+
+    def test_hall_littlewood_symmetry_stops_at_the_first_failing_i(self, capsys, monkeypatch):
+        # every s_i doubled: each partition fails at i = 1, and s_2 is never tried
+        from kostka_forge import verify as verify_mod
+
+        real, tried = verify_mod.apply_reflection, []
+
+        def doubled(f, i):
+            tried.append(i)
+            return real(f, i).scalar_mul(ExactScalar.from_int(2))
+
+        monkeypatch.setattr(verify_mod, "apply_reflection", doubled)
+        failed = self.failing_checks(capsys, "--suite", "hall-littlewood", "--n", "3", "--maxdeg", "2")
+        assert sorted(failed) == ["hl_symmetric"]
+        assert set(failed["hl_symmetric"]) == {"lambda", "i", "lhs", "rhs"}
+        assert failed["hl_symmetric"]["i"] == 1
+        assert tried and set(tried) == {1}
+
+    def test_jack_nonsym_span_failure_carries_a_counterexample(self, capsys, monkeypatch):
+        from kostka_forge import verify as verify_mod
+
+        real = verify_mod.expand_in_limit_basis
+        monkeypatch.setattr(verify_mod, "expand_in_limit_basis", self.refusing_at(real, lambda m: m >= 1))
+        failed = self.failing_checks(capsys, "--suite", "jack", "--n", "2", "--maxdeg", "2")
+        assert sorted(failed) == ["jack_nonsym_in_span"]
+        assert set(failed["jack_nonsym_in_span"]) == {"lambda", "m"}
+        assert failed["jack_nonsym_in_span"]["m"] >= 1
+
+    def test_jack_sym_outside_the_span_is_a_failed_check(self, capsys, monkeypatch):
+        # a J_lam with no level-0 expansion fails jack_sym_positive; the run
+        # still reports every check and exits 5, not 3
+        from kostka_forge import verify as verify_mod
+
+        real = verify_mod.expand_in_limit_basis
+        monkeypatch.setattr(verify_mod, "expand_in_limit_basis", self.refusing_at(real, lambda m: m == 0))
+        failed = self.failing_checks(capsys, "--suite", "jack", "--n", "2", "--maxdeg", "2")
+        # J_(0,0) is also the nonsymmetric form of (0,0), expanded at level 0
+        assert sorted(failed) == ["jack_nonsym_in_span", "jack_sym_positive"]
+        assert failed["jack_sym_positive"] == {"lambda": [0, 0], "m": 0}
+
+    def test_run_suite_refuses_an_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown suite 'no-such-suite'"):
+            run_suite("no-such-suite")
 
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_every_check_has_the_report_keys(self, suite):

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 module-level private helper is used somewhere in the package, only
-`qt.py` reads the Kronecker layout, and the classical oracles in
-`symfunc.py` import no operator code.
+`qt.py` reads the Kronecker layout, only `weights.py` raises
+`NotAPartition`, and the classical oracles in `symfunc.py` import no
+operator code.
 
 `__init__.py` is exempt from the import scan: its imports are the
 package's re-exports.
@@ -101,6 +102,33 @@ def test_only_qt_reads_the_kronecker_layout(path):
     # packed words shift and bound their digits through Kronecker.times,
     # one_minus_t and holds
     assert layout_reads(path.read_text()) == [], f"{path.name} reads Kronecker.B or .Q"
+
+
+def raises_of(source, error):
+    """Line numbers where source raises the exception class named error,
+    called or bare, by name or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", None) == error or getattr(exc, "attr", None) == error:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_sees_a_raise():
+    source = (
+        "def f(lam):\n    raise NotAPartition(f'{lam}')\n"
+        "def g():\n    raise errors.NotAPartition\n"
+        "def h():\n    raise NotInSpan('x')\n    raise\n"
+    )
+    assert raises_of(source, "NotAPartition") == [2, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "weights.py"], ids=lambda p: p.name)
+def test_only_weights_raises_not_a_partition(path):
+    # the partition precondition has one owner, weights._require_partition
+    assert raises_of(path.read_text(), "NotAPartition") == [], f"{path.name} raises NotAPartition"
 
 
 def package_imports(source):
